@@ -174,12 +174,6 @@ def _bases_json(bases: dict) -> dict:
     }
 
 
-def _sanitize(x):
-    if isinstance(x, float) and (x != x or abs(x) == float("inf")):
-        return str(x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # command handlers; each returns (report_dict, exit_code)
 
@@ -273,7 +267,6 @@ def _cmd_signature(spec, opts):
 def _cmd_fredholm(spec, opts):
     shift = spec["shift"]
     rep = fredholm_symbol_check(spec["a"], spec["b"], spec["p"], shift)
-    rep = {k: _sanitize_tree(v) for k, v in rep.items()}
     out = {
         "command": "fredholm",
         "beta": complex(shift.beta),
@@ -301,14 +294,6 @@ def _cmd_verify(spec, opts):
         "size": n,
         "dims": dims,
     }, 0
-
-
-def _sanitize_tree(x):
-    if isinstance(x, dict):
-        return {k: _sanitize_tree(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_sanitize_tree(v) for v in x]
-    return _sanitize(x)
 
 
 _COMMANDS = {

@@ -416,7 +416,6 @@ def all_defect_bases(pair: MatchingPair) -> dict:
 
 def kernel_cokernel_bases(
     pair: MatchingPair,
-    shift: Optional[ShiftParams] = None,
     which: tuple[str, str] = ("ker", "+"),
     oracle_size: int = 256,
     verify: bool = True,
@@ -490,7 +489,6 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
 
 def defect_numbers(
     pair: MatchingPair,
-    shift: Optional[ShiftParams] = None,
     oracle_size: int = 256,
     run_oracle: bool = True,
     keep_bases: bool = True,

@@ -133,10 +133,6 @@ class LaurentPolynomial:
             out = out * self
         return out
 
-    def derivative(self) -> "LaurentPolynomial":
-        exps = self.lo + np.arange(len(self.coeffs))
-        return LaurentPolynomial(self.lo - 1, self.coeffs * exps)
-
     # -- evaluation and roots -----------------------------------------------
 
     def eval(self, t):

@@ -151,7 +151,7 @@ def generate_matching_function(
     for r in (g_plus.num_roots, g_plus.den_roots):
         if np.any(np.abs(r) < 1.0 + DELTA_CIRCLE):
             raise BadPlusFactor("g_plus has a zero or pole in the closed disk")
-    if g_plus.num.lo != 0:
+    if g_plus.mono != 0:
         raise BadPlusFactor("g_plus carries a monomial factor")
     inv_composed = compose_with_shift(g_plus.invert(), shift)
     return float(sigma) * g_plus * chi_power(shift, -n) * inv_composed

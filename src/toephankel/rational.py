@@ -1,23 +1,42 @@
-"""Rational symbols on the unit circle.
+"""Rational symbols on the unit circle, stored in factored form.
 
-A symbol is a ratio of two Laurent polynomials, kept reduced (no shared
-roots within the clustering tolerance) and normalized so that the
-denominator is a monic ordinary polynomial with nonzero constant term.
-Admissibility means the denominator has no root inside the exclusion
-annulus | |z| - 1 | < DELTA_CIRCLE, so evaluation on the circle is bounded.
+A symbol is kept as
+
+    lead * t^mono * prod_i (t - roots[i])^mults[i]
+
+with distinct nonzero roots and nonzero integer multiplicities, positive
+for zeros and negative for poles.  Products, inverses, powers, the
+boundary conjugate and substitutions (see shift.compose_with_shift) are
+bookkeeping on this list, so an m-fold root stays one root of multiplicity
+m instead of scattering like eps^(1/m) under a root finder.
+
+Only a sum needs root finding.  It factors out the roots both terms share,
+at their smaller multiplicity, expands what is left into one polynomial
+and calls np.roots on it once; the zeros found are identified with the
+known roots at the single relative tolerance ROOT_TOL, which cancels a
+zero against a pole.  Coefficient input RationalSymbol(num, den) is
+factored once, on entry, with one np.roots call per polynomial; since an
+m-fold input root comes back scattered, roots within ENTRY_TOL are taken
+as one multiple root when that reproduces the input values (_entry_roots).  The coefficient vectors num/den
+and the root lists num_roots/den_roots are derived from the factors.
+
+Admissibility means no pole inside the exclusion annulus
+| |z| - 1 | < DELTA_CIRCLE, so evaluation on the circle is bounded.
 
 Besides arithmetic, this module provides the partial-fraction machinery
-used everywhere else: exact Fourier coefficients on a window, the exact
-splitting of a symbol into its analytic-inside and analytic-outside parts,
-and certified winding numbers via root localization.
+used everywhere else: principal parts from Taylor expansions at the known
+poles, exact Fourier coefficients on a window, the exact splitting of a
+symbol into its analytic-inside and analytic-outside parts, and winding
+numbers by counting the roots inside the disk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     DenominatorNearZero,
@@ -27,130 +46,78 @@ from .errors import (
 from .laurent import LaurentPolynomial
 
 DELTA_CIRCLE = 1e-8   # exclusion annulus around |z| = 1
-CLUSTER_TOL = 1e-9    # root matching tolerance for num/den cancellation
-PF_CLUSTER_TOL = 1e-5 # pole grouping tolerance (m-fold roots scatter ~eps^(1/m))
+ROOT_TOL = 1e-10      # relative distance at which two roots are the same root
+ENTRY_TOL = 1e-2      # input roots this close may be one scattered multiple root
 
 
-def _cancel_roots(rn: np.ndarray, rd: np.ndarray, tol: float):
-    """Cluster-level num/den root cancellation within tol (relative).
-
-    Roots are grouped into clusters first and whole multiplicities are
-    cancelled between matching clusters; survivors are rebuilt from the
-    cluster centroids, which stay machine-accurate even when the
-    individual roots of a multiple factor scatter.
-    """
-    num_clusters = [[z, m] for z, m in _cluster(rn, tol)]
-    den_clusters = [[z, m] for z, m in _cluster(rd, tol)]
-    cancelled = False
-    for dc in den_clusters:
-        candidates = [nc for nc in num_clusters if nc[1] > 0]
-        if not candidates:
-            break
-        dist = [abs(dc[0] - nc[0]) for nc in candidates]
-        i = int(np.argmin(dist))
-        if dist[i] <= tol * max(1.0, abs(dc[0])):
-            q = min(candidates[i][1], dc[1])
-            candidates[i][1] -= q
-            dc[1] -= q
-            cancelled = True
-    rn2 = np.concatenate(
-        [np.full(m, z, complex) for z, m in num_clusters if m > 0]
-        or [np.zeros(0, complex)]
-    )
-    rd2 = np.concatenate(
-        [np.full(m, z, complex) for z, m in den_clusters if m > 0]
-        or [np.zeros(0, complex)]
-    )
-    return rn2, rd2, cancelled
-
-
-def _cluster(points: np.ndarray, tol: float):
-    """Group points into clusters of diameter ~tol; returns (center, count)."""
-    remaining = list(points)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for p in remaining[:]:
-                c = np.mean(members)
-                if abs(p - c) <= tol * max(1.0, abs(c)):
-                    members.append(p)
-                    remaining.remove(p)
-                    changed = True
-        center = complex(np.mean(members))
-        if abs(center) < 1e-12:
-            center = 0.0 + 0.0j
-        clusters.append((center, len(members)))
-    return clusters
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RationalSymbol:
-    """Reduced ratio num/den of Laurent polynomials, admissible on |t|=1."""
+    """lead * t^mono * prod (t - roots)^mults, admissible on |t| = 1.
 
-    num: LaurentPolynomial
-    den: LaurentPolynomial = field(default_factory=LaurentPolynomial.one)
+    RationalSymbol(num, den) factors Laurent-polynomial input once; every
+    other constructor and operation builds the factors directly
+    (from_factors).
+    """
 
-    def __post_init__(self):
-        num, den = self.num, self.den
-        if den.is_zero:
+    num_in: InitVar[LaurentPolynomial]
+    den_in: InitVar[Optional[LaurentPolynomial]] = None
+
+    def __post_init__(self, num_in, den_in):
+        den_in = LaurentPolynomial.one() if den_in is None else den_in
+        if den_in.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", LaurentPolynomial.zero())
-            object.__setattr__(self, "den", LaurentPolynomial.one())
-            object.__setattr__(self, "_num_roots", np.zeros(0, complex))
-            object.__setattr__(self, "_den_roots", np.zeros(0, complex))
-            return
-        num, den = _deflate_edges(num, den)
-        offset = num.lo - den.lo
-        lead_d = den.coeffs[-1]
-        if len(den.coeffs) == 1:
-            num = LaurentPolynomial(offset, num.coeffs / lead_d)
-            den = LaurentPolynomial.one()
-            rn2, rd2 = num.roots(), np.zeros(0, complex)
+        zeros, counts = _entry_roots(num_in)
+        poles, orders = _entry_roots(den_in)
+        self._factor(
+            num_in.coeffs[-1] / den_in.coeffs[-1],
+            num_in.lo - den_in.lo,
+            np.concatenate([zeros, poles]),
+            np.concatenate([counts, -orders]),
+        )
+
+    def _factor(self, lead, mono, roots, mults) -> None:
+        """Store the canonical factors: roots merged within ROOT_TOL, roots
+        at 0 folded into the monomial, poles checked against the annulus."""
+        lead = complex(lead)
+        roots = np.asarray(roots, complex)
+        mults = np.asarray(mults, int)
+        if not (np.isfinite(lead) and np.all(np.isfinite(roots))):
+            raise ValueError("non-finite factor")
+        if lead == 0:
+            mono, roots, mults = 0, roots[:0], mults[:0]
         else:
-            rn, rd = num.roots(), den.roots()
-            lead_n = num.coeffs[-1]
-            num = LaurentPolynomial(offset, num.coeffs / lead_d)
-            den = LaurentPolynomial(0, den.coeffs / lead_d)
-            rn2, rd2 = rn, rd
-            # Shared roots of an m-fold factor scatter like eps^(1/m) under
-            # np.roots, so try a coarse cancellation first and only accept it
-            # when the reduced fraction reproduces the original values.
-            for tol in (3e-2, 1e-3, CLUSTER_TOL):
-                rn_t, rd_t, cancelled = _cancel_roots(rn, rd, tol)
-                if not cancelled:
-                    break
-                num_t = LaurentPolynomial.from_roots(rn_t, lead_n / lead_d, lo=offset)
-                den_t = LaurentPolynomial.from_roots(rd_t, 1.0)
-                if _same_values(num, den, num_t, den_t):
-                    num, den = num_t, den_t
-                    rn2, rd2 = rn_t, rd_t
-                    break
-        bad = np.abs(np.abs(rd2) - 1.0) < DELTA_CIRCLE
-        if np.any(bad):
-            raise DenominatorNearZero(
-                f"pole(s) {rd2[bad]} inside the circle annulus (delta={DELTA_CIRCLE})"
-            )
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_num_roots", np.asarray(rn2, complex))
-        object.__setattr__(self, "_den_roots", np.asarray(rd2, complex))
-        self._num_roots.setflags(write=False)
-        self._den_roots.setflags(write=False)
+            roots, mults = _merge(roots, mults)
+            at_zero = roots == 0
+            mono = int(mono) + int(mults[at_zero].sum())
+            roots, mults = roots[~at_zero], mults[~at_zero]
+            bad = (mults < 0) & (np.abs(np.abs(roots) - 1.0) < DELTA_CIRCLE)
+            if np.any(bad):
+                raise DenominatorNearZero(
+                    f"pole(s) {roots[bad]} inside the circle annulus (delta={DELTA_CIRCLE})"
+                )
+        roots.setflags(write=False)
+        mults.setflags(write=False)
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "mono", int(mono))
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "mults", mults)
 
     # -- constructors -------------------------------------------------------
 
+    @classmethod
+    def from_factors(cls, lead: complex, mono: int = 0, roots=(), mults=()):
+        """lead * t^mono * prod (t - roots)^mults; equal roots are merged."""
+        out = object.__new__(cls)
+        out._factor(lead, mono, roots, mults)
+        return out
+
     @staticmethod
     def constant(value: complex) -> "RationalSymbol":
-        return RationalSymbol(LaurentPolynomial.constant(value))
+        return RationalSymbol.from_factors(value)
 
     @staticmethod
     def monomial(k: int, value: complex = 1.0) -> "RationalSymbol":
-        return RationalSymbol(LaurentPolynomial.monomial(k, value))
+        return RationalSymbol.from_factors(value, k)
 
     @staticmethod
     def from_laurent(lp: LaurentPolynomial) -> "RationalSymbol":
@@ -158,32 +125,50 @@ class RationalSymbol:
 
     # -- queries --------------------------------------------------------------
 
-    @property
+    @cached_property
     def num_roots(self) -> np.ndarray:
-        return self._num_roots
+        """Zeros other than t = 0, repeated by multiplicity."""
+        return _repeat(self.roots, self.mults)
 
-    @property
+    @cached_property
     def den_roots(self) -> np.ndarray:
-        return self._den_roots
+        """Poles other than t = 0, repeated by multiplicity."""
+        return _repeat(self.roots, -self.mults)
+
+    @cached_property
+    def num(self) -> LaurentPolynomial:
+        """lead * t^mono * prod over the zeros; den is monic."""
+        return LaurentPolynomial.from_roots(self.num_roots, self.lead, lo=self.mono)
+
+    @cached_property
+    def den(self) -> LaurentPolynomial:
+        return LaurentPolynomial.from_roots(self.den_roots)
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self.lead == 0
 
     @property
     def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
+        return self.mono == 0 and len(self.roots) == 0
 
     def constant_value(self) -> complex:
-        return self.num.constant_value() / self.den.constant_value()
+        if not self.is_constant:
+            raise ValueError("not a constant")
+        return self.lead
 
     def eval(self, t, guard: float = 1e-12):
-        """Pointwise value num(t)/den(t); raises when |den(t)| < guard."""
+        """Pointwise value; raises when the monic denominator drops under guard."""
         t = np.asarray(t, dtype=complex)
-        dv = self.den.eval(t)
+        nv = self.lead * t**self.mono
+        dv = np.ones(t.shape, complex)
+        for r, k in zip(self.roots, self.mults):
+            if k > 0:
+                nv = nv * (t - r) ** k
+            else:
+                dv = dv * (t - r) ** -k
         if np.any(np.abs(dv) < guard):
             raise DenominatorNearZero("evaluation too close to a pole")
-        nv = self.num.eval(t)
         out = nv / dv
         return out if np.ndim(out) else complex(out)
 
@@ -200,62 +185,85 @@ class RationalSymbol:
 
     def __mul__(self, other) -> "RationalSymbol":
         if isinstance(other, RationalSymbol):
-            return RationalSymbol(self.num * other.num, self.den * other.den)
-        return RationalSymbol(self.num * other, self.den)
+            return RationalSymbol.from_factors(
+                self.lead * other.lead,
+                self.mono + other.mono,
+                np.concatenate([self.roots, other.roots]),
+                np.concatenate([self.mults, other.mults]),
+            )
+        return RationalSymbol.from_factors(
+            self.lead * complex(other), self.mono, self.roots, self.mults
+        )
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "RationalSymbol":
-        return RationalSymbol(-self.num, self.den)
+        return RationalSymbol.from_factors(-self.lead, self.mono, self.roots, self.mults)
 
     def __add__(self, other) -> "RationalSymbol":
+        """Sum with one root-finding step on the part the terms do not share."""
         if not isinstance(other, RationalSymbol):
             other = RationalSymbol.constant(other)
-        out = _lcm_add(self, other)
-        if out is not None:
-            return out
-        return RationalSymbol(
-            self.num * other.den + other.num * self.den, self.den * other.den
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        roots, ka, kb = _align(self, other)
+        common = np.minimum(ka, kb)
+        mono = min(self.mono, other.mono)
+        total = _expand(self.lead, self.mono - mono, roots, ka - common) + _expand(
+            other.lead, other.mono - mono, roots, kb - common
         )
+        return RationalSymbol.from_factors(*_polynomial_factors(total, mono, roots, common))
 
     def __sub__(self, other) -> "RationalSymbol":
         return self + (-other if isinstance(other, RationalSymbol)
                        else RationalSymbol.constant(-other))
 
     def invert(self) -> "RationalSymbol":
-        bad = np.abs(np.abs(self._num_roots) - 1.0) < DELTA_CIRCLE
+        bad = (self.mults > 0) & (np.abs(np.abs(self.roots) - 1.0) < DELTA_CIRCLE)
         if self.is_zero or np.any(bad):
             raise NotInvertibleOnCircle(
                 "symbol has a zero inside the circle annulus"
             )
-        return RationalSymbol(self.den, self.num)
+        return RationalSymbol.from_factors(
+            1.0 / self.lead, -self.mono, self.roots, -self.mults
+        )
 
     def conjugate_bar(self) -> "RationalSymbol":
-        """Boundary-function conjugate: sum c_k t^k -> sum conj(c_k) t^-k."""
-        return RationalSymbol(self.num.conjugate_bar(), self.den.conjugate_bar())
+        """Boundary-function conjugate: sum c_k t^k -> sum conj(c_k) t^-k.
+
+        Each factor (t - z) becomes -conj(z) (t - 1/conj(z)) / t.
+        """
+        if self.is_zero:
+            return self
+        zc = np.conj(self.roots)
+        return RationalSymbol.from_factors(
+            np.conj(self.lead) * np.prod((-zc) ** self.mults),
+            -self.mono - int(self.mults.sum()),
+            1.0 / zc,
+            self.mults,
+        )
 
     def power(self, k: int) -> "RationalSymbol":
         if k == 0:
             return RationalSymbol.constant(1.0)
         base = self if k > 0 else self.invert()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        k = abs(k)
+        return RationalSymbol.from_factors(
+            base.lead**k, base.mono * k, base.roots, base.mults * k
+        )
 
     def winding_number(self) -> int:
         """#zeros minus #poles inside the open disk (with multiplicity).
 
         Roots inside the exclusion annulus make the count uncertifiable.
         """
-        for r in (self._num_roots, self._den_roots):
-            if np.any(np.abs(np.abs(r) - 1.0) < DELTA_CIRCLE):
-                raise IllConditionedRoots(
-                    "root inside the circle annulus; winding not certified"
-                )
-        zeros_in = int(np.sum(np.abs(self._num_roots) < 1.0))
-        poles_in = int(np.sum(np.abs(self._den_roots) < 1.0))
-        return self.num.lo + zeros_in - poles_in
+        if np.any(np.abs(np.abs(self.roots) - 1.0) < DELTA_CIRCLE):
+            raise IllConditionedRoots(
+                "root inside the circle annulus; winding not certified"
+            )
+        return self.mono + int(self.mults[np.abs(self.roots) < 1.0].sum())
 
     # -- partial fractions --------------------------------------------------------
 
@@ -264,74 +272,39 @@ class RationalSymbol:
 
         Returns (poly_part, terms) where poly_part is a LaurentPolynomial with
         nonnegative exponents and terms is a list of (z, [r_1, ..., r_m]).
-        Negative monomial exponents of the numerator are folded into a pole
-        at z = 0.
+        A negative monomial exponent is a pole at z = 0.
 
-        Residues come from contour integrals around pole clusters.  Because
-        an m-fold root scatters like eps^(1/m) under companion-matrix root
-        finding, the clustering tolerance is escalated until the rebuilt
-        decomposition reproduces the symbol on a validation grid; the
-        centroid of a scattered m-fold group is accurate to machine
-        precision, so once the grouping is right the residues are too.
+        The poles and their multiplicities are known, so each principal part
+        is read off the Taylor expansion of s (t - z)^m at z, and poly_part
+        off the expansion at infinity.  The decomposition must reproduce the
+        symbol on a circle grid; when poles lie too close together for double
+        precision it does not, and IllConditionedRoots is raised.
         """
         if self.is_zero:
             return LaurentPolynomial.zero(), []
-        m0 = self.num.lo
-        pn = self.num.coeffs
-        pd = self.den.coeffs
-        if m0 >= 0:
-            pn = np.concatenate([np.zeros(m0, complex), pn])
-        else:
-            pd = np.concatenate([np.zeros(-m0, complex), pd])
-        if len(pd) == 1:
-            return LaurentPolynomial(0, pn / pd[0]), []
-        quo, rem = npoly.polydiv(pn, pd)
-        if len(pn) >= len(pd):
-            poly_part = LaurentPolynomial(0, quo)
-        else:
-            poly_part = LaurentPolynomial.zero()
-            rem = pn
-
-        def value(t):
-            # proper part rem/pd at points t
-            return npoly.polyval(t, rem) / npoly.polyval(t, pd)
-
-        roots = np.roots(pd[::-1])
-        nodes = 256
-        unit = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        roots = np.append(self.roots, 0.0)
+        mults = np.append(self.mults, self.mono)
+        degree = int(mults.sum())
+        poly_part = LaurentPolynomial.zero()
+        if degree >= 0:
+            at_infinity = _binomial_product(roots, mults, degree + 1)
+            poly_part = LaurentPolynomial(0, self.lead * at_infinity[::-1])
+        terms = []
+        for i in np.flatnonzero(mults < 0):
+            z = roots[i]
+            y, k = np.delete(roots, i), np.delete(mults, i)
+            scale = self.lead * np.prod((z - y) ** k)
+            taylor = scale * _binomial_product(1.0 / (y - z), k, -mults[i])
+            terms.append((complex(z), [complex(r) for r in taylor[::-1]]))
         tgrid = np.exp(2j * np.pi * (np.arange(96) + 0.31) / 96)
-        ref = value(tgrid)
-        ref_scale = 1.0 + np.abs(ref)
-        best = None
         with np.errstate(all="ignore"):
-            for tol in (CLUSTER_TOL, 1e-7, PF_CLUSTER_TOL, 1e-3, 3e-2):
-                clusters = _cluster(roots, tol)
-                centers = np.array([c for c, _ in clusters])
-                terms = []
-                for z, m in clusters:
-                    others = centers[np.abs(centers - z) > tol * max(1.0, abs(z))]
-                    gap = np.min(np.abs(others - z)) if len(others) else max(1.0, abs(z))
-                    rho = 0.35 * gap
-                    tq = z + rho * unit
-                    sq = value(tq)
-                    # r_j = rho^j * mean_q s(t_q) e^{i j phi_q}
-                    residues = []
-                    ex = np.ones(nodes, complex)
-                    for j in range(1, m + 1):
-                        ex = ex * unit
-                        residues.append(complex(rho**j * np.mean(sq * ex)))
-                    terms.append((z, residues))
-                err = np.abs(_eval_pf(terms, tgrid) - ref) / ref_scale
-                worst = float(np.max(err))
-                if not np.isfinite(worst):
-                    worst = float("inf")
-                if worst < 1e-10:
-                    return poly_part, terms
-                if best is None or worst < best[0]:
-                    best = (worst, terms)
-        raise IllConditionedRoots(
-            f"partial fractions failed to validate (best error {best[0]:.3e})"
-        )
+            ref = self.eval(tgrid) - poly_part.eval(tgrid)
+            err = float(np.max(np.abs(_eval_pf(terms, tgrid) - ref) / (1.0 + np.abs(ref))))
+        if not err < 1e-10:
+            raise IllConditionedRoots(
+                f"partial fractions failed to validate (error {err:.3e})"
+            )
+        return poly_part, terms
 
     def coefficients(self, lo: int, hi: int):
         """Exact Fourier coefficients on the exponent window [lo, hi].
@@ -391,7 +364,7 @@ class RationalSymbol:
     def decay_rate(self) -> float:
         """Largest geometric ratio of the coefficient tails (0 = finite support)."""
         rate = 0.0
-        for z in self._den_roots:
+        for z in self.roots[self.mults < 0]:
             rate = max(rate, abs(z) if abs(z) < 1.0 else 1.0 / abs(z))
         return rate
 
@@ -403,104 +376,127 @@ class RationalSymbol:
         scale = max(self.sup_norm_on_circle(64), 1.0)
         return int(np.ceil(np.log(tol / scale) / np.log(rate))) + 4
 
+    def __repr__(self) -> str:
+        return (
+            f"RationalSymbol.from_factors({self.lead!r}, {self.mono}, "
+            f"{self.roots.tolist()!r}, {self.mults.tolist()!r})"
+        )
+
     def __str__(self) -> str:
         if self.den.is_constant and self.den.constant_value() == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
 
-def _deflate_one(lp: LaurentPolynomial, rel: float) -> LaurentPolynomial:
-    c = lp.coeffs
-    scale = np.max(np.abs(c))
-    lo = lp.lo
-    end = len(c)
-    while end > 1 and abs(c[end - 1]) < rel * scale:
-        end -= 1
-    start = 0
-    while start < end - 1 and abs(c[start]) < rel * scale:
-        start += 1
-        lo += 1
-    if start == 0 and end == len(c):
-        return lp
-    return LaurentPolynomial(lo, c[start:end])
+def _close(x: np.ndarray, y: np.ndarray, tol: float = ROOT_TOL) -> np.ndarray:
+    """Matrix of |x_i - y_j| <= tol * max(1, |x_i|, |y_j|)."""
+    scale = np.maximum(1.0, np.maximum.outer(np.abs(x), np.abs(y)))
+    return np.abs(x[:, None] - y[None, :]) <= tol * scale
 
 
-def _deflate_edges(num: LaurentPolynomial, den: LaurentPolynomial):
-    """Drop relatively tiny edge coefficients when the values survive.
+def _groups(roots: np.ndarray, tol: float) -> np.ndarray:
+    """For each root, the index of the first root of its group within tol."""
+    rep = np.argmax(_close(roots, roots, tol), axis=1)  # first root it matches
+    while np.any(rep[rep] != rep):
+        rep = rep[rep]
+    return rep
 
-    Cancellation-born polynomials can carry leading or trailing junk of
-    relative size ~1e-12: the corresponding spurious far/near-zero roots
-    wreck partial fractions downstream.  Dropping them changes circle
-    values by the same relative amount, which a pointwise validation
-    confirms before the deflated representation is adopted.
+
+def _merge(roots: np.ndarray, mults: np.ndarray):
+    """Identify roots within ROOT_TOL of each other, adding multiplicities;
+    roots whose multiplicities cancel to zero are dropped."""
+    if len(roots) > 1:
+        rep = _groups(roots, ROOT_TOL)
+        if np.any(rep != np.arange(len(roots))):
+            total = np.zeros(len(roots), int)
+            np.add.at(total, rep, mults)
+            mults = total
+    keep = mults != 0
+    return roots[keep], mults[keep]
+
+
+def _entry_roots(poly: LaurentPolynomial):
+    """Distinct roots of coefficient input and their multiplicities.
+
+    np.roots scatters an m-fold root by about eps^(1/m), so roots within
+    ENTRY_TOL of each other are replaced by their centroid with the summed
+    multiplicity.  The grouping is kept only if its factors reproduce poly
+    on a circle grid to 1e-10; otherwise every root stays simple.
     """
-    num_d = _deflate_one(num, 1e-9)
-    den_d = _deflate_one(den, 1e-9)
-    if num_d is num and den_d is den:
-        return num, den
-    if _same_values(num, den, num_d, den_d, tol=1e-9):
-        return num_d, den_d
-    num_d = _deflate_one(num, 1e-12)
-    den_d = _deflate_one(den, 1e-12)
-    if (num_d is not num or den_d is not den) and _same_values(
-        num, den, num_d, den_d, tol=1e-10
-    ):
-        return num_d, den_d
-    return num, den
+    found = poly.roots()
+    ones = np.ones(len(found), int)
+    if len(found) < 2:
+        return found, ones
+    rep, where = np.unique(_groups(found, ENTRY_TOL), return_inverse=True)
+    if len(rep) == len(found):
+        return found, ones
+    counts = np.bincount(where)
+    centers = np.bincount(where, found.real) + 1j * np.bincount(where, found.imag)
+    centers = centers / counts
+    t = np.exp(2j * np.pi * (np.arange(64) + 0.31) / 64)
+    ref = poly.eval(t)
+    fit = poly.coeffs[-1] * t**poly.lo * np.prod(
+        (t[:, None] - centers[None, :]) ** counts, axis=1
+    )
+    if np.max(np.abs(fit - ref)) <= 1e-10 * np.max(np.abs(ref)):
+        return centers, counts
+    return found, ones
 
 
-def _lcm_add(s1: "RationalSymbol", s2: "RationalSymbol"):
-    """Sum over a least common denominator found by root-cluster matching.
+def _align(a: RationalSymbol, b: RationalSymbol):
+    """The union of two root lists (within ROOT_TOL) and the multiplicity
+    each symbol has on it."""
+    close = _close(a.roots, b.roots)
+    hit = np.any(close, axis=0)
+    roots = np.concatenate([a.roots, b.roots[~hit]])
+    ka = np.concatenate([a.mults, np.zeros(np.count_nonzero(~hit), int)])
+    kb = np.zeros(len(roots), int)
+    if np.any(hit):
+        np.add.at(kb, np.argmax(close[:, hit], axis=0), b.mults[hit])
+    kb[len(a.roots):] = b.mults[~hit]
+    return roots, ka, kb
 
-    Naive cross-multiplication doubles the denominator degree, and monic
-    products of many inside/outside roots take tiny values on the circle,
-    amplifying coefficient roundoff catastrophically.  Matching shared pole
-    clusters keeps the denominator minimal; the result is validated against
-    pointwise values and None is returned when validation fails (the caller
-    then falls back to the naive path).
+
+def _repeat(roots: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """Roots with positive multiplicity, each repeated that many times."""
+    keep = mults > 0
+    out = np.repeat(roots[keep], mults[keep])
+    out.setflags(write=False)
+    return out
+
+
+def _expand(lead: complex, lo: int, roots, mults) -> LaurentPolynomial:
+    """lead * t^lo * prod (t - roots)^mults for nonnegative mults."""
+    return LaurentPolynomial.from_roots(np.repeat(roots, mults), lead, lo=lo)
+
+
+def _polynomial_factors(poly: LaurentPolynomial, mono: int, roots, mults):
+    """Factors of poly * t^mono * prod (t - roots)^mults.
+
+    The zeros of poly come from one np.roots call; from_factors then
+    identifies them with the known roots, cancelling zeros against poles.
     """
-    if s1.is_zero or s2.is_zero or (len(s1._den_roots) == 0 and len(s2._den_roots) == 0):
-        return None  # trivial cases: the naive path is exact
-    t = np.exp(2j * np.pi * (np.arange(96) + 0.371) / 96)
-    try:
-        ref = s1.eval(t) + s2.eval(t)
-    except DenominatorNearZero:
-        return None
-    ref_scale = 1.0 + np.abs(ref)
-    for tol in (1e-9, 1e-6, 1e-3):
-        cl1 = _cluster(s1._den_roots, tol)
-        cl2 = _cluster(s2._den_roots, tol)
-        lcm = [[z, m, m, 0] for z, m in cl1]  # center, mult, used-by-1, used-by-2
-        for z, m in cl2:
-            hit = None
-            for entry in lcm:
-                if abs(entry[0] - z) <= tol * max(1.0, abs(z)):
-                    hit = entry
-                    break
-            if hit is None:
-                lcm.append([z, m, 0, m])
-            else:
-                hit[3] = m
-                hit[1] = max(hit[1], m)
-        extra1, extra2, den_roots = [], [], []
-        for z, m, m1, m2 in lcm:
-            den_roots.extend([z] * m)
-            extra1.extend([z] * (m - m1))
-            extra2.extend([z] * (m - m2))
-        num = (
-            s1.num * LaurentPolynomial.from_roots(extra1)
-            + s2.num * LaurentPolynomial.from_roots(extra2)
-        )
-        if num.is_zero:
-            return RationalSymbol.constant(0.0)
-        try:
-            cand = RationalSymbol(num, LaurentPolynomial.from_roots(den_roots))
-            err = np.max(np.abs(cand.eval(t) - ref) / ref_scale)
-        except DenominatorNearZero:
+    found = poly.roots()
+    return (
+        poly.coeffs[-1],
+        mono + poly.lo,
+        np.concatenate([roots, found]),
+        np.concatenate([mults, np.ones(len(found), int)]),
+    )
+
+
+def _binomial_product(c: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """First n Taylor coefficients in v of prod (1 - c v)^k."""
+    out = np.zeros(n, complex)
+    out[0] = 1.0
+    i = np.arange(1, n)
+    for ci, ki in zip(c, k):
+        if ci == 0 or ki == 0:
             continue
-        if err < 1e-11:
-            return cand
-    return None
+        factor = np.ones(n, complex)
+        factor[1:] = np.cumprod((i - 1 - ki) / i * ci)
+        out = np.convolve(out, factor)[:n]
+    return out
 
 
 def _eval_pf(terms, t: np.ndarray) -> np.ndarray:
@@ -516,18 +512,6 @@ def _eval_pf(terms, t: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _same_values(num_a, den_a, num_b, den_b, grid: int = 128, tol: float = 1e-10) -> bool:
-    """Relative agreement of two fractions on a circle grid."""
-    t = np.exp(2j * np.pi * (np.arange(grid) + 0.1234567) / grid)
-    da, db = den_a.eval(t), den_b.eval(t)
-    if np.any(np.abs(da) < 1e-13) or np.any(np.abs(db) < 1e-13):
-        return False
-    va = num_a.eval(t) / da
-    vb = num_b.eval(t) / db
-    scale = np.maximum(1.0, np.abs(va))
-    return bool(np.max(np.abs(va - vb) / scale) < tol)
-
-
 def _binom_geom(j: int, i_arr: np.ndarray, z: complex) -> np.ndarray:
     """C(j+i-1, i) * z^i for the i values requested (i >= 0, increasing)."""
     if len(i_arr) == 0:
@@ -541,18 +525,22 @@ def _binom_geom(j: int, i_arr: np.ndarray, z: complex) -> np.ndarray:
 
 
 def _reassemble(poly_part: LaurentPolynomial, terms) -> RationalSymbol:
-    num = poly_part
-    den = LaurentPolynomial.one()
-    for z, residues in terms:
-        m = len(residues)
-        base = LaurentPolynomial(0, np.array([-z, 1.0], complex))
-        full = base.power(m)
-        tnum = LaurentPolynomial.zero()
-        for j, r in enumerate(residues, start=1):
-            tnum = tnum + r * base.power(m - j)
-        num = num * full + tnum * den
-        den = den * full
-    return RationalSymbol(num, den)
+    """poly_part plus the principal parts, as one symbol over the known
+    poles: the numerator is expanded and factored once."""
+    poles = np.array([z for z, _ in terms], complex)
+    orders = np.array([len(res) for _, res in terms], int)
+    total = poly_part * _expand(1.0, 0, poles, orders)
+    for i, (z, residues) in enumerate(terms):
+        # sum_j r_j (t - z)^(m - j) by Horner in (t - z)
+        local = np.array([residues[0]], complex)
+        for r in residues[1:]:
+            local = np.convolve(local, [-z, 1.0])
+            local[0] += r
+        others = np.arange(len(terms)) != i
+        total = total + LaurentPolynomial(0, local) * _expand(
+            1.0, 0, poles[others], orders[others]
+        )
+    return RationalSymbol.from_factors(*_polynomial_factors(total, 0, poles, -orders))
 
 
 # -- spec-level operation wrappers -------------------------------------------------

@@ -10,6 +10,11 @@ alpha_minus analytic outside, and induces the weighted flip
 an involution that swaps the analytic and anti-analytic halves.  chi and
 psi_cap are the degree +1 canonical functions t/alpha_minus and
 t/alpha_plus; chi-powers realize all index shifts used downstream.
+
+All of these symbols are built directly in the factored form of
+RationalSymbol: chi^k is the single root 1/conj(beta) with multiplicity k.
+Substituting alpha into a symbol maps each root z to alpha(z) and collects
+the net degree at the pole 1/conj(beta) of alpha, in closed form.
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BetaInsideDisk, GridTooSmall, PoleHit
-from .laurent import LaurentPolynomial
-from .rational import RationalSymbol
+from .rational import RationalSymbol, _close
 from .series import FFT_CAP, TruncatedSeries
 
 _CHECK_GRID = 64
@@ -63,13 +67,13 @@ def make_shift(beta: complex) -> ShiftParams:
     lam = 1j * np.sqrt(abs(beta) ** 2 - 1.0)
     t_plus = (1.0 + lam) / bc
     t_minus = (1.0 - lam) / bc
-    lin_num = LaurentPolynomial(0, [-beta, 1.0])     # t - beta
-    lin_den = LaurentPolynomial(0, [-1.0, bc])       # conj(beta) t - 1
-    alpha = RationalSymbol(lin_num, lin_den)
-    alpha_plus = RationalSymbol(lin_num * (1.0 / lam))
-    alpha_minus = RationalSymbol(LaurentPolynomial(1, [lam]), lin_den)
-    chi = RationalSymbol(lin_den * (1.0 / lam))      # t / alpha_minus
-    psi_cap = RationalSymbol(LaurentPolynomial(1, [lam]), lin_num)
+    pole = 1.0 / bc
+    # alpha = (t - beta) / (bc t - 1); chi = (bc t - 1) / lam = t / alpha_minus
+    alpha = RationalSymbol.from_factors(pole, 0, [beta, pole], [1, -1])
+    alpha_plus = RationalSymbol.from_factors(1.0 / lam, 0, [beta], [1])
+    alpha_minus = RationalSymbol.from_factors(lam * pole, 1, [pole], [-1])
+    chi = RationalSymbol.from_factors(bc / lam, 0, [pole], [1])
+    psi_cap = RationalSymbol.from_factors(lam, 1, [beta], [-1])
     shift = ShiftParams(
         beta, complex(lam), complex(t_plus), complex(t_minus),
         alpha, alpha_plus, alpha_minus, chi, psi_cap,
@@ -102,53 +106,36 @@ def eval_alpha(shift: ShiftParams, t):
     return out if out.ndim else complex(out)
 
 
-def _compose_laurent(f: LaurentPolynomial, shift: ShiftParams) -> RationalSymbol:
-    """Exact substitution t -> alpha(t) for a Laurent polynomial."""
-    if f.is_zero:
-        return RationalSymbol.constant(0.0)
-    beta = shift.beta
-    bc = np.conj(beta)
-    lo, hi = f.lo, f.hi
-    p = np.array([-beta, 1.0], dtype=complex)   # t - beta (ascending)
-    q = np.array([-1.0, bc], dtype=complex)     # conj(beta) t - 1
-    # numerator sum_k c_k (t-beta)^(k-lo) (bc t-1)^(hi-k); powers built once
-    deg = hi - lo
-    p_pows = [np.array([1.0 + 0j])]
-    q_pows = [np.array([1.0 + 0j])]
-    for _ in range(deg):
-        p_pows.append(np.convolve(p_pows[-1], p))
-        q_pows.append(np.convolve(q_pows[-1], q))
-    acc = np.zeros(deg + 1, dtype=complex)
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        term = c * np.convolve(p_pows[i], q_pows[deg - i])
-        acc[: len(term)] += term
-    num = LaurentPolynomial(0, acc)
-    den = LaurentPolynomial.one()
-    if lo >= 0:
-        num = num * LaurentPolynomial(0, _pow(p, lo))
-    else:
-        den = den * LaurentPolynomial(0, _pow(p, -lo))
-    if hi >= 0:
-        den = den * LaurentPolynomial(0, _pow(q, hi))
-    else:
-        num = num * LaurentPolynomial(0, _pow(q, -hi))
-    return RationalSymbol(num, den)
-
-
-def _pow(c: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for _ in range(k):
-        out = np.convolve(out, c)
-    return out
-
-
 def compose_with_shift(s: RationalSymbol, shift: ShiftParams) -> RationalSymbol:
-    """Exact rational substitution s(alpha(t)), reduced."""
-    num_c = _compose_laurent(s.num, shift)
-    den_c = _compose_laurent(s.den, shift)
-    return RationalSymbol(num_c.num * den_c.den, num_c.den * den_c.num)
+    """Exact substitution s(alpha(t)), as bookkeeping on the roots of s.
+
+    For a root z other than the pole p = 1/conj(beta) of alpha,
+
+        alpha(t) - z = (1 - z conj(beta)) (t - alpha(z)) / (conj(beta) (t - p)),
+
+    and alpha(t) - p = (p - beta) / (conj(beta) (t - p)).  The monomial
+    t^mono counts as the root 0, which maps to beta.  So every root z != p
+    moves to alpha(z), and the net degree D of s becomes the factor
+    conj(beta)^-D (t - p)^-D.
+    """
+    if s.is_zero:
+        return s
+    bc = np.conj(shift.beta)
+    pole = 1.0 / bc
+    roots = np.append(s.roots, 0.0)
+    mults = np.append(s.mults, s.mono)
+    at_pole = _close(roots, np.array([pole]))[:, 0]
+    z, k = roots[~at_pole], mults[~at_pole]
+    degree = int(mults.sum())
+    lead = (
+        s.lead
+        * np.prod((1.0 - z * bc) ** k)
+        * np.prod((pole - shift.beta) ** mults[at_pole])
+        * bc ** (-degree)
+    )
+    return RationalSymbol.from_factors(
+        lead, 0, np.append(eval_alpha(shift, z), pole), np.append(k, -degree)
+    )
 
 
 def chi_power(shift: ShiftParams, k: int) -> RationalSymbol:

@@ -23,7 +23,6 @@ from typing import Union
 import numpy as np
 
 from .errors import NotFredholm, WrongSide
-from .laurent import LaurentPolynomial
 from .rational import DELTA_CIRCLE, RationalSymbol
 from .series import TruncatedSeries, multiply_by_symbol
 
@@ -41,28 +40,19 @@ class WHFactorization:
 
 
 def factorize(g: RationalSymbol) -> WHFactorization:
-    """Split zeros and poles by modulus; raises NotFredholm on circle roots."""
+    """Partition the roots by modulus; raises NotFredholm on circle roots."""
     if g.is_zero:
         raise NotFredholm("zero symbol")
-    for r in (g.num_roots, g.den_roots):
-        if np.any(np.abs(np.abs(r) - 1.0) < DELTA_CIRCLE):
-            raise NotFredholm("zero or pole inside the circle annulus")
-    zn, zd = g.num_roots, g.den_roots
-    z_in = zn[np.abs(zn) < 1.0]
-    z_out = zn[np.abs(zn) > 1.0]
-    w_in = zd[np.abs(zd) < 1.0]
-    w_out = zd[np.abs(zd) > 1.0]
-    lead = g.num.coeffs[-1]  # den is monic
-    kappa = -(g.num.lo + len(z_in) - len(w_in))
-    # prod (t - z)/t over inside roots has value 1 at infinity
-    minus_num = LaurentPolynomial.from_roots(z_in, 1.0, lo=-len(z_in))
-    minus_den = LaurentPolynomial.from_roots(w_in, 1.0, lo=-len(w_in))
-    plus_num = LaurentPolynomial.from_roots(z_out, lead)
-    plus_den = LaurentPolynomial.from_roots(w_out, 1.0)
+    modulus = np.abs(g.roots)
+    if np.any(np.abs(modulus - 1.0) < DELTA_CIRCLE):
+        raise NotFredholm("zero or pole inside the circle annulus")
+    inside = modulus < 1.0
+    n_in = int(g.mults[inside].sum())
+    # prod ((t - z)/t)^k over the inside roots has value 1 at infinity
     return WHFactorization(
-        kappa=int(kappa),
-        g_plus=RationalSymbol(plus_num, plus_den),
-        g_minus=RationalSymbol(minus_num, minus_den),
+        kappa=-(g.mono + n_in),
+        g_plus=RationalSymbol.from_factors(g.lead, 0, g.roots[~inside], g.mults[~inside]),
+        g_minus=RationalSymbol.from_factors(1.0, -n_in, g.roots[inside], g.mults[inside]),
     )
 
 

@@ -40,6 +40,26 @@ def test_analyze_golden(tmp_path):
     assert rep["sigma"] == {"c": 1, "d": 1}
 
 
+def test_analyze_chi_minus_ten(tmp_path):
+    problem = {
+        "command": "analyze",
+        "shift": {"beta": [2.0, 0.0]},
+        "a": "chi^-10",
+        "b": "chi^-10",
+        "N": 256,
+    }
+    code, rep, _ = run_cli(problem, tmp_path=tmp_path)
+    assert code == 0
+    assert rep["kappa"] == [0, 20]
+    assert rep["dims"] == {
+        "ker_plus": 10,
+        "coker_plus": 0,
+        "ker_minus": 10,
+        "coker_minus": 0,
+    }
+    assert rep["oracle"]["agreement"]["all"] is True
+
+
 def test_analyze_trivial(tmp_path):
     problem = {
         "command": "analyze",

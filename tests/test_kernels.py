@@ -142,6 +142,25 @@ def test_defect_right_invertible(shift2):
     assert rep.oracle["agreement"]["all"]
 
 
+@pytest.mark.parametrize("k", [6, 10])
+def test_defect_high_index_chi_power(shift2, k):
+    # a = b = chi^-k: c = 1 and d = chi^(-2k), so kappa = (0, 2k) and both
+    # kernels have dimension k.  The oracle runs at N = 256, above
+    # 2 * margin + dim for both k (section margins 86 and 94).
+    s = shift2.chi.power(-k)
+    pair = make_matching_pair(s, s, shift2)
+    assert (pair.kappa1, pair.kappa2) == (0, 2 * k)
+    rep = defect_numbers(pair, oracle_size=256)
+    assert rep.regime == Regime.RIGHT_INV
+    assert (
+        rep.dim_ker_plus,
+        rep.dim_coker_plus,
+        rep.dim_ker_minus,
+        rep.dim_coker_minus,
+    ) == (k, 0, k, 0)
+    assert rep.oracle["agreement"]["all"]
+
+
 def test_defect_lifted_pair(shift2):
     pair = make_matching_pair(RationalSymbol.constant(1.0), shift2.chi.invert(), shift2)
     rep = defect_numbers(pair, oracle_size=256)

@@ -157,3 +157,41 @@ def test_split_analytic_parts(rng):
         assert np.all(np.abs(q.den_roots) < 1.0)
         if not q.is_zero:
             assert q.num.hi < q.den.hi  # decay at infinity
+
+
+def _fft_coefficients(s, lo, hi, n=1024):
+    """Independent oracle: Fourier coefficients from samples on the circle."""
+    c = np.fft.fft(s.eval(np.exp(2j * np.pi * np.arange(n) / n))) / n
+    return c[np.arange(lo, hi + 1) % n]
+
+
+def _check_coefficient_input(s):
+    coeffs, _ = s.coefficients(-12, 12)
+    ref = _fft_coefficients(s, -12, 12)
+    assert np.max(np.abs(coeffs - ref)) < 1e-10 * np.max(np.abs(ref))
+    p, q = s.split_analytic()
+    assert (p + q).distance_to(s) < 1e-10 * s.sup_norm_on_circle()
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_coefficient_input_multiple_pole(m):
+    # (t - z)^m with z not representable: np.roots scatters the m-fold pole
+    from toephankel.cli import parse_symbol
+
+    z, w = 2.5 + 0.3j, 0.4 - 0.35j
+    den = np.polymul(np.poly([z] * m), np.poly([w] * m))[::-1]
+    spec = {"rational": {"num": {"coeffs": [[1, 0]]},
+                         "den": {"coeffs": [[c.real, c.imag] for c in den]}}}
+    s = parse_symbol(spec, None)
+    _check_coefficient_input(s)
+
+
+def test_coefficient_input_double_zero_inverted():
+    from toephankel.cli import parse_symbol
+
+    w, v = 0.45 + 0.2j, 1.7 - 0.6j
+    num = np.poly([w, w, v])[::-1]
+    s = parse_symbol({"laurent": {"lo": -1,
+                                  "coeffs": [[c.real, c.imag] for c in num]}}, None)
+    inv = symbol_algebra("invert", s)
+    _check_coefficient_input(inv)
