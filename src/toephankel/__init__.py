@@ -37,6 +37,7 @@ from .oracle import (
     localized_null_dims,
     numerical_null_space,
     operator_section,
+    pair_sections,
     residual_check,
 )
 from .pc import (
@@ -113,6 +114,7 @@ __all__ = [
     "nu_h",
     "one_sided_limits",
     "operator_section",
+    "pair_sections",
     "pc_alpha_signature",
     "phi_pm",
     "project_analytic",

@@ -20,7 +20,7 @@ from . import errors
 from .kernels import all_defect_bases, classify_regime, defect_numbers
 from .laurent import LaurentPolynomial
 from .matching import alpha_signature, check_matching, make_matching_pair
-from .oracle import localized_null_dims, numerical_null_space, operator_section
+from .oracle import localized_null_dims, numerical_null_space, pair_sections
 from .pc import JumpFactor, PCSymbol, fredholm_symbol_check, pc_alpha_signature
 from .rational import RationalSymbol
 from .shift import make_shift
@@ -282,8 +282,7 @@ def _cmd_verify(spec, opts):
     _require_rational(a, b)
     n = opts["oracle_size"]
     dims = {}
-    for sign, kind in (("+", "plus"), ("-", "minus")):
-        section = operator_section(kind, (a, b), shift, n)
+    for sign, section in pair_sections((a, b), shift, n).items():
         ns = numerical_null_space(section, tol=opts["tol"])
         dk, dc = localized_null_dims(ns, n)
         dims[f"ker{sign}"] = dk

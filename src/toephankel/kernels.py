@@ -399,19 +399,22 @@ class DefectReport:
             )
 
 
-def all_defect_bases(pair: MatchingPair) -> dict:
-    """The four bases keyed by (kind, sign-string)."""
+def _defect_functions(pair: MatchingPair, kind: str):
+    """Tagged (plus, minus) functions of the kernels ('ker') or, as kernels
+    of the adjoint pair, the cokernels ('coker')."""
     if not pair.is_fredholm:
         raise NotFredholmPair("subordinated functions do not factorize")
-    ker_p, ker_m = _kernel_functions(pair)
-    adj = adjoint_pair(pair)
-    cok_p, cok_m = _kernel_functions(adj)
-    return {
-        ("ker", "+"): _assemble_basis("ker", +1, ker_p),
-        ("ker", "-"): _assemble_basis("ker", -1, ker_m),
-        ("coker", "+"): _assemble_basis("coker", +1, cok_p),
-        ("coker", "-"): _assemble_basis("coker", -1, cok_m),
-    }
+    return _kernel_functions(pair if kind == "ker" else adjoint_pair(pair))
+
+
+def all_defect_bases(pair: MatchingPair) -> dict:
+    """The four bases keyed by (kind, sign-string)."""
+    out = {}
+    for kind in ("ker", "coker"):
+        plus, minus = _defect_functions(pair, kind)
+        out[(kind, "+")] = _assemble_basis(kind, +1, plus)
+        out[(kind, "-")] = _assemble_basis(kind, -1, minus)
+    return out
 
 
 def kernel_cokernel_bases(
@@ -428,15 +431,15 @@ def kernel_cokernel_bases(
     kind, sign = which
     if kind not in ("ker", "coker") or sign not in ("+", "-"):
         raise ValueError("which must be (ker|coker, +|-)")
-    basis = all_defect_bases(pair)[(kind, sign)]
+    plus, minus = _defect_functions(pair, kind)
+    basis = _assemble_basis(kind, +1, plus) if sign == "+" else _assemble_basis(kind, -1, minus)
     if verify and basis.dim:
         from .oracle import operator_section, residual_check
 
         section = operator_section(
             "plus" if sign == "+" else "minus", pair, pair.shift, oracle_size
         )
-        entries = section.entries if kind == "ker" else section.entries.conj().T
-        gate = type(section)(oracle_size, entries, section.kind, dict(section.meta))
+        gate = section if kind == "ker" else section.adjoint()
         for f in basis.functions:
             resid = residual_check(gate, f.series)
             if resid >= ORACLE_RESIDUAL_TOL:
@@ -447,19 +450,10 @@ def kernel_cokernel_bases(
 
 
 def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
-    from .oracle import (
-        localized_null_dims,
-        numerical_null_space,
-        operator_section,
-        residual_check,
-    )
+    from .oracle import localized_null_dims, numerical_null_space, pair_sections, residual_check
 
-    shift = pair.shift
     out = {"size": n, "dims": {}, "residuals": {}, "agreement": {}}
-    sections = {
-        "+": operator_section("plus", pair, shift, n),
-        "-": operator_section("minus", pair, shift, n),
-    }
+    sections = pair_sections(pair, pair.shift, n)
     agree_all = True
     for sign in ("+", "-"):
         ns = numerical_null_space(sections[sign])
@@ -469,10 +463,7 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
         worst = 0.0
         for f in bases[("ker", sign)].functions:
             worst = max(worst, residual_check(sections[sign], f.series))
-        adj_entries = sections[sign].entries.conj().T
-        adj_section = type(sections[sign])(
-            n, adj_entries, sections[sign].kind, dict(sections[sign].meta)
-        )
+        adj_section = sections[sign].adjoint()
         for f in bases[("coker", sign)].functions:
             worst = max(worst, residual_check(adj_section, f.series))
         out["residuals"][sign] = worst
@@ -572,17 +563,15 @@ def coburn_class(
         return None
     if not verify:
         return [ClassMatch(tag, sign) for tag, sign in candidates]
-    from .oracle import localized_null_dims, numerical_null_space, operator_section
+    from .oracle import localized_null_dims, numerical_null_space, pair_sections
 
+    sections = pair_sections((a, b), shift, oracle_size)
+    dims = {}
     out = []
-    sections = {}
     for tag, sign in candidates:
-        if sign not in sections:
-            sections[sign] = operator_section(
-                "plus" if sign == "+" else "minus", (a, b), shift, oracle_size
-            )
-        ns = numerical_null_space(sections[sign])
-        dk, dc = localized_null_dims(ns, oracle_size)
+        if sign not in dims:
+            dims[sign] = localized_null_dims(numerical_null_space(sections[sign]), oracle_size)
+        dk, dc = dims[sign]
         if min(dk, dc) != 0:
             raise CrossCheckMismatch(
                 f"class {tag}: oracle found ker {dk} and coker {dc} both nonzero"

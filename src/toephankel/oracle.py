@@ -7,6 +7,15 @@ against these sections; the sections themselves are built from certified
 coefficient windows (exact partial fractions for Toeplitz, FFT grids with
 geometric-tail certificates for the Hankel columns).
 
+The Hankel grid is sized from the bandwidth of the flip images, about
+n (|beta|+1)/(|beta|-1) exponents, so it is not doubled after a failed
+tail test when |beta| is near 1.  The powers of alpha on the grid come from
+a running product over column blocks of at most HANKEL_BLOCK values, one
+FFT per block, so memory stays bounded as N grows; the tail certificate
+(rows m/2 +- 2 of every block against ENTRY_TAIL_TOL, a 2**22 grid cap)
+is checked as before.  pair_sections assembles T(a) and H(b) once and
+returns both T(a) + H(b) and T(a) - H(b).
+
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
 class, so a single oracle geometry suffices; genuinely p-sensitive
@@ -29,6 +38,7 @@ from .shift import ShiftParams, eval_alpha
 SVD_TOL = 1e-8
 SVD_GAP = 100.0
 ENTRY_TAIL_TOL = 1e-10
+HANKEL_BLOCK = 2**21   # grid values in one column block of the Hankel FFT
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
 
@@ -49,6 +59,10 @@ class FiniteSection:
     def margin(self) -> int:
         return int(self.meta.get("margin", 0))
 
+    def adjoint(self) -> "FiniteSection":
+        """The conjugate-transpose section, the one cokernel vectors annihilate."""
+        return FiniteSection(self.size, self.entries.conj().T, self.kind, dict(self.meta))
+
 
 def _toeplitz_entries(a: RationalSymbol, n: int) -> tuple[np.ndarray, float]:
     co = fourier_coefficients(a, (-(n - 1), n - 1))
@@ -66,24 +80,69 @@ def _symbol_margin(s: RationalSymbol, tol: float = ENTRY_TAIL_TOL) -> int:
 def _hankel_entries(
     b: RationalSymbol, shift: ShiftParams, n: int
 ) -> tuple[np.ndarray, float]:
-    """Columns are the analytic coefficients of b * (flip of t^k)."""
+    """Columns are the analytic coefficients of b * (flip of t^k).
+
+    Column k is the FFT of w * alpha^k, w = b * alpha_minus / t, on an
+    m-point circle grid.  The flip image of t^k spreads to about
+    n (|beta|+1)/(|beta|-1) negative exponents, which alias onto the first
+    rows unless m is twice that plus the tails' pad; m starts at the next
+    power of two above that bound, and never below 4(n + pad) or 1024.
+    The powers alpha^k come from a running product over column blocks of
+    at most HANKEL_BLOCK grid values, each block seeded from the last
+    column of the one before, with one FFT per block.  The rows m/2 +- 2
+    of every block certify the aliasing: while their largest entry exceeds
+    ENTRY_TAIL_TOL * max(1, |H|) the grid doubles, up to the 2**22 cap.
+    """
     pad = shift.pad(ENTRY_TAIL_TOL) + b.pad_for(ENTRY_TAIL_TOL)
-    m = 1024
-    while m < 4 * (n + pad):
-        m *= 2
+    r = abs(shift.beta)
+    spread = int(np.ceil(n * (r + 1) / (r - 1)))
+    m = 1 << (max(1024, 4 * (n + pad), 2 * (spread + pad)) - 1).bit_length()
     while True:
         if m > 2**22:
             raise GridTooSmall("hankel column grid exceeded the cap")
         t = np.exp(2j * np.pi * np.arange(m) / m)
         at = eval_alpha(shift, t)
-        w = b.eval(t) * shift.alpha_minus.eval(t) / t
-        powers = at[:, None] ** np.arange(n)[None, :]
-        cols = np.fft.fft(w[:, None] * powers, axis=0) / m
-        tail = float(np.max(np.abs(cols[m // 2 - 2 : m // 2 + 3, :])))
-        scale = max(1.0, float(np.max(np.abs(cols[:n, :]))))
+        run = b.eval(t) * shift.alpha_minus.eval(t) / t   # w * alpha^k0
+        width = max(1, HANKEL_BLOCK // m)
+        work = np.empty((min(width, n), m), dtype=complex)
+        cols = np.empty((n, n), dtype=complex)
+        tail = 0.0
+        for k0 in range(0, n, width):
+            blk = work[: min(width, n - k0)]
+            blk[0] = run
+            blk[1:] = at
+            np.cumprod(blk, axis=0, out=blk)
+            run = blk[-1] * at
+            np.fft.fft(blk, axis=1, out=blk)
+            cols[:, k0 : k0 + len(blk)] = blk[:, :n].T
+            tail = max(tail, float(np.max(np.abs(blk[:, m // 2 - 2 : m // 2 + 3]))))
+        cols /= m
+        tail /= m
+        scale = max(1.0, float(np.max(np.abs(cols))))
         if tail <= ENTRY_TAIL_TOL * scale:
-            return np.ascontiguousarray(cols[:n, :]), tail
+            return cols, tail
         m *= 2
+
+
+def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSection]:
+    """The sections of T(a) + H(b) and T(a) - H(b), keyed '+' and '-'.
+
+    payload is a MatchingPair or an (a, b) tuple of symbols; T(a) and H(b)
+    are assembled once and shared by both sections.
+    """
+    if n < 8:
+        raise ValueError("section size must be at least 8")
+    a, b = (payload.a, payload.b) if isinstance(payload, MatchingPair) else payload
+    ta, tail_a = _toeplitz_entries(a, n)
+    hb, tail_b = _hankel_entries(b, shift, n)
+    meta = {
+        "tail": max(tail_a, tail_b),
+        "margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad(ENTRY_TAIL_TOL)),
+    }
+    return {
+        "+": FiniteSection(n, ta + hb, "plus", {**meta, "symbols": f"T({a}) + H({b})"}),
+        "-": FiniteSection(n, ta - hb, "minus", {**meta, "symbols": f"T({a}) - H({b})"}),
+    }
 
 
 def operator_section(
@@ -96,7 +155,8 @@ def operator_section(
 
     kind is one of 'toeplitz', 'hankel', 'plus', 'minus', 'block'.
     'toeplitz'/'hankel' take a single symbol, the others a MatchingPair or
-    an (a, b) tuple of symbols.
+    an (a, b) tuple of symbols.  'plus' and 'minus' come from
+    pair_sections, which builds both; callers that need both use it.
     """
     if n < 8:
         raise ValueError("section size must be at least 8")
@@ -119,30 +179,15 @@ def operator_section(
         return FiniteSection(
             n, entries, kind, {"tail": tail, "margin": margin, "symbols": str(sym)}
         )
-
-    if isinstance(payload, MatchingPair):
-        a, b = payload.a, payload.b
-        pair = payload
-    else:
-        a, b = payload
-        pair = None
     if kind in ("plus", "minus"):
-        ta, tail_a = _toeplitz_entries(a, n)
-        hb, tail_b = _hankel_entries(b, shift, n)
-        sign = 1.0 if kind == "plus" else -1.0
-        margin = max(_symbol_margin(a), _symbol_margin(b) + shift.pad(ENTRY_TAIL_TOL))
-        return FiniteSection(
-            n,
-            ta + sign * hb,
-            kind,
-            {"tail": max(tail_a, tail_b), "margin": margin,
-             "symbols": f"T({a}) {'+' if sign > 0 else '-'} H({b})"},
-        )
+        return pair_sections(payload, shift, n)["+" if kind == "plus" else "-"]
     if kind == "block":
-        if pair is None:
+        if isinstance(payload, MatchingPair):
+            pair = payload
+        else:
             from .matching import make_matching_pair
 
-            pair = make_matching_pair(a, b, shift)
+            pair = make_matching_pair(*payload, shift)
         tc, _ = _toeplitz_entries(pair.c, n)
         td, _ = _toeplitz_entries(pair.d, n)
         taai, _ = _toeplitz_entries(pair.a_alpha_inv, n)

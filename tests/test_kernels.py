@@ -269,6 +269,40 @@ def test_coburn_examples(shift2):
     assert coburn_class(a, a * RationalSymbol.monomial(1), shift2) is None
 
 
+def test_coburn_one_null_space_per_sign(shift2, monkeypatch):
+    from toephankel import oracle
+
+    counts = {"svd": 0, "hankel": 0}
+    svd, hankel = oracle.numerical_null_space, oracle._hankel_entries
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "numerical_null_space", counted("svd", svd))
+    monkeypatch.setattr(oracle, "_hankel_entries", counted("hankel", hankel))
+    one = RationalSymbol.constant(1.0)
+    matches = coburn_class(one, one, shift2, oracle_size=64)
+    assert len(matches) > len({m.sign for m in matches})
+    assert counts == {"svd": len({m.sign for m in matches}), "hankel": 1}
+
+
+def test_bases_accessor_builds_one_side(shift2, monkeypatch):
+    from toephankel import kernels
+
+    sides = []
+    build = kernels._kernel_functions
+    monkeypatch.setattr(kernels, "_kernel_functions",
+                        lambda p: sides.append(p) or build(p))
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    assert kernel_cokernel_bases(pair, which=("ker", "-")).dim == 2
+    assert sides == [pair]
+    assert kernel_cokernel_bases(pair, which=("coker", "-")).dim == 0
+    assert len(sides) == 2 and sides[1] is not pair
+
+
 def test_coburn_subordinated_route(shift2, rng):
     from helpers import random_plus_factor
     from toephankel import generate_matching_function

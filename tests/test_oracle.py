@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,21 @@ from toephankel import (
     FiniteSection,
     RationalSymbol,
     TruncatedSeries,
+    defect_numbers,
     dump_section,
     load_section,
     localized_null_dims,
     make_matching_pair,
+    make_shift,
     numerical_null_space,
     operator_section,
     residual_check,
 )
+from toephankel import oracle
+from toephankel.cli import main
 from toephankel.errors import NoSpectralGap, WindowTooTight
 from toephankel.kernels import analytic_series
+from toephankel.shift import eval_alpha
 
 
 def test_toeplitz_identity(shift2):
@@ -51,6 +59,61 @@ def test_hankel_columns_match_exact_action(shift2, rng):
         col = hankel_apply(b, RationalSymbol.monomial(k), shift2)
         expect = analytic_series(col).to_vector(n)
         assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("beta", [2.0, 2j, 1.5 + 0.5j, 1.2, 1.05j])
+def test_hankel_entries_match_brute_force(beta):
+    # the definition column by column: FFT of b * alpha_minus / t * alpha^k on
+    # a fixed 2^15-point grid, with the powers taken one by one
+    sh = make_shift(beta)
+    b = sh.chi * RationalSymbol.from_factors(
+        0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
+    )
+    n, m = 128, 2**15
+    entries, _ = oracle._hankel_entries(b, sh, n)
+    t = np.exp(2j * np.pi * np.arange(m) / m)
+    at = eval_alpha(sh, t)
+    w = b.eval(t) * sh.alpha_minus.eval(t) / t
+    brute = np.stack([np.fft.fft(w * at**k)[:n] / m for k in range(n)], axis=1)
+    assert np.max(np.abs(brute)) > 0.1
+    assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
+
+
+def test_hankel_built_once_per_pair(shift2, monkeypatch, tmp_path):
+    calls = []
+    build = oracle._hankel_entries
+
+    def counted(*args):
+        calls.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_hankel_entries", counted)
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    for kind in ("plus", "minus"):
+        operator_section(kind, pair, shift2, 64)
+    assert calls == [64, 64]
+    a = RationalSymbol.from_factors(0.25, 0, [-4.0], [1])
+    small = make_matching_pair(a, a * shift2.chi.invert(), shift2)
+    assert defect_numbers(small, oracle_size=64).oracle["agreement"]["all"]
+    assert calls == [64, 64, 64]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": "verify", "shift": {"beta": [2.0, 0.0]},
+                                "a": "chi^-2", "b": "chi^-2", "N": 64}))
+    assert main(["--spec", str(spec), "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == [64, 64, 64, 64]
+
+
+def test_hankel_memory_bounded():
+    # column blocks keep the work array near HANKEL_BLOCK values, whatever n
+    sh = make_shift(1.5 + 0.5j)
+    b = sh.chi.power(-2) + RationalSymbol.constant(0.5)
+    tracemalloc.start()
+    try:
+        oracle._hankel_entries(b, sh, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96e6
 
 
 def test_null_space_identity():
