@@ -10,7 +10,7 @@ quadrant decides everything:
   kappa1 <= -1, kappa2 >= 1  lifted: multiply by chi powers, intersect
                              with the image of T(chi^n), divide back
 
-Every report is cross-checked against SVD null spaces of finite sections
+Every report is cross-checked against null spaces of finite sections
 and residuals of the produced basis functions.
 
 Run:  python demos/03_defect_numbers.py

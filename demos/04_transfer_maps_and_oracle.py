@@ -2,8 +2,8 @@
 
 ker of the 2x2 block operator [[0, T(d)], [-T(c), T(a_alpha^-1)]] and
 ker diag(T(a)+H(b), T(a)-H(b)) are isomorphic through a concrete pair of
-mutually inverse maps.  Here we compute the block kernel numerically by
-SVD, push every null vector through the maps, and confirm the round trip
+mutually inverse maps.  Here we compute the block kernel numerically with
+the oracle, push every null vector through the maps, and confirm the round trip
 at working precision; then we dump a finite section to the binary format
 and read it back.
 

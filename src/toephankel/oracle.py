@@ -1,7 +1,7 @@
 """Finite-section numerical oracle.
 
 Truncated matrices of the Toeplitz, flip-Hankel, sum/difference and 2x2
-block operators in the Fourier basis, plus SVD null spaces and residual
+block operators in the Fourier basis, plus null spaces and residual
 checks.  Everything analytic elsewhere in the package is cross-validated
 against these sections; the sections themselves are built from certified
 coefficient windows (exact partial fractions for Toeplitz, FFT grids with
@@ -15,6 +15,14 @@ FFT per block, so memory stays bounded as N grows; the tail certificate
 (rows m/2 +- 2 of every block against ENTRY_TAIL_TOL, a 2**22 grid cap)
 is checked as before.  pair_sections assembles T(a) and H(b) once and
 returns both T(a) + H(b) and T(a) - H(b).
+
+A section's null dimension and its spectral-gap certificate come from its
+singular values alone; the k null vectors come from one LU of the section
+plus a rank-k random term and a Rayleigh-Ritz step over 2k vectors, not
+from a full SVD with every singular vector, and are checked by their
+residuals.  Localization counts the directions of the null space with
+most of their mass in the first half of the coordinates, whatever basis
+the null space is given in.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -213,47 +221,93 @@ class NullSpace:
 def numerical_null_space(
     section: FiniteSection, tol: float = SVD_TOL, gap: float = SVD_GAP
 ) -> NullSpace:
-    """Null space by SVD with a spectral-gap certificate.
+    """Null space from the singular values and one augmented LU.
 
-    Singular values below tol * sigma_max count as zero; the smallest kept
-    value must exceed the largest dropped one by the gap factor, otherwise
-    the split is ambiguous and NoSpectralGap is raised.
+    Singular values at or below tol * sigma_max count as zero; the smallest
+    kept value must exceed the largest dropped one by the gap factor,
+    otherwise the split is ambiguous and NoSpectralGap is raised.  Only the
+    singular values of M are computed.
+
+    When 0 < k < n values are dropped, the vectors come from one LU of
+    M' = M + sigma_max X Y^H, X and Y seeded random n x k blocks; M' is
+    invertible when M has rank n - k.  M'^-1 w differs from M^-1 w by a
+    term in range(M^-1 X) = range(M'^-1 X), so with V1 = orth(M'^-1 X) and
+    U1 = orth(M'^-H Y) the span of [V1, M'^-1 U1] holds M^-1 X and
+    (M^H M)^-1 Y.  The right basis is the k-dimensional subspace of that
+    span with the least ||M V||_2: the k smallest right singular vectors of
+    the n x 2k matrix M [V1, M'^-1 U1] (Rayleigh-Ritz).  The left basis
+    comes the same way from [U1, M'^-H V1] and M^H.  On an exactly singular
+    M this is ker(M); when the dropped values are not zero the residual
+    matches the singular vectors'.  A singular pivot, or a residual not
+    below tol * sigma_max, raises NoSpectralGap.
     """
-    u, s, vh = scipy.linalg.svd(section.entries)
+    m = section.entries
+    s = scipy.linalg.svd(m, compute_uv=False)
+    n = len(s)
     smax = s[0] if len(s) else 0.0
     cut = tol * smax
-    k = int(np.sum(s < cut))
-    if k > 0 and k < len(s):
-        largest_zero = s[len(s) - k]
-        smallest_nonzero = s[len(s) - k - 1]
+    k = int(np.sum(s <= cut))
+    if k > 0 and k < n:
+        largest_zero = s[n - k]
+        smallest_nonzero = s[n - k - 1]
         if largest_zero > 0 and smallest_nonzero < gap * largest_zero:
             raise NoSpectralGap(
                 f"singular values {smallest_nonzero:.3e} / {largest_zero:.3e} "
                 f"below the gap factor {gap}"
             )
-    right = vh[len(s) - k :].conj().T if k else np.zeros((section.size, 0), complex)
-    left = u[:, len(s) - k :] if k else np.zeros((section.size, 0), complex)
-    return NullSpace(dim=k, right=right, left=left, singular_values=s)
+    if k == 0 or k == n:
+        return NullSpace(k, np.eye(n, k, dtype=complex), np.eye(n, k, dtype=complex), s)
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((2, n, k)) + 1j * rng.standard_normal((2, n, k))
+    x, y = z / np.sqrt(2 * n)
+    # every product goes through scipy's BLAS, as the SVD does: the numpy
+    # wheels link their own OpenBLAS, whose idle threads, still spinning
+    # when the next SVD starts, slowed it 1.6-5x on a 2-core host
+    mf = np.asfortranarray(m)
+    (gemm,) = scipy.linalg.get_blas_funcs(("gemm",), (mf, x))
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mf, x))
+    lu, piv, info = getrf(gemm(smax, x, y, beta=1.0, c=mf, trans_b=2), overwrite_a=True)
+    if info != 0:
+        raise NoSpectralGap(f"augmented section is singular (getrf info {info})")
+
+    def solve(b, trans=0):
+        return getrs(lu, piv, b, trans=trans)[0]
+
+    def orth(a):
+        return scipy.linalg.qr(a, mode="economic")[0]
+
+    v1, u1 = orth(solve(x)), orth(solve(y, trans=2))
+    bases = {}
+    for name, first, second, trans in (
+        ("right", v1, solve(u1), 0), ("left", u1, solve(v1, trans=2), 2)
+    ):
+        q = orth(np.hstack([first, second]))
+        _, sv, vh = scipy.linalg.svd(gemm(1.0, mf, q, trans_a=trans), full_matrices=False)
+        if not sv[-k] < cut:
+            raise NoSpectralGap(
+                f"{name} null vectors leave residual {sv[-k]:.3e} >= {cut:.3e}"
+            )
+        bases[name] = gemm(1.0, q, vh[-k:], trans_b=2)
+    return NullSpace(k, bases["right"], bases["left"], s)
 
 
 def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
     """Genuine (kernel, cokernel) dimensions from a section's null space.
 
     A square section has equal right and left null counts, but vectors that
-    only reflect the truncation carry their mass near the cut.  A null
-    vector counts as genuine when at least half of its l2 mass sits in the
-    first half of the coordinates; the spurious ones escape to infinity
-    with the section size and are discarded.
+    only reflect the truncation carry their mass near the cut.  The genuine
+    dimension is the number of directions in the null space with at least
+    half of their l2 mass in the first half of the coordinates: the
+    eigenvalues >= 0.5 of the Gram matrix V[:half]^H V[:half] of the
+    orthonormal basis V, which do not depend on the basis chosen.  The
+    spurious directions escape to infinity with the section size and are
+    discarded.
     """
     half = size // 2
 
     def genuine(vectors: np.ndarray) -> int:
-        count = 0
-        for i in range(vectors.shape[1]):
-            v = vectors[:, i]
-            if np.linalg.norm(v[:half]) ** 2 >= 0.5 * np.linalg.norm(v) ** 2:
-                count += 1
-        return count
+        head = vectors[:half]
+        return int(np.sum(np.linalg.eigvalsh(head.conj().T @ head) >= 0.5))
 
     return genuine(ns.right), genuine(ns.left)
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from toephankel import (
     FiniteSection,
@@ -19,6 +20,7 @@ from toephankel import (
     residual_check,
 )
 from toephankel import oracle
+from toephankel.oracle import SVD_TOL, NullSpace
 from toephankel.cli import main
 from toephankel.errors import NoSpectralGap, WindowTooTight
 from toephankel.kernels import analytic_series
@@ -59,6 +61,25 @@ def test_hankel_columns_match_exact_action(shift2, rng):
         col = hankel_apply(b, RationalSymbol.monomial(k), shift2)
         expect = analytic_series(col).to_vector(n)
         assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("beta", [2.0, 2j, 1.5 + 0.5j])
+def test_hankel_columns_match_exact_action_nonzero(beta):
+    from toephankel.kernels import hankel_apply
+
+    sh = make_shift(beta)
+    b = sh.chi * RationalSymbol.from_factors(
+        0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
+    )
+    n = 24
+    sec = operator_section("hankel", b, sh, n)
+    largest = 0.0
+    for k in (0, 1, 5):
+        col = hankel_apply(b, RationalSymbol.monomial(k), sh)
+        expect = analytic_series(col).to_vector(n)
+        largest = max(largest, np.max(np.abs(expect)))
+        assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
+    assert largest > 0.1
 
 
 @pytest.mark.parametrize("beta", [2.0, 2j, 1.5 + 0.5j, 1.2, 1.05j])
@@ -138,6 +159,110 @@ def test_null_space_golden_pair(shift2):
     assert ns.dim == 2
     dk, dc = localized_null_dims(ns, 256)
     assert (dk, dc) == (2, 0)
+
+
+def _reference_cases():
+    for k in (-10, -6, -2, 1, 3):
+        for beta in (2.0, 1.5 + 0.5j):
+            for n in (128, 256):
+                yield pytest.param(("chi", k, beta, n), id=f"chi^{k}-beta{beta}-N{n}")
+    yield pytest.param(("block", -2, 2.0, 128), id="block-chi^-2-N128")
+    yield pytest.param(("identity",), id="identity")
+    yield pytest.param(("zero",), id="zero")
+
+
+def _reference_sections(case):
+    if case[0] in ("identity", "zero"):
+        entries = np.eye(32, dtype=complex) * (case[0] == "identity")
+        return [FiniteSection(32, entries, case[0], {})]
+    kind, k, beta, n = case
+    sh = make_shift(beta)
+    sym = sh.chi.power(k)
+    if kind == "block":
+        # exact zero pivots: inverse iteration on this section's own LU fails
+        return [operator_section("block", make_matching_pair(sym, sym, sh), sh, n)]
+    return list(oracle.pair_sections((sym, sym), sh, n).values())
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_null_space_matches_full_svd(case):
+    eps = np.finfo(float).eps
+    for sec in _reference_sections(case):
+        m = sec.entries
+        ns = numerical_null_space(sec)
+        u, s, vh = scipy.linalg.svd(m)
+        n, smax = len(s), s[0]
+        k = int(np.sum(s <= SVD_TOL * smax))
+        ref = NullSpace(k, vh[n - k :].conj().T, u[:, n - k :], s)
+        assert ns.dim == k
+        assert localized_null_dims(ns, sec.size) == localized_null_dims(ref, sec.size)
+        assert ns.right.shape == ns.left.shape == (n, k)
+        if k == n:
+            assert np.allclose(ns.right.conj().T @ ns.right, np.eye(n))
+            continue
+        for got, want, op in ((ns.right, ref.right, m), (ns.left, ref.left, m.conj().T)):
+            dist = np.linalg.norm(got - want @ (want.conj().T @ got), 2)
+            assert dist <= 1e4 * eps * smax / s[n - k - 1]
+            assert np.linalg.norm(op @ got, 2) < SVD_TOL * smax
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(("diag",), id="diag-half-cut"),
+        pytest.param(("chi", 2, 1.1, 256), id="chi^2-beta1.1-N256"),
+        pytest.param(("chi", 3, 1.2, 128), id="chi^3-beta1.2-N128"),
+    ],
+)
+def test_null_space_residual_matches_singular_vectors(case):
+    # dropped singular values well above rounding (0.06-0.5 of the cut): one
+    # step of inverse iteration from X leaves residuals up to 36 times the
+    # singular vectors' own and fails the cut; the basis must match them
+    if case[0] == "diag":
+        d = np.ones(32)
+        d[-2:] = 0.5 * SVD_TOL
+        sections = [FiniteSection(32, np.diag(d).astype(complex), "toeplitz", {})]
+    else:
+        sections = _reference_sections(case)
+    for sec in sections:
+        m = sec.entries
+        ns = numerical_null_space(sec)
+        s = scipy.linalg.svd(m, compute_uv=False)
+        n, k = len(s), ns.dim
+        assert k == int(np.sum(s <= SVD_TOL * s[0])) > 0
+        assert s[n - k] > 1e-4 * SVD_TOL * s[0]
+        for basis, op in ((ns.right, m), (ns.left, m.conj().T)):
+            assert np.linalg.norm(op @ basis, 2) <= 1.01 * s[n - k]
+
+
+def test_null_space_takes_singular_values_only(shift2, monkeypatch):
+    # the section's SVD computes no singular vectors; vectors are computed
+    # only for the n x 2k Rayleigh-Ritz products
+    calls = []
+    svd = scipy.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "svd", recorded)
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    ns = numerical_null_space(operator_section("plus", pair, shift2, 64))
+    assert ns.dim == 2
+    assert [uv for shape, uv in calls if shape == (64, 64)] == [False]
+    assert all(shape[1] <= 2 * ns.dim for shape, uv in calls if uv)
+
+
+def test_localization_is_basis_invariant():
+    # span{e_0, e_{n-1}, e_{n-2}} with e_0 spread evenly over all three
+    # basis vectors: each has mass 1/3 in the first half, the span holds e_0
+    n = 16
+    frame = np.zeros((n, 3), dtype=complex)
+    frame[[0, n - 1, n - 2], [0, 1, 2]] = 1.0
+    dft = np.exp(2j * np.pi * np.outer(np.arange(3), np.arange(3)) / 3) / np.sqrt(3)
+    ns = NullSpace(3, frame @ dft, np.zeros((n, 0), complex), np.zeros(n))
+    assert np.allclose(np.abs(ns.right[0]) ** 2, 1 / 3)
+    assert localized_null_dims(ns, n) == (1, 0)
 
 
 def test_no_spectral_gap():
