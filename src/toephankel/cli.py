@@ -1,7 +1,8 @@
 """Batch front end: JSON problem in, JSON report out, verdicts as exit codes.
 
-Exit codes: 0 success, 1 malformed input, 2 "not Fredholm" verdicts,
-3 internal cross-check mismatches (analytic pipeline vs oracle).
+Exit codes: 0 success, 1 malformed input (a malformed command line
+included), 2 "not Fredholm" verdicts, 3 internal cross-check mismatches
+(analytic pipeline vs oracle).
 
 Reports are deterministic: fixed key order, every float printed with 17
 significant digits, complex numbers as [re, im] pairs.
@@ -20,7 +21,7 @@ from . import errors
 from .kernels import all_defect_bases, classify_regime, defect_numbers
 from .laurent import LaurentPolynomial
 from .matching import alpha_signature, check_matching, make_matching_pair
-from .oracle import localized_null_dims, numerical_null_space, pair_sections
+from .oracle import null_dims, pair_sections
 from .pc import JumpFactor, PCSymbol, fredholm_symbol_check, pc_alpha_signature
 from .rational import RationalSymbol
 from .shift import make_shift
@@ -194,10 +195,7 @@ def _cmd_analyze(spec, opts):
     residual = check_matching(a, b, shift)
     pair = make_matching_pair(a, b, shift)
     report = defect_numbers(
-        pair,
-        oracle_size=opts["oracle_size"],
-        run_oracle=opts["oracle"],
-        keep_bases=True,
+        pair, oracle_size=opts["oracle_size"], run_oracle=opts["oracle"]
     )
     out = {
         "command": "analyze",
@@ -282,9 +280,7 @@ def _cmd_verify(spec, opts):
     _require_rational(a, b)
     n = opts["oracle_size"]
     dims = {}
-    for sign, section in pair_sections((a, b), shift, n).items():
-        ns = numerical_null_space(section, tol=opts["tol"])
-        dk, dc = localized_null_dims(ns, n)
+    for sign, (dk, dc) in null_dims(pair_sections((a, b), shift, n), ("+", "-")).items():
         dims[f"ker{sign}"] = dk
         dims[f"coker{sign}"] = dc
     return {
@@ -336,8 +332,30 @@ def run(problem: dict, opts: dict):
     return _COMMANDS[command](spec, opts)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises InputError on a malformed command line instead of exiting
+    with argparse's status 2, which here means "not Fredholm"."""
+
+    def error(self, message):
+        raise errors.InputError(message)
+
+
+def _emit(report: dict, code: int, path) -> int:
+    text = emit_json(report) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
+
+
+def _error(exc: Exception, code: int, path) -> int:
+    return _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, code, path)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="toephankel",
         description="Kernels, defect numbers and signatures for Toeplitz plus "
         "shift-induced Hankel operators, with a finite-section oracle.",
@@ -346,25 +364,16 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="report file (default stdout)")
     parser.add_argument("--oracle-size", type=int, default=None, help="section size N")
     parser.add_argument("--no-oracle", action="store_true", help="skip oracle checks")
-    parser.add_argument("--tol", type=float, default=1e-8, help="oracle SVD tolerance")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except errors.InputError as exc:
+        return _error(exc, 1, None)
 
     opts = {
         "oracle": not args.no_oracle,
         "oracle_size": args.oracle_size if args.oracle_size is not None else 256,
         "oracle_size_overridden": args.oracle_size is not None,
-        "tol": args.tol,
     }
-
-    def finish(report: dict, code: int) -> int:
-        text = emit_json(report) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return code
-
     try:
         if args.spec:
             with open(args.spec) as fh:
@@ -372,27 +381,21 @@ def main(argv=None) -> int:
         else:
             problem = json.load(sys.stdin)
     except (OSError, json.JSONDecodeError) as exc:
-        return finish({"error": {"type": "InputError", "message": str(exc)}}, 1)
+        return _error(errors.InputError(str(exc)), 1, args.out)
 
     try:
         report, code = run(problem, opts)
-        return finish(report, code)
+        return _emit(report, code, args.out)
     except (errors.InputError, errors.BetaInsideDisk, errors.WindowTooTight,
             KeyError, TypeError, ValueError) as exc:
-        return finish(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}, 1
-        )
+        return _error(exc, 1, args.out)
     except (errors.NotFredholm, errors.NotFredholmPair, errors.NotMatching,
             errors.NotInvertible, errors.DenominatorNearZero,
             errors.IllConditionedRoots) as exc:
-        return finish(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
-        )
+        return _error(exc, 2, args.out)
     except (errors.CrossCheckMismatch, errors.NoSpectralGap,
             errors.SignatureIndeterminate) as exc:
-        return finish(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}, 3
-        )
+        return _error(exc, 3, args.out)
 
 
 if __name__ == "__main__":

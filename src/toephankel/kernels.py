@@ -36,6 +36,7 @@ from .errors import (
     WrongRegime,
 )
 from .matching import MatchingPair, adjoint_pair, alpha_signature, make_matching_pair
+from .oracle import null_dims, pair_sections, residual_check
 from .rational import RationalSymbol
 from .series import TruncatedSeries, multiply_by_symbol
 from .shift import ShiftParams, apply_J_alpha, chi_power, compose_with_shift
@@ -44,6 +45,8 @@ from .wiener_hopf import WHFactorization, apply_one_sided_inverse, factorize
 KERNEL_RESIDUAL_TOL = 1e-8   # exact-arithmetic membership gate
 ORACLE_RESIDUAL_TOL = 1e-6   # finite-section membership gate
 RANK_TOL = 1e-8              # rank decisions for the coefficient functionals
+IMAGE_TOL = 1e-10            # chi^n divisibility: coefficients 0..n-1 of h alpha_minus^n
+SERIES_TAIL_TOL = 1e-13      # certified tail of a basis function's coefficient window
 
 
 class Regime(Enum):
@@ -85,9 +88,9 @@ def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float
     return operator_apply(pair, sign, f).sup_norm_on_circle(128) / scale
 
 
-def analytic_series(f: RationalSymbol, tol: float = 1e-13) -> TruncatedSeries:
-    """Coefficient window of an analytic rational, certified below tol."""
-    hi = max(f.num.hi, 0) + f.pad_for(tol)
+def analytic_series(f: RationalSymbol) -> TruncatedSeries:
+    """Coefficient window of an analytic rational, certified below SERIES_TAIL_TOL."""
+    hi = max(f.num.hi, 0) + f.pad_for(SERIES_TAIL_TOL)
     c, tail = f.coefficients(0, hi)
     return TruncatedSeries(0, c, tail=tail).trim(1e-14)
 
@@ -189,10 +192,7 @@ def phi_pm(
 
 
 def in_image_chi_power(
-    h: Union[RationalSymbol, TruncatedSeries],
-    n: int,
-    shift: ShiftParams,
-    tol: float = 1e-10,
+    h: Union[RationalSymbol, TruncatedSeries], n: int, shift: ShiftParams
 ):
     """Is the analytic h divisible by chi^n?  Returns (flag, quotient).
 
@@ -207,7 +207,7 @@ def in_image_chi_power(
     if isinstance(h, RationalSymbol):
         scale = max(1.0, h.sup_norm_on_circle(128))
         vals, _ = (h * am_n).coefficients(0, n - 1)
-        if np.max(np.abs(vals)) >= tol * scale:
+        if np.max(np.abs(vals)) >= IMAGE_TOL * scale:
             return False, None
         quotient = h * chi_power(shift, -n)
         q_side = quotient.split_analytic()[1]
@@ -219,7 +219,7 @@ def in_image_chi_power(
         raise ValueError("input series must be analytic (no negative modes)")
     prod = multiply_by_symbol(h, am_n)
     vals = np.array([prod.coefficient(i) for i in range(n)])
-    if np.max(np.abs(vals)) >= tol * scale:
+    if np.max(np.abs(vals)) >= IMAGE_TOL * scale:
         return False, None
     bc = np.conj(shift.beta)
     coeffs = h.to_vector(max(h.hi + 1, 2))
@@ -380,14 +380,8 @@ class DefectReport:
     regime: Regime
     kappa1: int
     kappa2: int
-    bases: Optional[dict] = field(default=None, repr=False)
+    bases: dict = field(repr=False)
     oracle: Optional[dict] = field(default=None, repr=False)
-
-    @property
-    def oracle_agreement(self) -> Optional[dict]:
-        if self.oracle is None:
-            return None
-        return self.oracle.get("agreement")
 
     def __post_init__(self):
         lhs = (self.dim_ker_plus - self.dim_coker_plus) + (
@@ -417,55 +411,47 @@ def all_defect_bases(pair: MatchingPair) -> dict:
     return out
 
 
+def _oracle_residual(gate, basis: KernelBasis) -> float:
+    """Largest finite-section residual of the basis functions against gate:
+    the section for kernels, its conjugate transpose for cokernels."""
+    return max((residual_check(gate, f.series) for f in basis.functions), default=0.0)
+
+
 def kernel_cokernel_bases(
     pair: MatchingPair,
     which: tuple[str, str] = ("ker", "+"),
     oracle_size: int = 256,
-    verify: bool = True,
 ) -> KernelBasis:
     """One of the four defect-space bases; cokernels via the adjoint pair.
 
-    With verify=True every returned function must pass the finite-section
-    residual gate against the operator it annihilates (the conjugate
-    transpose section for cokernels)."""
+    Every returned function must pass the finite-section residual gate
+    against the operator it annihilates (the conjugate transpose section
+    for cokernels)."""
     kind, sign = which
     if kind not in ("ker", "coker") or sign not in ("+", "-"):
         raise ValueError("which must be (ker|coker, +|-)")
     plus, minus = _defect_functions(pair, kind)
     basis = _assemble_basis(kind, +1, plus) if sign == "+" else _assemble_basis(kind, -1, minus)
-    if verify and basis.dim:
-        from .oracle import operator_section, residual_check
-
-        section = operator_section(
-            "plus" if sign == "+" else "minus", pair, pair.shift, oracle_size
-        )
-        gate = section if kind == "ker" else section.adjoint()
-        for f in basis.functions:
-            resid = residual_check(gate, f.series)
-            if resid >= ORACLE_RESIDUAL_TOL:
-                raise CrossCheckMismatch(
-                    f"basis function fails the oracle residual gate ({resid:.3e})"
-                )
+    if basis.dim:
+        section = pair_sections(pair, pair.shift, oracle_size)[sign]
+        resid = _oracle_residual(section if kind == "ker" else section.adjoint(), basis)
+        if resid >= ORACLE_RESIDUAL_TOL:
+            raise CrossCheckMismatch(
+                f"basis function fails the oracle residual gate ({resid:.3e})"
+            )
     return basis
 
 
 def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
-    from .oracle import localized_null_dims, numerical_null_space, pair_sections, residual_check
-
     out = {"size": n, "dims": {}, "residuals": {}, "agreement": {}}
     sections = pair_sections(pair, pair.shift, n)
-    agree_all = True
     for sign in ("+", "-"):
-        ns = numerical_null_space(sections[sign])
-        dim_ker, dim_coker = localized_null_dims(ns, n)
+        dim_ker, dim_coker = null_dims(sections, (sign,))[sign]
         out["dims"][f"ker{sign}"] = dim_ker
         out["dims"][f"coker{sign}"] = dim_coker
-        worst = 0.0
-        for f in bases[("ker", sign)].functions:
-            worst = max(worst, residual_check(sections[sign], f.series))
-        adj_section = sections[sign].adjoint()
-        for f in bases[("coker", sign)].functions:
-            worst = max(worst, residual_check(adj_section, f.series))
+        adjoint = sections[sign].adjoint()
+        worst = max(_oracle_residual(sections[sign], bases[("ker", sign)]),
+                    _oracle_residual(adjoint, bases[("coker", sign)]))
         out["residuals"][sign] = worst
         ok = (
             dim_ker == bases[("ker", sign)].dim
@@ -473,16 +459,12 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
             and worst < ORACLE_RESIDUAL_TOL
         )
         out["agreement"][sign] = bool(ok)
-        agree_all = agree_all and ok
-    out["agreement"]["all"] = agree_all
+    out["agreement"]["all"] = all(out["agreement"].values())
     return out
 
 
 def defect_numbers(
-    pair: MatchingPair,
-    oracle_size: int = 256,
-    run_oracle: bool = True,
-    keep_bases: bool = True,
+    pair: MatchingPair, oracle_size: int = 256, run_oracle: bool = True
 ) -> DefectReport:
     """Defect numbers of T(a) +/- H(b) with regime dispatch and oracle check."""
     bases = all_defect_bases(pair)
@@ -495,7 +477,7 @@ def defect_numbers(
         regime=classify_regime(pair.kappa1, pair.kappa2),
         kappa1=pair.kappa1,
         kappa2=pair.kappa2,
-        bases=bases if keep_bases else None,
+        bases=bases,
         oracle=oracle,
     )
 
@@ -508,8 +490,8 @@ def defect_numbers(
 class ClassMatch:
     tag: str
     sign: str
-    dim_ker: Optional[int] = None
-    dim_coker: Optional[int] = None
+    dim_ker: int
+    dim_coker: int
 
 
 def coburn_class(
@@ -517,15 +499,14 @@ def coburn_class(
     b: RationalSymbol,
     shift: ShiftParams,
     oracle_size: int = 256,
-    verify: bool = True,
 ) -> Optional[list[ClassMatch]]:
     """Match (a, b) against the one-sided-invertibility classes.
 
     Covers the direct families b in {a chi^-1 (minus), a chi (plus),
     +/- a (both signs)}, their duals built from a o alpha and psi_cap, and
     the subordinated criterion ind T(c) in {-1, 0, 1} with signature +1.
-    When verified, each match asserts min(dim ker, dim coker) = 0 on the
-    oracle section.
+    Each match asserts min(dim ker, dim coker) = 0 on the oracle section
+    of its sign; only the signs of the matches get a null space.
     """
     tol = 1e-8
     a_alpha = compose_with_shift(a, shift)
@@ -561,16 +542,10 @@ def coburn_class(
         pass
     if not candidates:
         return None
-    if not verify:
-        return [ClassMatch(tag, sign) for tag, sign in candidates]
-    from .oracle import localized_null_dims, numerical_null_space, pair_sections
-
     sections = pair_sections((a, b), shift, oracle_size)
-    dims = {}
+    dims = null_dims(sections, dict.fromkeys(sign for _, sign in candidates))
     out = []
     for tag, sign in candidates:
-        if sign not in dims:
-            dims[sign] = localized_null_dims(numerical_null_space(sections[sign]), oracle_size)
         dk, dc = dims[sign]
         if min(dk, dc) != 0:
             raise CrossCheckMismatch(
@@ -615,7 +590,6 @@ def transfer_U(
     shift: Optional[ShiftParams] = None,
     direction: str = "U1",
     vec=None,
-    tol: float = 1e-8,
 ):
     """The mutually inverse maps between ker of the 2x2 block operator and
     ker diag(T(a)+H(b), T(a)-H(b)).
@@ -630,7 +604,7 @@ def transfer_U(
     if direction == "U1":
         r1 = _toeplitz_series(pair.d, g).norm()
         r2 = (_toeplitz_series(pair.a_alpha_inv, g) - _toeplitz_series(pair.c, f)).norm()
-        if max(r1, r2) > tol * scale:
+        if max(r1, r2) > KERNEL_RESIDUAL_TOL * scale:
             raise NotInKernel("input fails the block-kernel residual gate")
         cf = apply_J_alpha(multiply_by_symbol(f, pair.c).part("Q"), shift)
         ag = apply_J_alpha(multiply_by_symbol(g, pair.a_alpha_inv).part("Q"), shift)
@@ -640,7 +614,7 @@ def transfer_U(
     if direction == "U2":
         if max(
             _op_series(pair, +1, f).norm(), _op_series(pair, -1, g).norm()
-        ) > tol * scale:
+        ) > KERNEL_RESIDUAL_TOL * scale:
             raise NotInKernel("input fails the diagonal-kernel residual gate")
         b_alpha = compose_with_shift(pair.b, shift)
         a_alpha = compose_with_shift(pair.a, shift)

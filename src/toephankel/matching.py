@@ -28,7 +28,7 @@ from .errors import (
     NotMatching,
     SignatureIndeterminate,
 )
-from .rational import DELTA_CIRCLE, RationalSymbol
+from .rational import RationalSymbol
 from .shift import ShiftParams, chi_power, compose_with_shift, eval_alpha
 from .wiener_hopf import factorize
 
@@ -56,14 +56,13 @@ class MatchingPair:
         return self.sigma_c is not None and self.sigma_d is not None
 
 
-def check_matching(
-    a: RationalSymbol, b: RationalSymbol, shift: ShiftParams, grid: int = 512
-) -> float:
+def check_matching(a: RationalSymbol, b: RationalSymbol, shift: ShiftParams) -> float:
     """sup over a circle grid of |a a_alpha - b b_alpha|."""
     for name, s in (("a", a), ("b", b)):
-        if s.is_zero or np.any(np.abs(np.abs(s.num_roots) - 1.0) < DELTA_CIRCLE):
+        _, _, on_circle, _ = s.circle_factors()
+        if s.is_zero or not on_circle.is_constant:
             raise NotInvertible(f"{name} vanishes on the circle")
-    t = shift.circle_grid(grid)
+    t = shift.circle_grid()
     at = eval_alpha(shift, t)
     lhs = a.eval(t) * a.eval(at)
     rhs = b.eval(t) * b.eval(at)
@@ -111,7 +110,7 @@ def _snap_sign(value: complex, label: str) -> int:
     raise SignatureIndeterminate(f"{label} = {value:.8g} not within {SNAP_TOL} of +-1")
 
 
-def alpha_signature(g: RationalSymbol, shift: ShiftParams, grid: int = 512) -> int:
+def alpha_signature(g: RationalSymbol, shift: ShiftParams) -> int:
     """Sign of the matching representation of g, cross-checked two ways.
 
     Route one evaluates (lam/conj(beta))^n / g_plus(1/conj(beta)) on the
@@ -119,7 +118,7 @@ def alpha_signature(g: RationalSymbol, shift: ShiftParams, grid: int = 512) -> i
     twist at t_minus).  Rational symbols are continuous at both fixed
     points, so all three numbers must agree.
     """
-    t = shift.circle_grid(grid)
+    t = shift.circle_grid()
     resid = float(np.max(np.abs(g.eval(t) * g.eval(eval_alpha(shift, t)) - 1.0)))
     if resid >= MATCH_TOL:
         raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
@@ -148,11 +147,9 @@ def generate_matching_function(
     """
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    for r in (g_plus.num_roots, g_plus.den_roots):
-        if np.any(np.abs(r) < 1.0 + DELTA_CIRCLE):
-            raise BadPlusFactor("g_plus has a zero or pole in the closed disk")
-    if g_plus.mono != 0:
-        raise BadPlusFactor("g_plus carries a monomial factor")
+    winding, inside, on, _ = g_plus.circle_factors()
+    if winding or not (inside.is_constant and on.is_constant):
+        raise BadPlusFactor("g_plus has a zero, pole or monomial factor in the closed disk")
     inv_composed = compose_with_shift(g_plus.invert(), shift)
     return float(sigma) * g_plus * chi_power(shift, -n) * inv_composed
 

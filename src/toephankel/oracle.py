@@ -22,7 +22,8 @@ plus a rank-k random term and a Rayleigh-Ritz step over 2k vectors, not
 from a full SVD with every singular vector, and are checked by their
 residuals.  Localization counts the directions of the null space with
 most of their mass in the first half of the coordinates, whatever basis
-the null space is given in.
+the null space is given in.  Every caller gets these dimensions from
+null_dims, which computes all requested null spaces before localizing.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GridTooSmall, NoSpectralGap, WindowTooTight
-from .matching import MatchingPair
+from .matching import MatchingPair, make_matching_pair
 from .rational import RationalSymbol
 from .series import TruncatedSeries, fourier_coefficients
 from .shift import ShiftParams, eval_alpha
@@ -79,10 +80,10 @@ def _toeplitz_entries(a: RationalSymbol, n: int) -> tuple[np.ndarray, float]:
     return scipy.linalg.toeplitz(col, row), float(co.tail or 0.0)
 
 
-def _symbol_margin(s: RationalSymbol, tol: float = ENTRY_TAIL_TOL) -> int:
+def _symbol_margin(s: RationalSymbol) -> int:
     """How far multiplication by s can push coefficient support."""
     band = (s.num.hi - s.num.lo) + (s.den.hi - s.den.lo)
-    return band + s.pad_for(tol)
+    return band + s.pad_for(ENTRY_TAIL_TOL)
 
 
 def _hankel_entries(
@@ -101,7 +102,7 @@ def _hankel_entries(
     of every block certify the aliasing: while their largest entry exceeds
     ENTRY_TAIL_TOL * max(1, |H|) the grid doubles, up to the 2**22 cap.
     """
-    pad = shift.pad(ENTRY_TAIL_TOL) + b.pad_for(ENTRY_TAIL_TOL)
+    pad = shift.pad + b.pad_for(ENTRY_TAIL_TOL)
     r = abs(shift.beta)
     spread = int(np.ceil(n * (r + 1) / (r - 1)))
     m = 1 << (max(1024, 4 * (n + pad), 2 * (spread + pad)) - 1).bit_length()
@@ -138,18 +139,15 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     payload is a MatchingPair or an (a, b) tuple of symbols; T(a) and H(b)
     are assembled once and shared by both sections.
     """
-    if n < 8:
-        raise ValueError("section size must be at least 8")
     a, b = (payload.a, payload.b) if isinstance(payload, MatchingPair) else payload
-    ta, tail_a = _toeplitz_entries(a, n)
-    hb, tail_b = _hankel_entries(b, shift, n)
-    meta = {
-        "tail": max(tail_a, tail_b),
-        "margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad(ENTRY_TAIL_TOL)),
-    }
+    ta = operator_section("toeplitz", a, shift, n)
+    hb = operator_section("hankel", b, shift, n)
+    meta = {"tail": max(ta.meta["tail"], hb.meta["tail"]), "margin": max(ta.margin, hb.margin)}
     return {
-        "+": FiniteSection(n, ta + hb, "plus", {**meta, "symbols": f"T({a}) + H({b})"}),
-        "-": FiniteSection(n, ta - hb, "minus", {**meta, "symbols": f"T({a}) - H({b})"}),
+        "+": FiniteSection(n, ta.entries + hb.entries, "plus",
+                           {**meta, "symbols": f"T({a}) + H({b})"}),
+        "-": FiniteSection(n, ta.entries - hb.entries, "minus",
+                           {**meta, "symbols": f"T({a}) - H({b})"}),
     }
 
 
@@ -183,7 +181,7 @@ def operator_section(
             margin = _symbol_margin(sym)
         else:
             entries, tail = _hankel_entries(sym, shift, n)
-            margin = _symbol_margin(sym) + shift.pad(ENTRY_TAIL_TOL)
+            margin = _symbol_margin(sym) + shift.pad
         return FiniteSection(
             n, entries, kind, {"tail": tail, "margin": margin, "symbols": str(sym)}
         )
@@ -193,8 +191,6 @@ def operator_section(
         if isinstance(payload, MatchingPair):
             pair = payload
         else:
-            from .matching import make_matching_pair
-
             pair = make_matching_pair(*payload, shift)
         tc, _ = _toeplitz_entries(pair.c, n)
         td, _ = _toeplitz_entries(pair.d, n)
@@ -218,13 +214,11 @@ class NullSpace:
     singular_values: np.ndarray
 
 
-def numerical_null_space(
-    section: FiniteSection, tol: float = SVD_TOL, gap: float = SVD_GAP
-) -> NullSpace:
+def numerical_null_space(section: FiniteSection) -> NullSpace:
     """Null space from the singular values and one augmented LU.
 
-    Singular values at or below tol * sigma_max count as zero; the smallest
-    kept value must exceed the largest dropped one by the gap factor,
+    Singular values at or below SVD_TOL * sigma_max count as zero; the
+    smallest kept value must exceed the largest dropped one by SVD_GAP,
     otherwise the split is ambiguous and NoSpectralGap is raised.  Only the
     singular values of M are computed.
 
@@ -239,24 +233,23 @@ def numerical_null_space(
     comes the same way from [U1, M'^-H V1] and M^H.  On an exactly singular
     M this is ker(M); when the dropped values are not zero the residual
     matches the singular vectors'.  A singular pivot, or a residual not
-    below tol * sigma_max, raises NoSpectralGap.
+    below SVD_TOL * sigma_max, raises NoSpectralGap.
     """
     m = section.entries
     s = scipy.linalg.svd(m, compute_uv=False)
     n = len(s)
     smax = s[0] if len(s) else 0.0
-    cut = tol * smax
+    cut = SVD_TOL * smax
     k = int(np.sum(s <= cut))
-    if k > 0 and k < n:
-        largest_zero = s[n - k]
-        smallest_nonzero = s[n - k - 1]
-        if largest_zero > 0 and smallest_nonzero < gap * largest_zero:
-            raise NoSpectralGap(
-                f"singular values {smallest_nonzero:.3e} / {largest_zero:.3e} "
-                f"below the gap factor {gap}"
-            )
     if k == 0 or k == n:
         return NullSpace(k, np.eye(n, k, dtype=complex), np.eye(n, k, dtype=complex), s)
+    largest_zero = s[n - k]
+    smallest_nonzero = s[n - k - 1]
+    if largest_zero > 0 and smallest_nonzero < SVD_GAP * largest_zero:
+        raise NoSpectralGap(
+            f"singular values {smallest_nonzero:.3e} / {largest_zero:.3e} "
+            f"below the gap factor {SVD_GAP}"
+        )
     rng = np.random.default_rng(0)
     z = rng.standard_normal((2, n, k)) + 1j * rng.standard_normal((2, n, k))
     x, y = z / np.sqrt(2 * n)
@@ -310,6 +303,17 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
         return int(np.sum(np.linalg.eigvalsh(head.conj().T @ head) >= 0.5))
 
     return genuine(ns.right), genuine(ns.left)
+
+
+def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
+    """Localized (kernel, cokernel) dimensions of sections[sign], per sign.
+
+    The null spaces come first: numpy and scipy each link their own
+    OpenBLAS, and a numpy product between two scipy SVDs can leave threads
+    spinning that slow the second one.
+    """
+    spaces = {sign: numerical_null_space(sections[sign]) for sign in signs}
+    return {sign: localized_null_dims(ns, sections[sign].size) for sign, ns in spaces.items()}
 
 
 def residual_check(section: FiniteSection, f: TruncatedSeries) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AtJumpPoint, NotMatching, SignatureIndeterminate
+from .matching import _snap_sign
 from .rational import RationalSymbol
 from .shift import ShiftParams, eval_alpha
 
@@ -217,7 +218,6 @@ def fredholm_symbol_check(
     shift: ShiftParams,
     n_t: int = 512,
     n_y: int = 201,
-    threshold: float = FREDHOLM_THRESHOLD,
 ) -> dict:
     """Fredholm test for T(a) + H(b) with piecewise continuous a, b.
 
@@ -278,12 +278,12 @@ def fredholm_symbol_check(
         if abs(vals[j]) < min_scalar:
             min_scalar = float(abs(vals[j]))
             scalar_where = {"t": [tau.real, tau.imag], "y": ys[j]}
-    verdict = bool(min_det > threshold and min_scalar > threshold)
+    verdict = bool(min_det > FREDHOLM_THRESHOLD and min_scalar > FREDHOLM_THRESHOLD)
     return {
         "fredholm": verdict,
         "min_abs_det": min_det,
         "min_abs_scalar": min_scalar,
-        "threshold": threshold,
+        "threshold": FREDHOLM_THRESHOLD,
         "det_argmin": {
             "t_index": i_flat // len(ys),
             "y": ys[i_flat % len(ys)],
@@ -297,8 +297,8 @@ def fredholm_symbol_check(
 # signature for PC matching symbols
 
 
-def _matching_residual_pc(g: PCLike, shift: ShiftParams, grid: int = 512) -> float:
-    ts = shift.circle_grid(grid)
+def _matching_residual_pc(g: PCLike, shift: ShiftParams) -> float:
+    ts = shift.circle_grid()
     keep = np.ones(len(ts), dtype=bool)
     specials = list(jump_points_of(g))
     specials += [eval_alpha(shift, z) for z in specials]
@@ -309,20 +309,7 @@ def _matching_residual_pc(g: PCLike, shift: ShiftParams, grid: int = 512) -> flo
     return float(np.max(np.abs(vals - 1.0)))
 
 
-def _snap(value: complex) -> int:
-    if abs(value - 1.0) < 1e-6:
-        return 1
-    if abs(value + 1.0) < 1e-6:
-        return -1
-    raise SignatureIndeterminate(f"residual value {value:.8g} not near +-1")
-
-
-def pc_alpha_signature(
-    g: PCLike,
-    p: float,
-    shift: ShiftParams,
-    check_fredholm: bool = True,
-) -> int:
+def pc_alpha_signature(g: PCLike, p: float, shift: ShiftParams) -> int:
     """Factorization signature of a PC matching symbol.
 
     Any jump at t_plus is peeled off by the psi factor whose exponent is
@@ -335,18 +322,17 @@ def pc_alpha_signature(
     resid = _matching_residual_pc(g, shift)
     if resid >= 1e-8:
         raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
-    if check_fredholm:
-        zero = PCSymbol(RationalSymbol.constant(0.0), ())
-        rep = fredholm_symbol_check(g, zero, p, shift, n_t=128, n_y=101)
-        if not rep["fredholm"]:
-            raise SignatureIndeterminate("T(g) is not Fredholm on this space")
+    zero = PCSymbol(RationalSymbol.constant(0.0), ())
+    rep = fredholm_symbol_check(g, zero, p, shift, n_t=128, n_y=101)
+    if not rep["fredholm"]:
+        raise SignatureIndeterminate("T(g) is not Fredholm on this space")
     gl, gr = g.limits_at(shift.t_plus)
     if abs(gl) < 1e-14:
         raise SignatureIndeterminate("vanishing one-sided limit at t_plus")
     ratio = gr / gl
     if abs(ratio - 1.0) < 1e-10:
         # continuous at t_plus: read the value straight off
-        return _snap(0.5 * (gl + gr))
+        return _snap_sign(0.5 * (gl + gr), "value at t_plus")
     beta = _beta_from_ratio(ratio, p)
     psi_l = complex(np.exp(1j * np.pi * beta))
     psi_r = complex(np.exp(-1j * np.pi * beta))
@@ -354,7 +340,7 @@ def pc_alpha_signature(
     v_right = gr / psi_r
     if abs(v_left - v_right) > 1e-8 * max(1.0, abs(v_left)):
         raise SignatureIndeterminate("peeled factor is not continuous at t_plus")
-    return _snap(0.5 * (v_left + v_right))
+    return _snap_sign(0.5 * (v_left + v_right), "peeled value at t_plus")
 
 
 def _beta_from_ratio(ratio: complex, p: float) -> complex:
@@ -376,10 +362,10 @@ def _beta_from_ratio(ratio: complex, p: float) -> complex:
 # Toeplitz sections of PC symbols by piecewise Gauss-Legendre quadrature
 
 
-def _gl_panels(breaks: np.ndarray, k_max: int, nodes: int = 10, refine: float = 1.0):
+def _gl_panels(breaks: np.ndarray, k_max: int, refine: float):
     """Composite GL nodes/weights on [breaks[0], breaks[-1]] split so that
     every panel sees at most ~2 radians of the fastest oscillation."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = np.polynomial.legendre.leggauss(10)
     all_t = []
     all_w = []
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -413,7 +399,7 @@ def pc_fourier_coefficients(
     )
     breaks = np.array([0.0] + cuts + [2 * np.pi]) + th0
     k_max = max(abs(lo), abs(hi))
-    theta, w = _gl_panels(breaks, k_max, refine=refine)
+    theta, w = _gl_panels(breaks, k_max, refine)
     vals = eval_pc(s, np.exp(1j * theta)) * w
     ks = np.arange(lo, hi + 1)
     out = np.empty(len(ks), complex)

@@ -6,9 +6,13 @@ A symbol is kept as
 
 with distinct nonzero roots and nonzero integer multiplicities, positive
 for zeros and negative for poles.  Products, inverses, powers, the
-boundary conjugate and substitutions (see shift.compose_with_shift) are
-bookkeeping on this list, so an m-fold root stays one root of multiplicity
-m instead of scattering like eps^(1/m) under a root finder.
+boundary conjugate and substitutions are bookkeeping on this list, so an
+m-fold root stays one root of multiplicity m instead of scattering like
+eps^(1/m) under a root finder.  No other module reads the factors; they
+use two primitives: circle_factors splits a symbol by the one partition of
+its roots (_side: inside, within DELTA_CIRCLE of, or outside the circle),
+and compose_moebius substitutes a Moebius map, alpha in
+shift.compose_with_shift and 1/t in conjugate_bar.
 
 Only a sum needs root finding.  It factors out the roots both terms share,
 at their smaller multiplicity, expands what is left into one polynomial
@@ -48,6 +52,7 @@ from .laurent import LaurentPolynomial
 DELTA_CIRCLE = 1e-8   # exclusion annulus around |z| = 1
 ROOT_TOL = 1e-10      # relative distance at which two roots are the same root
 ENTRY_TOL = 1e-2      # input roots this close may be one scattered multiple root
+EVAL_GUARD = 1e-12    # eval raises where the monic denominator drops below this
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +95,17 @@ class RationalSymbol:
             at_zero = roots == 0
             mono = int(mono) + int(mults[at_zero].sum())
             roots, mults = roots[~at_zero], mults[~at_zero]
-            bad = (mults < 0) & (np.abs(np.abs(roots) - 1.0) < DELTA_CIRCLE)
+            bad = (mults < 0) & (_side(roots) == 0)
             if np.any(bad):
                 raise DenominatorNearZero(
                     f"pole(s) {roots[bad]} inside the circle annulus (delta={DELTA_CIRCLE})"
                 )
+        self._store(lead, mono, roots, mults)
+
+    def _store(self, lead, mono, roots, mults) -> None:
         roots.setflags(write=False)
         mults.setflags(write=False)
-        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "lead", complex(lead))
         object.__setattr__(self, "mono", int(mono))
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "mults", mults)
@@ -111,6 +119,14 @@ class RationalSymbol:
         out._factor(lead, mono, roots, mults)
         return out
 
+    @classmethod
+    def _canonical(cls, lead: complex, mono: int, roots, mults):
+        """Factors that are canonical already (a subset or the conjugates
+        of a symbol's factors), stored without merging or checks."""
+        out = object.__new__(cls)
+        out._store(lead, mono, roots, mults)
+        return out
+
     @staticmethod
     def constant(value: complex) -> "RationalSymbol":
         return RationalSymbol.from_factors(value)
@@ -118,10 +134,6 @@ class RationalSymbol:
     @staticmethod
     def monomial(k: int, value: complex = 1.0) -> "RationalSymbol":
         return RationalSymbol.from_factors(value, k)
-
-    @staticmethod
-    def from_laurent(lp: LaurentPolynomial) -> "RationalSymbol":
-        return RationalSymbol(lp)
 
     # -- queries --------------------------------------------------------------
 
@@ -157,8 +169,9 @@ class RationalSymbol:
             raise ValueError("not a constant")
         return self.lead
 
-    def eval(self, t, guard: float = 1e-12):
-        """Pointwise value; raises when the monic denominator drops under guard."""
+    def eval(self, t):
+        """Pointwise value; raises when the monic denominator drops under
+        EVAL_GUARD."""
         t = np.asarray(t, dtype=complex)
         nv = self.lead * t**self.mono
         dv = np.ones(t.shape, complex)
@@ -167,7 +180,7 @@ class RationalSymbol:
                 nv = nv * (t - r) ** k
             else:
                 dv = dv * (t - r) ** -k
-        if np.any(np.abs(dv) < guard):
+        if np.any(np.abs(dv) < EVAL_GUARD):
             raise DenominatorNearZero("evaluation too close to a pole")
         out = nv / dv
         return out if np.ndim(out) else complex(out)
@@ -221,8 +234,8 @@ class RationalSymbol:
                        else RationalSymbol.constant(-other))
 
     def invert(self) -> "RationalSymbol":
-        bad = (self.mults > 0) & (np.abs(np.abs(self.roots) - 1.0) < DELTA_CIRCLE)
-        if self.is_zero or np.any(bad):
+        # only zeros can lie on the circle: _factor keeps poles off it
+        if self.is_zero or np.any(_side(self.roots) == 0):
             raise NotInvertibleOnCircle(
                 "symbol has a zero inside the circle annulus"
             )
@@ -233,16 +246,38 @@ class RationalSymbol:
     def conjugate_bar(self) -> "RationalSymbol":
         """Boundary-function conjugate: sum c_k t^k -> sum conj(c_k) t^-k.
 
-        Each factor (t - z) becomes -conj(z) (t - 1/conj(z)) / t.
+        The conjugated factors conj(lead) t^mono prod (t - conj(z))^k,
+        evaluated at M(t) = 1/t.
+        """
+        conj = RationalSymbol._canonical(
+            np.conj(self.lead), self.mono, np.conj(self.roots), self.mults
+        )
+        return conj.compose_moebius(0.0, 1.0, 1.0, 0.0)
+
+    def compose_moebius(self, p, q, r, s) -> "RationalSymbol":
+        """self(M(t)) for M(t) = (p t + q) / (r t + s), r != 0, in closed form.
+
+        M(t) - z = (p - z r) (t - M^-1(z)) / (r t + s) for a root z other
+        than M(infinity) = p/r (within ROOT_TOL), which gives
+        (q - s p/r) / (r t + s) instead; t^mono counts as the root 0.  So
+        each other root z moves to M^-1(z) = (s z - q) / (p - z r), and the
+        net degree D of self becomes the factor r^-D (t + s/r)^-D.
         """
         if self.is_zero:
             return self
-        zc = np.conj(self.roots)
+        roots = np.append(self.roots, 0.0)
+        mults = np.append(self.mults, self.mono)
+        at_inf = _close(roots, np.array([p / r]))[:, 0]
+        z, k = roots[~at_inf], mults[~at_inf]
+        degree = int(mults.sum())
+        lead = (
+            self.lead
+            * np.prod((p - z * r) ** k)
+            * np.prod((q - p / r * s) ** mults[at_inf])
+            * r ** (-degree)
+        )
         return RationalSymbol.from_factors(
-            np.conj(self.lead) * np.prod((-zc) ** self.mults),
-            -self.mono - int(self.mults.sum()),
-            1.0 / zc,
-            self.mults,
+            lead, 0, np.append((s * z - q) / (p - z * r), -s / r), np.append(k, -degree)
         )
 
     def power(self, k: int) -> "RationalSymbol":
@@ -259,11 +294,30 @@ class RationalSymbol:
 
         Roots inside the exclusion annulus make the count uncertifiable.
         """
-        if np.any(np.abs(np.abs(self.roots) - 1.0) < DELTA_CIRCLE):
+        winding, _, on, _ = self.circle_factors()
+        if not on.is_constant:
             raise IllConditionedRoots(
                 "root inside the circle annulus; winding not certified"
             )
-        return self.mono + int(self.mults[np.abs(self.roots) < 1.0].sum())
+        return winding
+
+    def circle_factors(self):
+        """(w, inside, on, outside) with self = t^w * inside * on * outside.
+
+        inside is prod ((t - z)/t)^k over the roots in the open disk, so it
+        is 1 at infinity; on holds the roots within DELTA_CIRCLE of the
+        circle (zeros only: poles are kept off it); outside the lead and
+        the roots outside the disk.  w = mono + the multiplicities inside,
+        the winding number when on is constant.
+        """
+        side = _side(self.roots)
+        n_in = int(self.mults[side < 0].sum())
+
+        def part(lead, mono, keep):
+            return RationalSymbol._canonical(lead, mono, self.roots[keep], self.mults[keep])
+
+        return (self.mono + n_in, part(1.0, -n_in, side < 0), part(1.0, 0, side == 0),
+                part(self.lead, 0, side > 0))
 
     # -- partial fractions --------------------------------------------------------
 
@@ -363,10 +417,9 @@ class RationalSymbol:
 
     def decay_rate(self) -> float:
         """Largest geometric ratio of the coefficient tails (0 = finite support)."""
-        rate = 0.0
-        for z in self.roots[self.mults < 0]:
-            rate = max(rate, abs(z) if abs(z) < 1.0 else 1.0 / abs(z))
-        return rate
+        poles = self.roots[self.mults < 0]
+        modulus = np.abs(poles)
+        return float(np.max(np.where(_side(poles) < 0, modulus, 1.0 / modulus), initial=0.0))
 
     def pad_for(self, tol: float = 1e-12) -> int:
         """Window padding beyond which coefficient tails drop under tol."""
@@ -386,6 +439,14 @@ class RationalSymbol:
         if self.den.is_constant and self.den.constant_value() == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _side(roots: np.ndarray) -> np.ndarray:
+    """|z| - 1 for each root, set to 0 within DELTA_CIRCLE of the circle:
+    negative in the open disk, positive outside it."""
+    gap = np.abs(roots) - 1.0
+    gap[np.abs(gap) < DELTA_CIRCLE] = 0.0
+    return gap
 
 
 def _close(x: np.ndarray, y: np.ndarray, tol: float = ROOT_TOL) -> np.ndarray:

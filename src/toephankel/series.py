@@ -51,23 +51,22 @@ class TruncatedSeries:
         return TruncatedSeries(k, [1.0])
 
     @staticmethod
-    def from_vector(vec, lo: int = 0) -> "TruncatedSeries":
-        return TruncatedSeries(lo, np.asarray(vec, dtype=complex))
+    def from_vector(vec) -> "TruncatedSeries":
+        """The analytic series with coefficients vec on exponents 0, 1, ..."""
+        return TruncatedSeries(0, np.asarray(vec, dtype=complex))
 
     def coefficient(self, k: int) -> complex:
         if self.lo <= k <= self.hi:
             return complex(self.coeffs[k - self.lo])
         return 0.0 + 0.0j
 
-    def to_vector(self, n: int, lo: int = 0) -> np.ndarray:
-        """Dense coefficients on [lo, lo+n); exponents outside are dropped."""
+    def to_vector(self, n: int) -> np.ndarray:
+        """Dense coefficients on [0, n); exponents outside are dropped."""
         out = np.zeros(n, dtype=complex)
-        src_lo = max(self.lo, lo)
-        src_hi = min(self.hi, lo + n - 1)
+        src_lo = max(self.lo, 0)
+        src_hi = min(self.hi, n - 1)
         if src_lo <= src_hi:
-            out[src_lo - lo : src_hi - lo + 1] = self.coeffs[
-                src_lo - self.lo : src_hi - self.lo + 1
-            ]
+            out[src_lo : src_hi + 1] = self.coeffs[src_lo - self.lo : src_hi - self.lo + 1]
         return out
 
     def norm(self) -> float:
@@ -136,11 +135,10 @@ def project_analytic(f: TruncatedSeries, which: str) -> TruncatedSeries:
     return f.part(which)
 
 
-def multiply_by_symbol(
-    f: TruncatedSeries, s: RationalSymbol, tol: float = 1e-12
-) -> TruncatedSeries:
-    """Coefficients of s*f, using the symbol's exact windowed coefficients."""
-    pad = s.pad_for(tol)
+def multiply_by_symbol(f: TruncatedSeries, s: RationalSymbol) -> TruncatedSeries:
+    """Coefficients of s*f, using the symbol's exact windowed coefficients
+    padded until their tails drop below 1e-12 (pad_for's default)."""
+    pad = s.pad_for()
     lo = s.num.lo - (s.den.hi - s.den.lo) - pad
     hi = s.num.hi + pad
     c, _ = s.coefficients(lo, hi)

@@ -13,8 +13,9 @@ t/alpha_plus; chi-powers realize all index shifts used downstream.
 
 All of these symbols are built directly in the factored form of
 RationalSymbol: chi^k is the single root 1/conj(beta) with multiplicity k.
-Substituting alpha into a symbol maps each root z to alpha(z) and collects
-the net degree at the pole 1/conj(beta) of alpha, in closed form.
+Substituting alpha into a symbol is RationalSymbol.compose_moebius with
+alpha's coefficients: each root z moves to alpha(z) and the net degree
+collects at the pole 1/conj(beta) of alpha, in closed form.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from typing import Union
 import numpy as np
 
 from .errors import BetaInsideDisk, GridTooSmall, PoleHit
-from .rational import RationalSymbol, _close
+from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries
 
 _CHECK_GRID = 64
+_CHECK_TOL = 1e-12
 _FLIP_FFT_START = 256
+FLIP_TAIL_TOL = 1e-10   # certified tail of flip images of coefficient windows
 
 
 @dataclass(frozen=True)
@@ -51,8 +54,10 @@ class ShiftParams:
         """Geometric tail ratio of flip images: 1/|beta|."""
         return 1.0 / abs(self.beta)
 
-    def pad(self, tol: float = 1e-10) -> int:
-        return int(np.ceil(np.log(tol) / np.log(self.decay))) + 4
+    @property
+    def pad(self) -> int:
+        """Exponents beyond which a flip image's tail drops below FLIP_TAIL_TOL."""
+        return int(np.ceil(np.log(FLIP_TAIL_TOL) / np.log(self.decay))) + 4
 
     def circle_grid(self, n: int = 512) -> np.ndarray:
         return np.exp(2j * np.pi * (np.arange(n) + 0.2371) / n)
@@ -82,18 +87,18 @@ def make_shift(beta: complex) -> ShiftParams:
     return shift
 
 
-def _verify(shift: ShiftParams, tol: float = 1e-12) -> None:
+def _verify(shift: ShiftParams) -> None:
     for t in (shift.t_plus, shift.t_minus):
-        assert abs(abs(t) - 1.0) < tol, "fixed point off the circle"
-        assert abs(eval_alpha(shift, t) - t) < tol * 10, "fixed point not fixed"
+        assert abs(abs(t) - 1.0) < _CHECK_TOL, "fixed point off the circle"
+        assert abs(eval_alpha(shift, t) - t) < _CHECK_TOL * 10, "fixed point not fixed"
     t = shift.circle_grid(_CHECK_GRID)
     a = eval_alpha(shift, t)
     scale = max(1.0, abs(shift.beta))
-    assert np.max(np.abs(eval_alpha(shift, a) - t)) < tol * scale * 10
+    assert np.max(np.abs(eval_alpha(shift, a) - t)) < _CHECK_TOL * scale * 10
     fact = shift.alpha_plus.eval(t) / t * shift.alpha_minus.eval(t)
-    assert np.max(np.abs(fact - a)) < tol * scale * 10
+    assert np.max(np.abs(fact - a)) < _CHECK_TOL * scale * 10
     chi_match = shift.chi.eval(t) * shift.chi.eval(a)
-    assert np.max(np.abs(chi_match - 1.0)) < tol * scale * 10
+    assert np.max(np.abs(chi_match - 1.0)) < _CHECK_TOL * scale * 10
 
 
 def eval_alpha(shift: ShiftParams, t):
@@ -107,35 +112,13 @@ def eval_alpha(shift: ShiftParams, t):
 
 
 def compose_with_shift(s: RationalSymbol, shift: ShiftParams) -> RationalSymbol:
-    """Exact substitution s(alpha(t)), as bookkeeping on the roots of s.
+    """Exact substitution s(alpha(t)), alpha(t) = (t - beta)/(conj(beta) t - 1).
 
-    For a root z other than the pole p = 1/conj(beta) of alpha,
-
-        alpha(t) - z = (1 - z conj(beta)) (t - alpha(z)) / (conj(beta) (t - p)),
-
-    and alpha(t) - p = (p - beta) / (conj(beta) (t - p)).  The monomial
-    t^mono counts as the root 0, which maps to beta.  So every root z != p
-    moves to alpha(z), and the net degree D of s becomes the factor
-    conj(beta)^-D (t - p)^-D.
+    Every root z of s other than the pole 1/conj(beta) of alpha moves to
+    alpha(z) (alpha is its own inverse); the net degree of s collects at
+    that pole (RationalSymbol.compose_moebius).
     """
-    if s.is_zero:
-        return s
-    bc = np.conj(shift.beta)
-    pole = 1.0 / bc
-    roots = np.append(s.roots, 0.0)
-    mults = np.append(s.mults, s.mono)
-    at_pole = _close(roots, np.array([pole]))[:, 0]
-    z, k = roots[~at_pole], mults[~at_pole]
-    degree = int(mults.sum())
-    lead = (
-        s.lead
-        * np.prod((1.0 - z * bc) ** k)
-        * np.prod((pole - shift.beta) ** mults[at_pole])
-        * bc ** (-degree)
-    )
-    return RationalSymbol.from_factors(
-        lead, 0, np.append(eval_alpha(shift, z), pole), np.append(k, -degree)
-    )
+    return s.compose_moebius(1.0, -shift.beta, np.conj(shift.beta), -1.0)
 
 
 def chi_power(shift: ShiftParams, k: int) -> RationalSymbol:
@@ -144,22 +127,20 @@ def chi_power(shift: ShiftParams, k: int) -> RationalSymbol:
 
 
 def apply_J_alpha(
-    f: Union[TruncatedSeries, RationalSymbol],
-    shift: ShiftParams,
-    tol: float = 1e-10,
+    f: Union[TruncatedSeries, RationalSymbol], shift: ShiftParams
 ) -> Union[TruncatedSeries, RationalSymbol]:
     """The weighted flip J f = t^-1 alpha_minus * (f o alpha).
 
     Rational symbols are transformed exactly; coefficient windows go through
     a circle grid and are re-expanded by FFT, with the geometric |beta|^-1
-    tail certified below tol (GridTooSmall otherwise).
+    tail certified below FLIP_TAIL_TOL (GridTooSmall otherwise).
     """
     if isinstance(f, RationalSymbol):
         comp = compose_with_shift(f, shift)
         return shift.chi.invert() * comp
 
     scale = max(float(np.max(np.abs(f.coeffs))), 1e-300)
-    pad = shift.pad(tol)
+    pad = shift.pad
     while True:
         lo = -f.hi - pad
         hi = -f.lo + pad
@@ -178,7 +159,7 @@ def apply_J_alpha(
         edge = max(
             float(np.max(np.abs(out[:2]))), float(np.max(np.abs(out[-2:])))
         )
-        if edge <= tol * scale:
+        if edge <= FLIP_TAIL_TOL * scale:
             return TruncatedSeries(lo, out, tail=edge).trim(1e-15)
         pad *= 2
         if pad > 10_000:

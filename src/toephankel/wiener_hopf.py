@@ -20,10 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import NotFredholm, WrongSide
-from .rational import DELTA_CIRCLE, RationalSymbol
+from .rational import RationalSymbol
 from .series import TruncatedSeries, multiply_by_symbol
 
 
@@ -40,20 +38,13 @@ class WHFactorization:
 
 
 def factorize(g: RationalSymbol) -> WHFactorization:
-    """Partition the roots by modulus; raises NotFredholm on circle roots."""
+    """Partition the roots by the circle; raises NotFredholm on circle roots."""
     if g.is_zero:
         raise NotFredholm("zero symbol")
-    modulus = np.abs(g.roots)
-    if np.any(np.abs(modulus - 1.0) < DELTA_CIRCLE):
+    winding, inside, on, outside = g.circle_factors()
+    if not on.is_constant:
         raise NotFredholm("zero or pole inside the circle annulus")
-    inside = modulus < 1.0
-    n_in = int(g.mults[inside].sum())
-    # prod ((t - z)/t)^k over the inside roots has value 1 at infinity
-    return WHFactorization(
-        kappa=-(g.mono + n_in),
-        g_plus=RationalSymbol.from_factors(g.lead, 0, g.roots[~inside], g.mults[~inside]),
-        g_minus=RationalSymbol.from_factors(1.0, -n_in, g.roots[inside], g.mults[inside]),
-    )
+    return WHFactorization(kappa=-winding, g_plus=outside, g_minus=inside)
 
 
 def eval_gplus_inverse_at(fac: WHFactorization, z: complex) -> complex:

@@ -225,3 +225,20 @@ def test_malformed_json_exits_one(tmp_path):
     code = main(["--spec", str(spec), "--out", str(out)])
     assert code == 1
     assert "error" in json.loads(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv", [["--bogus"], ["--oracle-size", "abc"], ["--tol", "1e-8"]]
+)
+def test_usage_error_exits_one(argv, capsys):
+    assert main(argv) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"]["type"] == "InputError"
+    assert argv[0] in rep["error"]["message"]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert "--oracle-size" in capsys.readouterr().out

@@ -289,6 +289,26 @@ def test_coburn_one_null_space_per_sign(shift2, monkeypatch):
     assert counts == {"svd": len({m.sign for m in matches}), "hankel": 1}
 
 
+def test_coburn_one_sign_candidates(shift2, monkeypatch):
+    from toephankel import LaurentPolynomial, oracle
+
+    counts = {"svd": 0, "hankel": 0}
+    svd, hankel = oracle.numerical_null_space, oracle._hankel_entries
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "numerical_null_space", counted("svd", svd))
+    monkeypatch.setattr(oracle, "_hankel_entries", counted("hankel", hankel))
+    a = RationalSymbol(LaurentPolynomial(0, [1.0, 0.25]))
+    matches = coburn_class(a, a * shift2.chi.invert(), shift2, oracle_size=64)
+    assert {m.sign for m in matches} == {"-"}
+    assert counts == {"svd": 1, "hankel": 1}
+
+
 def test_bases_accessor_builds_one_side(shift2, monkeypatch):
     from toephankel import kernels
 
