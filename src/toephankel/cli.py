@@ -20,7 +20,7 @@ import numpy as np
 from . import errors
 from .kernels import all_defect_bases, classify_regime, defect_numbers
 from .laurent import LaurentPolynomial
-from .matching import alpha_signature, check_matching, make_matching_pair
+from .matching import alpha_signature, make_matching_pair
 from .oracle import null_dims, pair_sections
 from .pc import JumpFactor, PCSymbol, fredholm_symbol_check, pc_alpha_signature
 from .rational import RationalSymbol
@@ -192,7 +192,6 @@ def _cmd_analyze(spec, opts):
     shift = spec["shift"]
     a, b = spec["a"], spec["b"]
     _require_rational(a, b)
-    residual = check_matching(a, b, shift)
     pair = make_matching_pair(a, b, shift)
     report = defect_numbers(
         pair, oracle_size=opts["oracle_size"], run_oracle=opts["oracle"]
@@ -201,7 +200,7 @@ def _cmd_analyze(spec, opts):
         "command": "analyze",
         "beta": complex(shift.beta),
         "p": spec["p"],
-        "matching_residual": residual,
+        "matching_residual": pair.matching_residual,
         "kappa": [pair.kappa1, pair.kappa2],
         "sigma": {"c": pair.sigma_c, "d": pair.sigma_d},
         "regime": report.regime.value,
@@ -325,10 +324,8 @@ def run(problem: dict, opts: dict):
         raise errors.InputError("spec needs both symbols a and b")
     if command == "signature" and spec["a"] is None:
         raise errors.InputError("signature needs the symbol a")
-    if "N" in problem:
-        opts = dict(opts)
-        if opts.get("oracle_size_overridden") is not True:
-            opts["oracle_size"] = int(problem["N"])
+    if opts["oracle_size"] is None:
+        opts = {**opts, "oracle_size": int(problem.get("N", 256))}
     return _COMMANDS[command](spec, opts)
 
 
@@ -371,8 +368,7 @@ def main(argv=None) -> int:
 
     opts = {
         "oracle": not args.no_oracle,
-        "oracle_size": args.oracle_size if args.oracle_size is not None else 256,
-        "oracle_size_overridden": args.oracle_size is not None,
+        "oracle_size": args.oracle_size,   # None: run() takes the spec's N, else 256
     }
     try:
         if args.spec:

@@ -177,11 +177,10 @@ def phi_pm(
     scale = max(1.0, s.sup_norm_on_circle(128))
     if toeplitz_apply(pair.d, s).sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
         raise NotInKernel("s is not in ker T(d)")
-    aai = pair.a_alpha_inv
-    w = aai * s
-    x = apply_one_sided_inverse(fac_c, w.split_analytic()[0], "right")
+    w_plus, w_minus = (pair.a_alpha_inv * s).split_analytic()
+    x = apply_one_sided_inverse(fac_c, w_plus, "right")
     u = apply_J_alpha((pair.c * x).split_analytic()[1], shift)
-    v = apply_J_alpha(w.split_analytic()[1], shift)
+    v = apply_J_alpha(w_minus, shift)
     if sign > 0:
         return 0.5 * (x - u + v)
     return 0.5 * (x + u - v)

@@ -5,6 +5,10 @@ b * (b o alpha) on the circle.  The subordinated functions c = a/b and
 d = b/(a o alpha) then satisfy c (c o alpha) = 1 = d (d o alpha), and the
 indices of their Toeplitz operators control the whole kernel structure.
 
+make_matching_pair is the one place that checks and derives a pair: one
+matching check (on shift.circle_grid(), like every residual here), one
+composition a o alpha, inverted once; consumers read the MatchingPair.
+
 The signature of a matching function g is the sign in the representation
 g = sigma * g_plus * chi^(-n) * (g_plus^-1 o alpha).  It is computed here
 along two independent routes: the normalization constant of the
@@ -34,6 +38,7 @@ from .wiener_hopf import factorize
 
 MATCH_TOL = 1e-8
 SNAP_TOL = 1e-6
+_ONE = RationalSymbol.constant(1.0)
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,18 @@ class MatchingPair:
     sigma_d: Optional[int]
     shift: ShiftParams
     a_alpha_inv: RationalSymbol
+    matching_residual: float   # check_matching(a, b, shift), below MATCH_TOL
 
     @property
     def is_fredholm(self) -> bool:
         return self.sigma_c is not None and self.sigma_d is not None
+
+
+def _residual(g: RationalSymbol, h: RationalSymbol, shift: ShiftParams) -> float:
+    """sup over shift.circle_grid() of |g (g o alpha) - h (h o alpha)|."""
+    t = shift.circle_grid()
+    at = eval_alpha(shift, t)
+    return float(np.max(np.abs(g.eval(t) * g.eval(at) - h.eval(t) * h.eval(at))))
 
 
 def check_matching(a: RationalSymbol, b: RationalSymbol, shift: ShiftParams) -> float:
@@ -62,30 +75,31 @@ def check_matching(a: RationalSymbol, b: RationalSymbol, shift: ShiftParams) -> 
         _, _, on_circle, _ = s.circle_factors()
         if s.is_zero or not on_circle.is_constant:
             raise NotInvertible(f"{name} vanishes on the circle")
-    t = shift.circle_grid()
-    at = eval_alpha(shift, t)
-    lhs = a.eval(t) * a.eval(at)
-    rhs = b.eval(t) * b.eval(at)
-    return float(np.max(np.abs(lhs - rhs)))
+    return _residual(a, b, shift)
+
+
+def _subordinate(a, b, shift: ShiftParams):
+    """(residual, c, d, kappa1, kappa2, a_alpha^-1) from one matching
+    check and one composition of a with the shift."""
+    residual = check_matching(a, b, shift)
+    if residual >= MATCH_TOL:
+        raise NotMatching(f"matching residual {residual:.3e} >= {MATCH_TOL}")
+    a_alpha_inv = compose_with_shift(a, shift).invert()
+    c = a * b.invert()
+    d = b * a_alpha_inv
+    return residual, c, d, -c.winding_number(), -d.winding_number(), a_alpha_inv
 
 
 def subordinated_pair(a, b, shift: ShiftParams):
     """(c, d, kappa1, kappa2) with c = a/b, d = b / (a o alpha)."""
-    residual = check_matching(a, b, shift)
-    if residual >= MATCH_TOL:
-        raise NotMatching(f"matching residual {residual:.3e} >= {MATCH_TOL}")
-    c = a * b.invert()
-    a_alpha = compose_with_shift(a, shift)
-    d = b * a_alpha.invert()
-    return c, d, -c.winding_number(), -d.winding_number()
+    return _subordinate(a, b, shift)[1:5]
 
 
 def make_matching_pair(a, b, shift: ShiftParams) -> MatchingPair:
     """Build a MatchingPair, verifying the cross identities of (c, d)."""
-    c, d, k1, k2 = subordinated_pair(a, b, shift)
-    a_alpha = compose_with_shift(a, shift)
+    residual, c, d, k1, k2, a_alpha_inv = _subordinate(a, b, shift)
     b_alpha = compose_with_shift(b, shift)
-    cross_c = b_alpha * a_alpha.invert()
+    cross_c = b_alpha * a_alpha_inv
     cross_d = b_alpha.invert() * a
     scale = max(1.0, a.sup_norm_on_circle(64), b.sup_norm_on_circle(64))
     for left, right in ((c, cross_c), (d, cross_d)):
@@ -97,8 +111,8 @@ def make_matching_pair(a, b, shift: ShiftParams) -> MatchingPair:
     except NotFredholm:
         sc = sd = None
     return MatchingPair(
-        a=a, b=b, c=c, d=d, kappa1=k1, kappa2=k2,
-        sigma_c=sc, sigma_d=sd, shift=shift, a_alpha_inv=a_alpha.invert(),
+        a=a, b=b, c=c, d=d, kappa1=k1, kappa2=k2, sigma_c=sc, sigma_d=sd,
+        shift=shift, a_alpha_inv=a_alpha_inv, matching_residual=residual,
     )
 
 
@@ -118,8 +132,7 @@ def alpha_signature(g: RationalSymbol, shift: ShiftParams) -> int:
     twist at t_minus).  Rational symbols are continuous at both fixed
     points, so all three numbers must agree.
     """
-    t = shift.circle_grid()
-    resid = float(np.max(np.abs(g.eval(t) * g.eval(eval_alpha(shift, t)) - 1.0)))
+    resid = _residual(g, _ONE, shift)
     if resid >= MATCH_TOL:
         raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
     fac = factorize(g)
@@ -158,8 +171,7 @@ def generate_matching_pair(
     a: RationalSymbol, rho: RationalSymbol, shift: ShiftParams
 ) -> MatchingPair:
     """Pair (a, a_alpha * rho) for any invertible a and matching rho."""
-    t = shift.circle_grid(256)
-    resid = float(np.max(np.abs(rho.eval(t) * rho.eval(eval_alpha(shift, t)) - 1.0)))
+    resid = _residual(rho, _ONE, shift)
     if resid >= MATCH_TOL:
         raise NotMatching(f"rho is not matching (residual {resid:.3e})")
     b = compose_with_shift(a, shift) * rho

@@ -144,10 +144,8 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     hb = operator_section("hankel", b, shift, n)
     meta = {"tail": max(ta.meta["tail"], hb.meta["tail"]), "margin": max(ta.margin, hb.margin)}
     return {
-        "+": FiniteSection(n, ta.entries + hb.entries, "plus",
-                           {**meta, "symbols": f"T({a}) + H({b})"}),
-        "-": FiniteSection(n, ta.entries - hb.entries, "minus",
-                           {**meta, "symbols": f"T({a}) - H({b})"}),
+        "+": FiniteSection(n, ta.entries + hb.entries, "plus", dict(meta)),
+        "-": FiniteSection(n, ta.entries - hb.entries, "minus", meta),
     }
 
 
@@ -174,17 +172,14 @@ def operator_section(
             if kind == "hankel":
                 raise ValueError("hankel sections require a rational symbol")
             entries, tail = pc_toeplitz_entries(sym, shift, n)
-            meta = {"tail": tail, "margin": n // 2, "symbols": str(sym)}
-            return FiniteSection(n, entries, kind, meta)
+            return FiniteSection(n, entries, kind, {"tail": tail, "margin": n // 2})
         if kind == "toeplitz":
             entries, tail = _toeplitz_entries(sym, n)
             margin = _symbol_margin(sym)
         else:
             entries, tail = _hankel_entries(sym, shift, n)
             margin = _symbol_margin(sym) + shift.pad
-        return FiniteSection(
-            n, entries, kind, {"tail": tail, "margin": margin, "symbols": str(sym)}
-        )
+        return FiniteSection(n, entries, kind, {"tail": tail, "margin": margin})
     if kind in ("plus", "minus"):
         return pair_sections(payload, shift, n)["+" if kind == "plus" else "-"]
     if kind == "block":
@@ -199,10 +194,7 @@ def operator_section(
         entries = np.block([[z, td], [-tc, taai]])
         margin = max(_symbol_margin(pair.c), _symbol_margin(pair.d),
                      _symbol_margin(pair.a_alpha_inv))
-        return FiniteSection(
-            2 * n, entries, kind,
-            {"margin": margin, "halves": n, "symbols": "block [[0,T(d)],[-T(c),T(a_alpha^-1)]]"},
-        )
+        return FiniteSection(2 * n, entries, kind, {"margin": margin, "halves": n})
     raise ValueError(f"unknown section kind {kind!r}")
 
 

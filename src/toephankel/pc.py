@@ -166,11 +166,6 @@ def one_sided_limits(s: PCLike, tau: complex) -> tuple[complex, complex]:
     return _as_pc(s).limits_at(tau)
 
 
-def jump_points_of(s: PCLike) -> tuple[complex, ...]:
-    s = _as_pc(s)
-    return getattr(s, "jump_points", ())
-
-
 # ---------------------------------------------------------------------------
 # the 2x2 Fredholm criterion
 
@@ -224,18 +219,16 @@ def fredholm_symbol_check(
     On the open arc between the fixed points the 2x2 symbol matrix must be
     invertible for all (t, y); at the fixed points a scalar function must
     stay away from zero.  The report carries the minima over the grid,
-    which includes the jump points of both symbols (degeneracies live
-    exactly there), y = 0 and y = +/- infinity.
+    which includes the jump points and the circle zeros of both symbols
+    and their images under alpha (degeneracies live exactly there), y = 0
+    and y = +/- infinity.
     """
     a = _as_pc(a)
     b = _as_pc(b)
-    extra = list(jump_points_of(a)) + list(jump_points_of(b))
+    extra = list(a.jump_points) + list(b.jump_points)
     for s in (a, b):
-        base = getattr(s, "base", None)
-        if base is not None:
-            for z in base.num_roots:
-                if abs(abs(z) - 1.0) < 1e-6:
-                    extra.append(z / abs(z))
+        if isinstance(s, PCSymbol):
+            extra += list(s.base.circle_zeros())
     extra += [eval_alpha(shift, z) for z in extra]
     thetas = _arc_thetas(shift, n_t, extra)
     ts = np.exp(1j * thetas)
@@ -300,7 +293,7 @@ def fredholm_symbol_check(
 def _matching_residual_pc(g: PCLike, shift: ShiftParams) -> float:
     ts = shift.circle_grid()
     keep = np.ones(len(ts), dtype=bool)
-    specials = list(jump_points_of(g))
+    specials = list(g.jump_points)
     specials += [eval_alpha(shift, z) for z in specials]
     for z in specials:
         keep &= np.abs(ts - z) > 1e-3
@@ -383,9 +376,7 @@ def _gl_panels(breaks: np.ndarray, k_max: int, refine: float):
     return np.concatenate(all_t), np.concatenate(all_w)
 
 
-def pc_fourier_coefficients(
-    s: PCLike, shift: ShiftParams, lo: int, hi: int, refine: float = 1.0
-) -> np.ndarray:
+def pc_fourier_coefficients(s: PCLike, lo: int, hi: int, refine: float = 1.0) -> np.ndarray:
     """Fourier coefficients of a piecewise smooth symbol on [lo, hi].
 
     Integration runs on the smooth arcs separately, so the jump points are
@@ -395,7 +386,7 @@ def pc_fourier_coefficients(
     s = _as_pc(s)
     th0 = 0.123456
     cuts = sorted(
-        float(np.mod(np.angle(z) - th0, 2 * np.pi)) for z in jump_points_of(s)
+        float(np.mod(np.angle(z) - th0, 2 * np.pi)) for z in s.jump_points
     )
     breaks = np.array([0.0] + cuts + [2 * np.pi]) + th0
     k_max = max(abs(lo), abs(hi))
@@ -414,8 +405,8 @@ def pc_toeplitz_entries(
     s: PCLike, shift: ShiftParams, n: int
 ) -> tuple[np.ndarray, float]:
     """Toeplitz section of a PC symbol, with a panel-refinement error bound."""
-    co = pc_fourier_coefficients(s, shift, -(n - 1), n - 1)
-    probe = pc_fourier_coefficients(s, shift, n - 5, n - 1, refine=1.7)
+    co = pc_fourier_coefficients(s, -(n - 1), n - 1)
+    probe = pc_fourier_coefficients(s, n - 5, n - 1, refine=1.7)
     err = float(np.max(np.abs(co[-5:] - probe)))
     col = co[n - 1 :]
     row = co[: n][::-1]

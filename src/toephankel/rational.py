@@ -10,9 +10,9 @@ boundary conjugate and substitutions are bookkeeping on this list, so an
 m-fold root stays one root of multiplicity m instead of scattering like
 eps^(1/m) under a root finder.  No other module reads the factors; they
 use two primitives: circle_factors splits a symbol by the one partition of
-its roots (_side: inside, within DELTA_CIRCLE of, or outside the circle),
-and compose_moebius substitutes a Moebius map, alpha in
-shift.compose_with_shift and 1/t in conjugate_bar.
+its roots (_side: inside, within DELTA_CIRCLE of, or outside the circle;
+circle_zeros lists the zeros on it), and compose_moebius substitutes a
+Moebius map, alpha in shift.compose_with_shift and 1/t in conjugate_bar.
 
 Only a sum needs root finding.  It factors out the roots both terms share,
 at their smaller multiplicity, expands what is left into one polynomial
@@ -318,6 +318,11 @@ class RationalSymbol:
 
         return (self.mono + n_in, part(1.0, -n_in, side < 0), part(1.0, 0, side == 0),
                 part(self.lead, 0, side > 0))
+
+    def circle_zeros(self) -> np.ndarray:
+        """circle_factors' zeros on the circle, projected onto it, repeated."""
+        zeros = self.circle_factors()[2].num_roots
+        return zeros / np.abs(zeros)
 
     # -- partial fractions --------------------------------------------------------
 

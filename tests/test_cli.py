@@ -242,3 +242,28 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert info.value.code == 0
     assert "--oracle-size" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "spec_n, flags, size",
+    [(64, ["--oracle-size", "72"], 72), (64, [], 64), (None, [], 256)],
+)
+def test_oracle_size_precedence(spec_n, flags, size, tmp_path):
+    # --oracle-size beats the spec's N, which beats the default 256
+    problem = {"command": "verify", "shift": {"beta": [2.0, 0.0]}, "a": "chi^-2", "b": "chi^-2"}
+    if spec_n is not None:
+        problem["N"] = spec_n
+    code, rep, _ = run_cli(problem, *flags, tmp_path=tmp_path)
+    assert code == 0
+    assert rep["size"] == size
+
+
+def test_analyze_reports_the_pair_residual(tmp_path):
+    from toephankel import check_matching
+
+    problem = {"command": "analyze", "shift": {"beta": [0.0, 2.0]}, "a": "one", "b": "chi^-1"}
+    code, rep, _ = run_cli(problem, "--no-oracle", tmp_path=tmp_path)
+    assert code == 0
+    sh = make_shift(2.0j)
+    a, b = parse_symbol("one", sh), parse_symbol("chi^-1", sh)
+    assert rep["matching_residual"] == check_matching(a, b, sh)

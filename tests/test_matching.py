@@ -12,6 +12,7 @@ from toephankel import (
     subordinated_pair,
 )
 from toephankel.errors import BadPlusFactor, NotInvertible, NotMatching
+from toephankel.shift import compose_with_shift
 
 from conftest import circle
 from helpers import random_plus_factor
@@ -189,3 +190,20 @@ def test_subordinated_functions_are_matching(rng, shift2):
             g_alpha = compose_with_shift(g, shift2)
             resid = (g * g_alpha).distance_to(RationalSymbol.constant(1.0))
             assert resid < 1e-10 * max(1.0, g.sup_norm_on_circle() ** 2)
+
+
+def test_make_matching_pair_composes_each_symbol_once(shift2, monkeypatch):
+    from toephankel import matching
+
+    calls = []
+
+    def counting(s, shift):
+        calls.append(s)
+        return compose_with_shift(s, shift)
+
+    monkeypatch.setattr(matching, "compose_with_shift", counting)
+    a = shift2.chi.power(-2)
+    b = -1.0 * shift2.chi.power(-2)
+    pair = make_matching_pair(a, b, shift2)
+    assert len(calls) == 2  # a once, b once
+    assert pair.matching_residual == check_matching(a, b, shift2)
