@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CrossCheckMismatch,
@@ -250,7 +249,7 @@ def _intersect_and_divide(
         vals, _ = (f * am_n).coefficients(0, n - 1)
         rows.append(vals)
     m = np.array(rows).T  # n x dim
-    u, s, vh = scipy.linalg.svd(m)
+    _, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > RANK_TOL * (s[0] if len(s) and s[0] > 0 else 1.0)))
     null_vecs = vh[rank:].conj().T  # dim x q
     out = []
@@ -349,7 +348,7 @@ class KernelBasis:
                 for f in self.functions
             ]
         )
-        return float(np.min(scipy.linalg.svdvals(vecs)))
+        return float(np.min(np.linalg.svd(vecs, compute_uv=False)))
 
 
 def _assemble_basis(kind: str, sign: int, funcs) -> KernelBasis:

@@ -25,6 +25,10 @@ most of their mass in the first half of the coordinates, whatever basis
 the null space is given in.  Every caller gets these dimensions from
 null_dims, which computes all requested null spaces before localizing.
 
+numpy does everything here but the null space: Toeplitz sections come from
+toeplitz_matrix, a strided view, and numerical_null_space alone imports
+scipy.linalg, for its singular values and its separate LU factor and solve.
+
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
 class, so a single oracle geometry suffices; genuinely p-sensitive
@@ -36,7 +40,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 import numpy as np
-import scipy.linalg
 
 from .errors import GridTooSmall, NoSpectralGap, WindowTooTight
 from .matching import MatchingPair, make_matching_pair
@@ -73,11 +76,21 @@ class FiniteSection:
         return FiniteSection(self.size, self.entries.conj().T, self.kind, dict(self.meta))
 
 
+def toeplitz_matrix(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The matrix with first column col and first row row (row[0] is ignored).
+
+    Entry (j, k) is vals[len(col) - 1 - j + k] of vals = (col reversed, row[1:]),
+    so row j is a window of vals; equal to scipy.linalg.toeplitz(col, row).
+    """
+    vals = np.concatenate((col[::-1], row[1:]))
+    return np.lib.stride_tricks.sliding_window_view(vals, len(row))[::-1].copy()
+
+
 def _toeplitz_entries(a: RationalSymbol, n: int) -> tuple[np.ndarray, float]:
     co = fourier_coefficients(a, (-(n - 1), n - 1))
     col = co.coeffs[n - 1 :]
     row = co.coeffs[: n][::-1]
-    return scipy.linalg.toeplitz(col, row), float(co.tail or 0.0)
+    return toeplitz_matrix(col, row), float(co.tail or 0.0)
 
 
 def _symbol_margin(s: RationalSymbol) -> int:
@@ -167,7 +180,7 @@ def operator_section(
     if kind in ("toeplitz", "hankel"):
         sym = payload
         if not isinstance(sym, RationalSymbol):
-            from .pc import pc_toeplitz_entries  # local import: PC path optional
+            from .pc import pc_toeplitz_entries  # local import: pc imports this module
 
             if kind == "hankel":
                 raise ValueError("hankel sections require a rational symbol")
@@ -227,6 +240,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     matches the singular vectors'.  A singular pivot, or a residual not
     below SVD_TOL * sigma_max, raises NoSpectralGap.
     """
+    # imported here, so that requests which never run the oracle do not load
+    # scipy; numpy has no LU factor and solve as separate steps
+    import scipy.linalg
+
     m = section.entries
     s = scipy.linalg.svd(m, compute_uv=False)
     n = len(s)
@@ -245,9 +262,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     rng = np.random.default_rng(0)
     z = rng.standard_normal((2, n, k)) + 1j * rng.standard_normal((2, n, k))
     x, y = z / np.sqrt(2 * n)
-    # every product goes through scipy's BLAS, as the SVD does: the numpy
-    # wheels link their own OpenBLAS, whose idle threads, still spinning
-    # when the next SVD starts, slowed it 1.6-5x on a 2-core host
+    # every product here goes through scipy's BLAS, as the SVD does: the
+    # numpy and scipy wheels each link their own OpenBLAS, and idle numpy
+    # threads, still spinning when the next SVD starts, slowed it 1.6-5x on
+    # a 2-core host.  The exact pipeline's small SVDs run on numpy's.
     mf = np.asfortranarray(m)
     (gemm,) = scipy.linalg.get_blas_funcs(("gemm",), (mf, x))
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mf, x))

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AtJumpPoint, NotMatching, SignatureIndeterminate
-from .matching import _snap_sign
+from .matching import MATCH_TOL, _snap_sign
+from .oracle import toeplitz_matrix
 from .rational import RationalSymbol
 from .shift import ShiftParams, eval_alpha
 
@@ -188,12 +188,16 @@ def nu_h(y: float, p: float) -> tuple[complex, complex]:
 
 
 def _arc_thetas(shift: ShiftParams, n_t: int, extra_points) -> np.ndarray:
-    """Interior sample angles of the arc running from t_plus to t_minus."""
+    """Interior sample angles of the arc running from t_plus to t_minus.
+
+    n_t equispaced angles plus one angle per distinct extra point on the
+    open arc (a zero of multiplicity k is listed k times by circle_zeros).
+    """
     th0 = float(np.angle(shift.t_plus))
     span = float(np.mod(np.angle(shift.t_minus) - th0, 2 * np.pi))
     base = th0 + span * (np.arange(1, n_t + 1)) / (n_t + 1)
     out = list(base)
-    for z in extra_points:
+    for z in set(extra_points):
         d = float(np.mod(np.angle(z) - th0, 2 * np.pi))
         if 1e-9 < d < span - 1e-9:
             out.append(th0 + d)
@@ -313,7 +317,7 @@ def pc_alpha_signature(g: PCLike, p: float, shift: ShiftParams) -> int:
     """
     g = _as_pc(g)
     resid = _matching_residual_pc(g, shift)
-    if resid >= 1e-8:
+    if resid >= MATCH_TOL:
         raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
     zero = PCSymbol(RationalSymbol.constant(0.0), ())
     rep = fredholm_symbol_check(g, zero, p, shift, n_t=128, n_y=101)
@@ -410,4 +414,4 @@ def pc_toeplitz_entries(
     err = float(np.max(np.abs(co[-5:] - probe)))
     col = co[n - 1 :]
     row = co[: n][::-1]
-    return scipy.linalg.toeplitz(col, row), err
+    return toeplitz_matrix(col, row), err

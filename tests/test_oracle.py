@@ -333,3 +333,34 @@ def test_dump_roundtrip(tmp_path, shift2):
     assert len(raw) == 16 + 16 * 16 * 2 * 8
     loaded = load_section(path)
     assert np.array_equal(loaded.entries, sec.entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 64, 1024])
+def test_toeplitz_matrix_equals_scipy(n):
+    rng = np.random.default_rng(n)
+    col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    row[0] = col[0]
+    got = oracle.toeplitz_matrix(col, row)
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(got, scipy.linalg.toeplitz(col, row))
+
+
+def test_toeplitz_sections_share_one_helper(shift2, monkeypatch):
+    from toephankel import PCSymbol, pc
+
+    helper = oracle.toeplitz_matrix
+    assert pc.toeplitz_matrix is helper
+    calls = []
+
+    def recorded(col, row):
+        calls.append(len(row))
+        return helper(col, row)
+
+    monkeypatch.setattr(oracle, "toeplitz_matrix", recorded)
+    monkeypatch.setattr(pc, "toeplitz_matrix", recorded)
+    entries, _ = oracle._toeplitz_entries(shift2.chi, 16)
+    assert calls == [16]
+    pc_entries, _ = pc.pc_toeplitz_entries(PCSymbol(shift2.chi, ()), shift2, 16)
+    assert calls == [16, 16]
+    assert np.allclose(pc_entries, entries, atol=1e-10)

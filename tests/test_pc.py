@@ -254,3 +254,15 @@ def test_fredholm_agreement_includes_negative_case(shift2):
 
     with pytest.raises((DenominatorNearZero, NotInvertible)):
         subordinated_pair(a, a, shift2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fredholm_grid_has_one_angle_per_circle_zero(shift2, k):
+    # (t - 1)^k: circle_zeros lists t = 1 k times; the arc grid takes it,
+    # and its image under alpha, once
+    from toephankel import LaurentPolynomial
+
+    a = RationalSymbol(LaurentPolynomial.from_roots([1.0] * k, 1.0))
+    rep = fredholm_symbol_check(a, RationalSymbol.constant(0.0), 2.0, shift2, n_t=512)
+    assert rep["grid"]["n_t"] == 513
+    assert not rep["fredholm"]
