@@ -447,9 +447,10 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
         dim_ker, dim_coker = null_dims(sections, (sign,))[sign]
         out["dims"][f"ker{sign}"] = dim_ker
         out["dims"][f"coker{sign}"] = dim_coker
-        adjoint = sections[sign].adjoint()
+        # the adjoint is an n x n copy: unnamed, it is freed before the next
+        # sign's null space instead of being held through it
         worst = max(_oracle_residual(sections[sign], bases[("ker", sign)]),
-                    _oracle_residual(adjoint, bases[("coker", sign)]))
+                    _oracle_residual(sections[sign].adjoint(), bases[("coker", sign)]))
         out["residuals"][sign] = worst
         ok = (
             dim_ker == bases[("ker", sign)].dim

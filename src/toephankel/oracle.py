@@ -16,18 +16,18 @@ FFT per block, so memory stays bounded as N grows; the tail certificate
 is checked as before.  pair_sections assembles T(a) and H(b) once and
 returns both T(a) + H(b) and T(a) - H(b).
 
-A section's null dimension and its spectral-gap certificate come from its
-singular values alone; the k null vectors come from one LU of the section
-plus a rank-k random term and a Rayleigh-Ritz step over 2k vectors, not
-from a full SVD with every singular vector, and are checked by their
-residuals.  Localization counts the directions of the null space with
-most of their mass in the first half of the coordinates, whatever basis
-the null space is given in.  Every caller gets these dimensions from
-null_dims, which computes all requested null spaces before localizing.
+A section's null dimension, its spectral-gap certificate and its right
+null vectors come from one least-squares solve (LAPACK gelsd), which
+returns every singular value and projects a few random vectors onto the
+null space; the left null vectors come from one LU of the section plus a
+rank-k term built from the right ones.  No full SVD with every singular
+vector is taken, and both bases are checked by their residuals.
+Localization counts the directions of the null space with most of their
+mass in the first half of the coordinates, whatever basis the null space
+is given in.  Every caller gets these dimensions from null_dims.
 
-numpy does everything here but the null space: Toeplitz sections come from
-toeplitz_matrix, a strided view, and numerical_null_space alone imports
-scipy.linalg, for its singular values and its separate LU factor and solve.
+Everything here runs on numpy alone: Toeplitz sections come from
+toeplitz_matrix, a strided view, and the null space from np.linalg.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -49,6 +49,7 @@ from .shift import ShiftParams, eval_alpha
 
 SVD_TOL = 1e-8
 SVD_GAP = 100.0
+SKETCH = 4             # random columns projected onto a null space by the first solve
 ENTRY_TAIL_TOL = 1e-10
 HANKEL_BLOCK = 2**21   # grid values in one column block of the Hankel FFT
 DUMP_MAGIC = b"TPHK"
@@ -132,8 +133,8 @@ def _hankel_entries(
         for k0 in range(0, n, width):
             blk = work[: min(width, n - k0)]
             blk[0] = run
-            blk[1:] = at
-            np.cumprod(blk, axis=0, out=blk)
+            for i in range(1, len(blk)):   # by rows: cumprod down axis 0 is strided
+                np.multiply(blk[i - 1], at, out=blk[i])
             run = blk[-1] * at
             np.fft.fft(blk, axis=1, out=blk)
             cols[:, k0 : k0 + len(blk)] = blk[:, :n].T
@@ -220,34 +221,43 @@ class NullSpace:
 
 
 def numerical_null_space(section: FiniteSection) -> NullSpace:
-    """Null space from the singular values and one augmented LU.
+    """Null space from one least-squares SVD and one LU.
 
-    Singular values at or below SVD_TOL * sigma_max count as zero; the
-    smallest kept value must exceed the largest dropped one by SVD_GAP,
-    otherwise the split is ambiguous and NoSpectralGap is raised.  Only the
-    singular values of M are computed.
+    np.linalg.lstsq(M, M Z, rcond=SVD_TOL), Z a seeded random n x p block
+    with p = SKETCH, returns every singular value of M and the truncated
+    pseudo-inverse solution M^+ M Z.  Singular values at or below
+    SVD_TOL * sigma_max count as zero; the smallest kept value must exceed
+    the largest dropped one by SVD_GAP, otherwise the split is ambiguous and
+    NoSpectralGap is raised.
 
-    When 0 < k < n values are dropped, the vectors come from one LU of
-    M' = M + sigma_max X Y^H, X and Y seeded random n x k blocks; M' is
-    invertible when M has rank n - k.  M'^-1 w differs from M^-1 w by a
-    term in range(M^-1 X) = range(M'^-1 X), so with V1 = orth(M'^-1 X) and
-    U1 = orth(M'^-H Y) the span of [V1, M'^-1 U1] holds M^-1 X and
-    (M^H M)^-1 Y.  The right basis is the k-dimensional subspace of that
-    span with the least ||M V||_2: the k smallest right singular vectors of
-    the n x 2k matrix M [V1, M'^-1 U1] (Rayleigh-Ritz).  The left basis
-    comes the same way from [U1, M'^-H V1] and M^H.  On an exactly singular
-    M this is ker(M); when the dropped values are not zero the residual
-    matches the singular vectors'.  A singular pivot, or a residual not
-    below SVD_TOL * sigma_max, raises NoSpectralGap.
+    When 0 < k < n values are dropped, Z - M^+ M Z is the projection of Z
+    onto the span V of the dropped right singular vectors, and its k leading
+    left singular vectors are the right basis; a second solve with p = k
+    runs only when k > SKETCH.  The left basis is W = M'^-H V,
+    orthonormalized, from one LU of M' = M + sigma_max Y V^H, Y a seeded
+    random n x k block: M^H W = V (I - sigma_max Y^H W) lies in span V, and
+    the kept right singular vectors are orthogonal to span V, so W has no
+    component along the kept left singular vectors, even when the dropped
+    singular values are not zero.  A singular M', or a residual not below
+    SVD_TOL * sigma_max, raises NoSpectralGap.
     """
-    # imported here, so that requests which never run the oracle do not load
-    # scipy; numpy has no LU factor and solve as separate steps
-    import scipy.linalg
-
     m = section.entries
-    s = scipy.linalg.svd(m, compute_uv=False)
-    n = len(s)
-    smax = s[0] if len(s) else 0.0
+    n = len(m)
+    rng = np.random.default_rng(0)
+
+    def gaussian(p):   # columns of norm about 1, so sigma_max Y V^H is as large as M
+        return (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) / np.sqrt(2 * n)
+
+    def null_projection(p):
+        z = gaussian(p)
+        x, _, _, s = np.linalg.lstsq(m, m @ z, rcond=SVD_TOL)
+        return z - x, s
+
+    def orth(a, k):
+        return np.linalg.svd(a, full_matrices=False)[0][:, :k]
+
+    proj, s = null_projection(SKETCH)
+    smax = s[0] if n else 0.0
     cut = SVD_TOL * smax
     k = int(np.sum(s <= cut))
     if k == 0 or k == n:
@@ -259,39 +269,21 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             f"singular values {smallest_nonzero:.3e} / {largest_zero:.3e} "
             f"below the gap factor {SVD_GAP}"
         )
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal((2, n, k)) + 1j * rng.standard_normal((2, n, k))
-    x, y = z / np.sqrt(2 * n)
-    # every product here goes through scipy's BLAS, as the SVD does: the
-    # numpy and scipy wheels each link their own OpenBLAS, and idle numpy
-    # threads, still spinning when the next SVD starts, slowed it 1.6-5x on
-    # a 2-core host.  The exact pipeline's small SVDs run on numpy's.
-    mf = np.asfortranarray(m)
-    (gemm,) = scipy.linalg.get_blas_funcs(("gemm",), (mf, x))
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mf, x))
-    lu, piv, info = getrf(gemm(smax, x, y, beta=1.0, c=mf, trans_b=2), overwrite_a=True)
-    if info != 0:
-        raise NoSpectralGap(f"augmented section is singular (getrf info {info})")
-
-    def solve(b, trans=0):
-        return getrs(lu, piv, b, trans=trans)[0]
-
-    def orth(a):
-        return scipy.linalg.qr(a, mode="economic")[0]
-
-    v1, u1 = orth(solve(x)), orth(solve(y, trans=2))
-    bases = {}
-    for name, first, second, trans in (
-        ("right", v1, solve(u1), 0), ("left", u1, solve(v1, trans=2), 2)
-    ):
-        q = orth(np.hstack([first, second]))
-        _, sv, vh = scipy.linalg.svd(gemm(1.0, mf, q, trans_a=trans), full_matrices=False)
-        if not sv[-k] < cut:
-            raise NoSpectralGap(
-                f"{name} null vectors leave residual {sv[-k]:.3e} >= {cut:.3e}"
-            )
-        bases[name] = gemm(1.0, q, vh[-k:], trans_b=2)
-    return NullSpace(k, bases["right"], bases["left"], s)
+    if k > SKETCH:
+        proj, _ = null_projection(k)
+    right = orth(proj, k)
+    aug = (smax * gaussian(k)) @ right.conj().T
+    aug += m
+    try:
+        # M'^T conj(W) = conj(V) is M'^H W = V without an n x n conjugate copy
+        left = orth(np.linalg.solve(aug.T, right.conj()).conj(), k)
+    except np.linalg.LinAlgError as exc:
+        raise NoSpectralGap(f"augmented section is singular ({exc})") from None
+    for name, res in (("right", m @ right), ("left", left.conj().T @ m)):
+        r = np.linalg.norm(res, 2)
+        if not r < cut:
+            raise NoSpectralGap(f"{name} null vectors leave residual {r:.3e} >= {cut:.3e}")
+    return NullSpace(k, right, left, s)
 
 
 def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
@@ -316,14 +308,11 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
 
 
 def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
-    """Localized (kernel, cokernel) dimensions of sections[sign], per sign.
-
-    The null spaces come first: numpy and scipy each link their own
-    OpenBLAS, and a numpy product between two scipy SVDs can leave threads
-    spinning that slow the second one.
-    """
-    spaces = {sign: numerical_null_space(sections[sign]) for sign in signs}
-    return {sign: localized_null_dims(ns, sections[sign].size) for sign, ns in spaces.items()}
+    """Localized (kernel, cokernel) dimensions of sections[sign], per sign."""
+    return {
+        sign: localized_null_dims(numerical_null_space(sections[sign]), sections[sign].size)
+        for sign in signs
+    }
 
 
 def residual_check(section: FiniteSection, f: TruncatedSeries) -> float:

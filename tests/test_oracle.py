@@ -100,6 +100,29 @@ def test_hankel_entries_match_brute_force(beta):
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
 
 
+def test_hankel_entries_seeded_across_blocks(monkeypatch):
+    # blocks of at most 32 columns on any grid of 1024 points or more, so the
+    # 128 columns span 4 blocks or more, each seeded from the one before
+    monkeypatch.setattr(oracle, "HANKEL_BLOCK", 32 * 1024)
+    sh = make_shift(1.5 + 0.5j)
+    b = sh.chi * RationalSymbol.from_factors(
+        0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
+    )
+    n, m = 128, 2**15
+    ffts = []
+    with monkeypatch.context() as mp:
+        fft = np.fft.fft
+        mp.setattr(np.fft, "fft", lambda a, *args, **kw: ffts.append(a.shape) or fft(a, *args, **kw))
+        entries, _ = oracle._hankel_entries(b, sh, n)
+    assert len(ffts) >= 3
+    t = np.exp(2j * np.pi * np.arange(m) / m)
+    at = eval_alpha(sh, t)
+    w = b.eval(t) * sh.alpha_minus.eval(t) / t
+    brute = np.stack([np.fft.fft(w * at**k)[:n] / m for k in range(n)], axis=1)
+    assert np.max(np.abs(brute)) > 0.1
+    assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
+
+
 def test_hankel_built_once_per_pair(shift2, monkeypatch, tmp_path):
     calls = []
     build = oracle._hankel_entries
@@ -236,21 +259,48 @@ def test_null_space_residual_matches_singular_vectors(case):
 
 
 def test_null_space_takes_singular_values_only(shift2, monkeypatch):
-    # the section's SVD computes no singular vectors; vectors are computed
-    # only for the n x 2k Rayleigh-Ritz products
+    # one n x n least-squares solve gives the count and the right basis (a
+    # second one only when k > SKETCH); no n x n SVD computes vectors
     calls = []
-    svd = scipy.linalg.svd
+    for name in ("lstsq", "svd", "solve", "qr"):
+        def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a), kwargs.get("compute_uv", True)))
+            return _fn(a, *args, **kwargs)
 
-    def recorded(a, *args, **kwargs):
-        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "svd", recorded)
+        monkeypatch.setattr(np.linalg, name, recorded)
     pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
-    ns = numerical_null_space(operator_section("plus", pair, shift2, 64))
-    assert ns.dim == 2
-    assert [uv for shape, uv in calls if shape == (64, 64)] == [False]
-    assert all(shape[1] <= 2 * ns.dim for shape, uv in calls if uv)
+    d = np.ones(64)
+    d[::8] = 0.0
+    sections = [
+        operator_section("plus", pair, shift2, 64),
+        FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}),
+        FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}),
+    ]
+    for sec, dim in zip(sections, (2, 8, 0)):
+        calls.clear()
+        assert numerical_null_space(sec).dim == dim
+        square = [(name, uv) for name, shape, uv in calls if shape == (64, 64)]
+        assert square.count(("lstsq", True)) == (2 if dim > oracle.SKETCH else 1)
+        assert ("svd", True) not in square
+        assert all(shape[1] <= max(dim, oracle.SKETCH) for _, shape, _ in calls
+                   if shape != (64, 64))
+
+
+@pytest.mark.parametrize("k", [0, 1, 4, 5, 12, 32])
+def test_null_space_sketch_width(k):
+    # k exact zeros on the diagonal, at both sides of the sketch width
+    n = 32
+    d = np.linspace(1.0, 0.1, n)
+    d[np.random.default_rng(k).permutation(n)[:k]] = 0.0
+    m = np.diag(d).astype(complex)
+    ns = numerical_null_space(FiniteSection(n, m, "toeplitz", {}))
+    s = scipy.linalg.svd(m, compute_uv=False)
+    cut = SVD_TOL * s[0]
+    assert ns.dim == k == int(np.sum(s <= cut))
+    assert ns.right.shape == ns.left.shape == (n, k)
+    for basis, op in ((ns.right, m), (ns.left, m.conj().T)):
+        assert np.allclose(basis.conj().T @ basis, np.eye(k))
+        assert np.all(np.linalg.norm(op @ basis, axis=0) <= cut)
 
 
 def test_localization_is_basis_invariant():
