@@ -19,7 +19,7 @@ against the numerical oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Union
 
@@ -35,7 +35,7 @@ from .errors import (
     WrongRegime,
 )
 from .matching import MatchingPair, adjoint_pair, alpha_signature, make_matching_pair
-from .oracle import null_dims, pair_sections, residual_check
+from .oracle import FiniteSection, null_dims, pair_sections, residual_check
 from .rational import RationalSymbol
 from .series import TruncatedSeries, multiply_by_symbol
 from .shift import ShiftParams, apply_J_alpha, chi_power, compose_with_shift
@@ -79,7 +79,9 @@ def hankel_apply(b: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> Ra
 def operator_apply(
     pair: MatchingPair, sign: int, f: RationalSymbol
 ) -> RationalSymbol:
-    return toeplitz_apply(pair.a, f) + float(sign) * hankel_apply(pair.b, f, pair.shift)
+    """(T(a) + sign H(b)) f = P(a f + sign b J f): one sum, one projection."""
+    jf = apply_J_alpha(f, pair.shift)
+    return (pair.a * f + float(sign) * (pair.b * jf)).split_analytic()[0]
 
 
 def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float:
@@ -209,7 +211,7 @@ def in_image_chi_power(
             return False, None
         quotient = h * chi_power(shift, -n)
         q_side = quotient.split_analytic()[1]
-        if q_side.sup_norm_on_circle(128) > 1e-8 * scale:
+        if q_side.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
             raise CrossCheckMismatch("certified quotient came out non-analytic")
         return True, quotient
     scale = max(1.0, h.norm())
@@ -261,7 +263,7 @@ def _intersect_and_divide(
         quotient = acc * chi_power(shift, -n)
         q_side = quotient.split_analytic()[1]
         scale = max(1.0, quotient.sup_norm_on_circle(128))
-        if q_side.sup_norm_on_circle(128) > 1e-8 * scale:
+        if q_side.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
             raise CrossCheckMismatch("lifted quotient is not analytic")
         out.append(quotient)
     return out
@@ -409,10 +411,15 @@ def all_defect_bases(pair: MatchingPair) -> dict:
     return out
 
 
-def _oracle_residual(gate, basis: KernelBasis) -> float:
-    """Largest finite-section residual of the basis functions against gate:
-    the section for kernels, its conjugate transpose for cokernels."""
-    return max((residual_check(gate, f.series) for f in basis.functions), default=0.0)
+def _oracle_residual(section: FiniteSection, basis: KernelBasis) -> float:
+    """Largest finite-section residual of the basis functions: ||M f|| for
+    kernels; for cokernels ||M^H f|| = ||M^T conj(f)||, taken on a
+    transposed view of M, so no n x n copy is made."""
+    series = [f.series for f in basis.functions]
+    if basis.kind == "coker":
+        section = replace(section, entries=section.entries.T)
+        series = [replace(f, coeffs=f.coeffs.conj()) for f in series]
+    return max((residual_check(section, f) for f in series), default=0.0)
 
 
 def kernel_cokernel_bases(
@@ -432,7 +439,7 @@ def kernel_cokernel_bases(
     basis = _assemble_basis(kind, +1, plus) if sign == "+" else _assemble_basis(kind, -1, minus)
     if basis.dim:
         section = pair_sections(pair, pair.shift, oracle_size)[sign]
-        resid = _oracle_residual(section if kind == "ker" else section.adjoint(), basis)
+        resid = _oracle_residual(section, basis)
         if resid >= ORACLE_RESIDUAL_TOL:
             raise CrossCheckMismatch(
                 f"basis function fails the oracle residual gate ({resid:.3e})"
@@ -447,10 +454,8 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
         dim_ker, dim_coker = null_dims(sections, (sign,))[sign]
         out["dims"][f"ker{sign}"] = dim_ker
         out["dims"][f"coker{sign}"] = dim_coker
-        # the adjoint is an n x n copy: unnamed, it is freed before the next
-        # sign's null space instead of being held through it
         worst = max(_oracle_residual(sections[sign], bases[("ker", sign)]),
-                    _oracle_residual(sections[sign].adjoint(), bases[("coker", sign)]))
+                    _oracle_residual(sections[sign], bases[("coker", sign)]))
         out["residuals"][sign] = worst
         ok = (
             dim_ker == bases[("ker", sign)].dim

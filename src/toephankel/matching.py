@@ -62,9 +62,9 @@ class MatchingPair:
         return self.sigma_c is not None and self.sigma_d is not None
 
 
-def _residual(g: RationalSymbol, h: RationalSymbol, shift: ShiftParams) -> float:
-    """sup over shift.circle_grid() of |g (g o alpha) - h (h o alpha)|."""
-    t = shift.circle_grid()
+def _residual(g, h, shift: ShiftParams, t: np.ndarray) -> float:
+    """sup over the points t of |g (g o alpha) - h (h o alpha)|; g and h are
+    rational or PC symbols."""
     at = eval_alpha(shift, t)
     return float(np.max(np.abs(g.eval(t) * g.eval(at) - h.eval(t) * h.eval(at))))
 
@@ -75,7 +75,7 @@ def check_matching(a: RationalSymbol, b: RationalSymbol, shift: ShiftParams) -> 
         _, _, on_circle, _ = s.circle_factors()
         if s.is_zero or not on_circle.is_constant:
             raise NotInvertible(f"{name} vanishes on the circle")
-    return _residual(a, b, shift)
+    return _residual(a, b, shift, shift.circle_grid())
 
 
 def _subordinate(a, b, shift: ShiftParams):
@@ -132,7 +132,7 @@ def alpha_signature(g: RationalSymbol, shift: ShiftParams) -> int:
     twist at t_minus).  Rational symbols are continuous at both fixed
     points, so all three numbers must agree.
     """
-    resid = _residual(g, _ONE, shift)
+    resid = _residual(g, _ONE, shift, shift.circle_grid())
     if resid >= MATCH_TOL:
         raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
     fac = factorize(g)
@@ -171,7 +171,7 @@ def generate_matching_pair(
     a: RationalSymbol, rho: RationalSymbol, shift: ShiftParams
 ) -> MatchingPair:
     """Pair (a, a_alpha * rho) for any invertible a and matching rho."""
-    resid = _residual(rho, _ONE, shift)
+    resid = _residual(rho, _ONE, shift, shift.circle_grid())
     if resid >= MATCH_TOL:
         raise NotMatching(f"rho is not matching (residual {resid:.3e})")
     b = compose_with_shift(a, shift) * rho

@@ -72,10 +72,6 @@ class FiniteSection:
     def margin(self) -> int:
         return int(self.meta.get("margin", 0))
 
-    def adjoint(self) -> "FiniteSection":
-        """The conjugate-transpose section, the one cokernel vectors annihilate."""
-        return FiniteSection(self.size, self.entries.conj().T, self.kind, dict(self.meta))
-
 
 def toeplitz_matrix(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     """The matrix with first column col and first row row (row[0] is ignored).

@@ -10,6 +10,11 @@ tau of the shift: they satisfy psi * (psi o alpha) = 1, generate Toeplitz
 operators invertible on the Hardy space, and have factorization
 signature +1, which is what makes signature peeling work.
 
+Symbols are evaluated on arrays of points.  One-sided limits come from one
+rule, shared by both factor kinds: off its jump a factor's two limits are
+its value, on the jump they are scale * exp(+-i pi beta); a PC symbol
+multiplies its base values by the limits of each factor.
+
 The argument convention is the principal branch, arg z in (-pi, pi].
 """
 
@@ -21,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import AtJumpPoint, NotMatching, SignatureIndeterminate
-from .matching import MATCH_TOL, _snap_sign
+from .matching import _ONE, MATCH_TOL, _residual, _snap_sign
 from .oracle import toeplitz_matrix
 from .rational import RationalSymbol
 from .shift import ShiftParams, eval_alpha
@@ -47,15 +52,9 @@ class JumpFactor:
         t = np.asarray(t, dtype=complex)
         return np.exp(1j * self.beta_exp * np.angle(-t / self.tau))
 
-    def limits_at(self, point: complex) -> tuple[complex, complex]:
-        """(counterclockwise-from-below, from-above) limits at the point."""
-        if abs(point - self.tau) < JUMP_LOCATION_TOL:
-            return (
-                complex(np.exp(1j * np.pi * self.beta_exp)),
-                complex(np.exp(-1j * np.pi * self.beta_exp)),
-            )
-        v = complex(self.eval(point))
-        return v, v
+    def limits_at(self, points):
+        """(counterclockwise-from-below, from-above) limits at the points."""
+        return _one_sided(self, points, 1.0)
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,12 @@ class PCSymbol:
             out = out * j.eval(t)
         return out
 
-    def limits_at(self, point: complex) -> tuple[complex, complex]:
-        left = right = complex(self.base.eval(point))
+    def limits_at(self, points):
+        left = right = self.base.eval(points)
         for j in self.jumps:
-            jl, jr = j.limits_at(point)
-            left *= jl
-            right *= jr
+            jl, jr = j.limits_at(points)
+            left = left * jl
+            right = right * jr
         return left, right
 
 
@@ -128,14 +127,24 @@ class PsiFactor:
         eta_a = _principal_power(1.0 - at / tau, -self.beta_exp)
         return self.scale * eta * eta_a
 
-    def limits_at(self, point: complex) -> tuple[complex, complex]:
-        if abs(point - self.tau) < JUMP_LOCATION_TOL:
-            return (
-                self.scale * complex(np.exp(1j * np.pi * self.beta_exp)),
-                self.scale * complex(np.exp(-1j * np.pi * self.beta_exp)),
-            )
-        v = complex(self.eval(point))
-        return v, v
+    def limits_at(self, points):
+        return _one_sided(self, points, self.scale)
+
+
+def _one_sided(factor: Union[JumpFactor, PsiFactor], points, scale: complex):
+    """(left, right) limits of a factor whose one jump sits at factor.tau:
+    the value off the jump, scale * exp(+-i pi beta) on it.  Arrays give
+    arrays; a scalar point gives two Python complex numbers."""
+    t = np.asarray(points, dtype=complex)
+    on = np.abs(t - factor.tau) < JUMP_LOCATION_TOL
+    left = np.empty(t.shape, complex)
+    left[~on] = factor.eval(t[~on])   # never at the jump: psi would take log 0
+    right = left.copy()
+    left[on] = scale * complex(np.exp(1j * np.pi * factor.beta_exp))
+    right[on] = scale * complex(np.exp(-1j * np.pi * factor.beta_exp))
+    if t.ndim:
+        return left, right
+    return complex(left), complex(right)
 
 
 def _principal_power(w, beta: complex):
@@ -225,7 +234,8 @@ def fredholm_symbol_check(
     stay away from zero.  The report carries the minima over the grid,
     which includes the jump points and the circle zeros of both symbols
     and their images under alpha (degeneracies live exactly there), y = 0
-    and y = +/- infinity.
+    and y = +/- infinity.  On the arc the one-sided limits of a and b come
+    from four array calls of limits_at, at the grid and at its alpha image.
     """
     a = _as_pc(a)
     b = _as_pc(b)
@@ -237,23 +247,12 @@ def fredholm_symbol_check(
     thetas = _arc_thetas(shift, n_t, extra)
     ts = np.exp(1j * thetas)
     ys = _y_grid(n_y)
-    nus = np.array([nu_h(y, p)[0] for y in ys])
-    hs = np.array([nu_h(y, p)[1] for y in ys])
-
-    a_l = np.empty(len(ts), complex)
-    a_r = np.empty(len(ts), complex)
-    b_l = np.empty(len(ts), complex)
-    b_r = np.empty(len(ts), complex)
-    aa_l = np.empty(len(ts), complex)
-    aa_r = np.empty(len(ts), complex)
-    ba_l = np.empty(len(ts), complex)
-    ba_r = np.empty(len(ts), complex)
-    for i, t in enumerate(ts):
-        at = eval_alpha(shift, complex(t))
-        a_l[i], a_r[i] = a.limits_at(complex(t))
-        b_l[i], b_r[i] = b.limits_at(complex(t))
-        aa_l[i], aa_r[i] = a.limits_at(at)
-        ba_l[i], ba_r[i] = b.limits_at(at)
+    nus, hs = map(np.array, zip(*(nu_h(y, p) for y in ys)))
+    at = eval_alpha(shift, ts)
+    a_l, a_r = a.limits_at(ts)
+    b_l, b_r = b.limits_at(ts)
+    aa_l, aa_r = a.limits_at(at)
+    ba_l, ba_r = b.limits_at(at)
 
     # det over the (t, y) grid
     m11 = a_r[:, None] * nus[None, :] + a_l[:, None] * (1 - nus[None, :])
@@ -295,15 +294,13 @@ def fredholm_symbol_check(
 
 
 def _matching_residual_pc(g: PCLike, shift: ShiftParams) -> float:
+    """matching._residual of (g, 1) on the circle grid, off the jumps and
+    their alpha images."""
     ts = shift.circle_grid()
-    keep = np.ones(len(ts), dtype=bool)
     specials = list(g.jump_points)
     specials += [eval_alpha(shift, z) for z in specials]
-    for z in specials:
-        keep &= np.abs(ts - z) > 1e-3
-    ts = ts[keep]
-    vals = eval_pc(g, ts) * eval_pc(g, eval_alpha(shift, ts))
-    return float(np.max(np.abs(vals - 1.0)))
+    keep = np.all(np.abs(ts[:, None] - np.array(specials, complex)) > 1e-3, axis=1)
+    return _residual(g, _ONE, shift, ts[keep])
 
 
 def pc_alpha_signature(g: PCLike, p: float, shift: ShiftParams) -> int:
@@ -331,8 +328,7 @@ def pc_alpha_signature(g: PCLike, p: float, shift: ShiftParams) -> int:
         # continuous at t_plus: read the value straight off
         return _snap_sign(0.5 * (gl + gr), "value at t_plus")
     beta = _beta_from_ratio(ratio, p)
-    psi_l = complex(np.exp(1j * np.pi * beta))
-    psi_r = complex(np.exp(-1j * np.pi * beta))
+    psi_l, psi_r = PsiFactor("t_plus", beta, shift).limits_at(shift.t_plus)
     v_left = gl / psi_l
     v_right = gr / psi_r
     if abs(v_left - v_right) > 1e-8 * max(1.0, abs(v_left)):

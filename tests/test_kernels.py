@@ -523,3 +523,30 @@ def test_deep_lift_exponent_two(shift2, rng):
     assert (rep.dim_ker_plus - rep.dim_coker_plus) + (
         rep.dim_ker_minus - rep.dim_coker_minus
     ) == -2
+
+
+def test_cokernel_gate_makes_no_section_copy(monkeypatch):
+    # ||M^H f|| comes from a transposed view of M: at N=512 the gate's
+    # allocations stay below one n x n complex block (4 MB)
+    import tracemalloc
+
+    from toephankel import kernels, make_shift
+    from toephankel.oracle import pair_sections
+
+    sh = make_shift(2.0j)
+    pair = make_matching_pair(sh.chi, RationalSymbol.constant(1.0), sh)
+    n = 512
+    sections = pair_sections(pair, sh, n)
+    monkeypatch.setattr(kernels, "pair_sections", lambda *args: sections)
+    tracemalloc.start()
+    try:
+        basis = kernel_cokernel_bases(pair, which=("coker", "+"), oracle_size=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 1
+    assert peak < n * n * 16
+    # and the gate still measures M^H f
+    vec = basis.functions[0].series.to_vector(n)
+    want = np.linalg.norm(sections["+"].entries.conj().T @ vec) / np.linalg.norm(vec)
+    assert kernels._oracle_residual(sections["+"], basis) == pytest.approx(want, rel=1e-12)

@@ -266,3 +266,133 @@ def test_fredholm_grid_has_one_angle_per_circle_zero(shift2, k):
     rep = fredholm_symbol_check(a, RationalSymbol.constant(0.0), 2.0, shift2, n_t=512)
     assert rep["grid"]["n_t"] == 513
     assert not rep["fredholm"]
+
+
+def _textbook_limits(tau, beta, scale, value, point):
+    """(left, right) of a factor with one jump at tau, one point at a time."""
+    if abs(point - tau) < 1e-9:
+        return scale * np.exp(1j * np.pi * beta), scale * np.exp(-1j * np.pi * beta)
+    v = complex(value(point))
+    return v, v
+
+
+def _limit_points(sh, taus):
+    t = sh.circle_grid(64)
+    return np.concatenate([t, np.array(taus, complex), eval_alpha(sh, t[::7])])
+
+
+@pytest.mark.parametrize("kind", ["jump", "psi", "pc"])
+def test_limits_on_arrays_follow_the_textbook_rule(shift2, kind):
+    # grid points, the jump points themselves and alpha images, in one call
+    if kind == "jump":
+        tau, beta = np.exp(1.1j), 0.3 + 0.1j
+        s = JumpFactor(tau, beta)
+        pts = _limit_points(shift2, [tau])
+        want = [_textbook_limits(tau, beta, 1.0, s.eval, z) for z in pts]
+    elif kind == "psi":
+        beta = 0.25 - 0.15j
+        s = PsiFactor("t_plus", beta, shift2, scale=-1.0)
+        pts = _limit_points(shift2, [shift2.t_plus])
+        want = [_textbook_limits(shift2.t_plus, beta, -1.0, s.eval, z) for z in pts]
+    else:
+        jumps = (JumpFactor(np.exp(1.1j), 0.2), JumpFactor(np.exp(-2.0j), -0.35 + 0.1j))
+        base = shift2.chi.power(-1)
+        s = PCSymbol(base, jumps)
+        pts = _limit_points(shift2, [j.tau for j in jumps])
+        want = []
+        for z in pts:
+            left = right = complex(base.eval(z))
+            for j in jumps:
+                jl, jr = _textbook_limits(j.tau, j.beta_exp, 1.0, j.eval, z)
+                left, right = left * jl, right * jr
+            want.append((left, right))
+    left, right = s.limits_at(pts)
+    want = np.array(want)
+    assert left.shape == right.shape == pts.shape
+    assert np.max(np.abs(left - want[:, 0])) < 1e-14
+    assert np.max(np.abs(right - want[:, 1])) < 1e-14
+    for k in (0, 64, len(pts) - 1):   # a scalar point gives Python complex numbers
+        lk, rk = s.limits_at(complex(pts[k]))
+        assert type(lk) is complex and type(rk) is complex
+        assert abs(lk - left[k]) < 1e-15 and abs(rk - right[k]) < 1e-15
+
+
+def test_fredholm_check_evaluates_a_constant_number_of_times(shift2, monkeypatch):
+    calls = []
+    inner = RationalSymbol.eval
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return inner(self, t)
+
+    monkeypatch.setattr(RationalSymbol, "eval", counted)
+    a = PCSymbol(shift2.chi.power(-1), (JumpFactor(np.exp(2.1j), 0.25),))
+    counts = []
+    for n_t in (64, 512):
+        calls.clear()
+        fredholm_symbol_check(a, shift2.chi.invert(), 2.0, shift2, n_t=n_t, n_y=41)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _fredholm_reference(a, b, p, sh, n_t, n_y):
+    """|det| keyed by (t index, y) and |scalar| keyed by (fixed point, y),
+    from one limit evaluation per grid point."""
+    from toephankel.pc import _arc_thetas, _as_pc, _y_grid
+
+    a, b = _as_pc(a), _as_pc(b)
+    extra = list(a.jump_points) + list(b.jump_points)
+    for s in (a, b):
+        if isinstance(s, PCSymbol):
+            extra += list(s.base.circle_zeros())
+    extra += [eval_alpha(sh, z) for z in extra]
+    ts = np.exp(1j * _arc_thetas(sh, n_t, extra))
+    ys = _y_grid(n_y)
+    dets = {}
+    for i, t in enumerate(ts):
+        at = eval_alpha(sh, complex(t))
+        al, ar = one_sided_limits(a, complex(t))
+        bl, br = one_sided_limits(b, complex(t))
+        aal, aar = one_sided_limits(a, at)
+        bal, bar = one_sided_limits(b, at)
+        for y in ys:
+            nu, h = nu_h(y, p)
+            dets[(i, y)] = abs(
+                (ar * nu + al * (1 - nu)) * (aar * nu + aal * (1 - nu))
+                - ((br - bl) / 2j * h) * ((bal - bar) / 2j * h)
+            )
+    scalars = {}
+    for tau, mu in ((sh.t_plus, 1.0), (sh.t_minus, -1.0)):
+        al, ar = one_sided_limits(a, tau)
+        bl, br = one_sided_limits(b, tau)
+        for y in ys:
+            nu, h = nu_h(y, p)
+            scalars[(tau.real, tau.imag, y)] = abs(ar * nu + al * (1 - nu) + mu * (br - bl) / 2.0 * h)
+    return dets, scalars
+
+
+@pytest.mark.parametrize("case", ["jump", "psi", "soft", "two-jumps"])
+def test_fredholm_report_matches_a_per_point_reference(shift2, case):
+    if case == "jump":
+        a = PCSymbol(shift2.chi.power(-1), (JumpFactor(np.exp(2.1j), 0.3 + 0.1j),))
+        b = shift2.chi.power(-2)
+    elif case == "psi":
+        a = PsiFactor("t_plus", 0.2 + 0.1j, shift2)
+        b = PCSymbol(shift2.chi.invert(), (JumpFactor(1j, 0.3),))
+    elif case == "soft":
+        a = PCSymbol(RationalSymbol.constant(1.0), (JumpFactor(1j, 0.25),))
+        b = shift2.chi.invert()
+    else:
+        a = PCSymbol(shift2.chi.power(2), (JumpFactor(np.exp(-2.5j), -0.2),))
+        b = PCSymbol(0.5 * shift2.chi.invert(), (JumpFactor(np.exp(2.8j), 0.35 + 0.2j),))
+    rep = fredholm_symbol_check(a, b, 2.0, shift2, n_t=48, n_y=31)
+    dets, scalars = _fredholm_reference(a, b, 2.0, shift2, 48, 31)
+    # the reported minima are the reference minima, attained where reported
+    # (ties in the reference allow any of its minimizers)
+    min_det, min_scalar = min(dets.values()), min(scalars.values())
+    assert rep["min_abs_det"] == pytest.approx(min_det, rel=1e-12)
+    at = rep["det_argmin"]
+    assert dets[(at["t_index"], at["y"])] == pytest.approx(min_det, rel=1e-12)
+    assert rep["min_abs_scalar"] == pytest.approx(min_scalar, rel=1e-12)
+    at = rep["scalar_argmin"]
+    assert scalars[(*at["t"], at["y"])] == pytest.approx(min_scalar, rel=1e-12)
