@@ -37,6 +37,7 @@ piecewise-continuous symbols are outside what this oracle can adjudicate.
 
 from __future__ import annotations
 
+import ctypes
 import struct
 from dataclasses import dataclass, field
 import numpy as np
@@ -54,6 +55,7 @@ ENTRY_TAIL_TOL = 1e-10
 HANKEL_BLOCK = 2**21   # grid values in one column block of the Hankel FFT
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
+_MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
 
 
 @dataclass(frozen=True)
@@ -304,11 +306,15 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
 
 
 def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
-    """Localized (kernel, cokernel) dimensions of sections[sign], per sign."""
-    return {
+    """Localized (kernel, cokernel) dimensions of sections[sign], per sign.
+    The heap is trimmed after: whether glibc keeps the n x n LAPACK copies
+    freed into it resident would otherwise depend on the dimensions found."""
+    dims = {
         sign: localized_null_dims(numerical_null_space(sections[sign]), sections[sign].size)
         for sign in signs
     }
+    _MALLOC_TRIM(0)
+    return dims
 
 
 def residual_check(section: FiniteSection, f: TruncatedSeries) -> float:
@@ -346,14 +352,9 @@ def block_residual_check(
 def dump_section(section: FiniteSection, path) -> None:
     """Binary dump: 16-byte header (magic, u32 version, u64 N), then
     row-major interleaved re/im float64, little-endian."""
-    n = section.size
-    header = DUMP_MAGIC + struct.pack("<IQ", DUMP_VERSION, n)
-    inter = np.empty((n, n, 2), dtype="<f8")
-    inter[:, :, 0] = section.entries.real
-    inter[:, :, 1] = section.entries.imag
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(inter.tobytes())
+        fh.write(DUMP_MAGIC + struct.pack("<IQ", DUMP_VERSION, section.size))
+        fh.write(section.entries.astype("<c16").tobytes())
 
 
 def load_section(path) -> FiniteSection:

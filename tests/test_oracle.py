@@ -1,3 +1,4 @@
+import ctypes
 import json
 import tracemalloc
 
@@ -165,6 +166,28 @@ def test_null_space_identity():
     ns = numerical_null_space(sec)
     assert ns.dim == 0
     assert ns.right.shape == (12, 0)
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+def test_null_dims_leaves_no_free_heap():
+    # a section without null space: its null space returns right after the
+    # least-squares solve, whose n x n copy of the section is freed into the
+    # heap; null_dims hands it back to the OS instead of keeping it resident
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.restype = _MallInfo2
+    n = 512
+    sec = FiniteSection(n, 2.0 * np.eye(n, dtype=complex), "toeplitz", {})
+    np.ones((n, n), dtype=complex).sum()   # freeing an n x n block moves such blocks to the heap
+    assert oracle.null_dims({"+": sec}, "+") == {"+": (0, 0)}
+    assert mallinfo2().keepcost < 1 << 20
 
 
 def test_null_space_chi_inverse(shift2):
