@@ -450,8 +450,7 @@ def kernel_cokernel_bases(
 def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
     out = {"size": n, "dims": {}, "residuals": {}, "agreement": {}}
     sections = pair_sections(pair, pair.shift, n)
-    for sign in ("+", "-"):
-        dim_ker, dim_coker = null_dims(sections, (sign,))[sign]
+    for sign, (dim_ker, dim_coker) in null_dims(sections, ("+", "-")).items():
         out["dims"][f"ker{sign}"] = dim_ker
         out["dims"][f"coker{sign}"] = dim_coker
         worst = max(_oracle_residual(sections[sign], bases[("ker", sign)]),

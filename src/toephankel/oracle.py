@@ -24,7 +24,11 @@ rank-k term built from the right ones.  No full SVD with every singular
 vector is taken, and both bases are checked by their residuals.
 Localization counts the directions of the null space with most of their
 mass in the first half of the coordinates, whatever basis the null space
-is given in.  Every caller gets these dimensions from null_dims.
+is given in.  Every caller gets these dimensions from null_dims, which
+solves the plus and minus sections at once when each solve has cores of
+its own (usable CPUs over BLAS threads per call, as OpenBLAS reads them;
+one at a time otherwise) and then takes the LUs in turn; results and
+errors are those of solving them one after the other.
 
 Everything here runs on numpy alone: Toeplitz sections come from
 toeplitz_matrix, a strided view, and the null space from np.linalg.
@@ -38,7 +42,9 @@ piecewise-continuous symbols are outside what this oracle can adjudicate.
 from __future__ import annotations
 
 import ctypes
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -56,6 +62,8 @@ HANKEL_BLOCK = 2**21   # grid values in one column block of the Hankel FFT
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
+_MALLOPT = getattr(ctypes.pythonapi, "mallopt", lambda param, value: 0)   # glibc's
+_M_ARENA_MAX = -8      # glibc's mallopt parameter
 
 
 @dataclass(frozen=True)
@@ -238,28 +246,42 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     component along the kept left singular vectors, even when the dropped
     singular values are not zero.  A singular M', or a residual not below
     SVD_TOL * sigma_max, raises NoSpectralGap.
+
+    The solves are _right_null_space, the LU and gates _left_null_space.
     """
+    return _left_null_space(section, *_right_null_space(section))
+
+
+def _gaussian(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
+    # columns of norm about 1, so sigma_max Y V^H is as large as M
+    return (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) / np.sqrt(2 * n)
+
+
+def _orth(a: np.ndarray, k: int) -> np.ndarray:
+    return np.linalg.svd(a, full_matrices=False)[0][:, :k]
+
+
+def _right_null_space(
+    section: FiniteSection,
+) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """First phase of numerical_null_space: the singular values, the
+    spectral-gap check and the right basis, from the least-squares solves.
+    Returns them with the random generator, which the second phase goes on
+    drawing from.  Holds one n x n copy of the section at a time."""
     m = section.entries
     n = len(m)
     rng = np.random.default_rng(0)
 
-    def gaussian(p):   # columns of norm about 1, so sigma_max Y V^H is as large as M
-        return (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) / np.sqrt(2 * n)
-
     def null_projection(p):
-        z = gaussian(p)
+        z = _gaussian(rng, n, p)
         x, _, _, s = np.linalg.lstsq(m, m @ z, rcond=SVD_TOL)
         return z - x, s
 
-    def orth(a, k):
-        return np.linalg.svd(a, full_matrices=False)[0][:, :k]
-
     proj, s = null_projection(SKETCH)
     smax = s[0] if n else 0.0
-    cut = SVD_TOL * smax
-    k = int(np.sum(s <= cut))
+    k = int(np.sum(s <= SVD_TOL * smax))
     if k == 0 or k == n:
-        return NullSpace(k, np.eye(n, k, dtype=complex), np.eye(n, k, dtype=complex), s)
+        return s, np.eye(n, k, dtype=complex), rng
     largest_zero = s[n - k]
     smallest_nonzero = s[n - k - 1]
     if largest_zero > 0 and smallest_nonzero < SVD_GAP * largest_zero:
@@ -269,12 +291,29 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
         )
     if k > SKETCH:
         proj, _ = null_projection(k)
-    right = orth(proj, k)
-    aug = (smax * gaussian(k)) @ right.conj().T
+    return s, _orth(proj, k), rng
+
+
+def _left_null_space(
+    section: FiniteSection,
+    s: np.ndarray,
+    right: np.ndarray,
+    rng: np.random.Generator,
+) -> NullSpace:
+    """Second phase of numerical_null_space: the left basis from one LU of
+    the augmented section, and both residual gates.  Holds two n x n
+    blocks, the augmented section and its LU."""
+    m = section.entries
+    n, k = right.shape
+    if k == 0 or k == n:
+        return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
+    smax = s[0]
+    cut = SVD_TOL * smax
+    aug = (smax * _gaussian(rng, n, k)) @ right.conj().T
     aug += m
     try:
         # M'^T conj(W) = conj(V) is M'^H W = V without an n x n conjugate copy
-        left = orth(np.linalg.solve(aug.T, right.conj()).conj(), k)
+        left = _orth(np.linalg.solve(aug.T, right.conj()).conj(), k)
     except np.linalg.LinAlgError as exc:
         raise NoSpectralGap(f"augmented section is singular ({exc})") from None
     for name, res in (("right", m @ right), ("left", left.conj().T @ m)):
@@ -305,14 +344,71 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
     return genuine(ns.right), genuine(ns.left)
 
 
+def _concurrent_sections(count: int) -> int:
+    """How many of count sections null_dims solves at once.
+
+    Concurrent least-squares solves only pay when each runs on cores of
+    its own: on 2 cores at N = 1024, two at once took 1.5x as long as two
+    in turn with the default threaded OpenBLAS, and ran 1.7-1.9x faster
+    with one BLAS thread each.  So the width is the usable CPUs divided by
+    the BLAS threads per call, read as OpenBLAS reads them
+    (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else OMP_NUM_THREADS,
+    the first that is positive), and 1 when the BLAS is not OpenBLAS or
+    none of them is set.
+    """
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return 1
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        threads = int(value) if value.isdigit() else 0
+        if threads > 0:
+            break
+    else:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(count, (cpus or 1) // threads))
+
+
 def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
     """Localized (kernel, cokernel) dimensions of sections[sign], per sign.
-    The heap is trimmed after: whether glibc keeps the n x n LAPACK copies
-    freed into it resident would otherwise depend on the dimensions found."""
-    dims = {
-        sign: localized_null_dims(numerical_null_space(sections[sign]), sections[sign].size)
-        for sign in signs
-    }
+
+    The solves (_right_null_space) of the first _concurrent_sections
+    sections run at once, all but the first in threads (LAPACK releases
+    the interpreter lock); the LUs, two n x n blocks each, then run in turn
+    in this thread.  Errors are raised once the threads have ended, in the
+    order a sequential run meets them.  glibc is held to one malloc arena,
+    as malloc_trim does not shrink a thread arena's top, and the heap is
+    trimmed after: whether the freed n x n LAPACK copies stay resident
+    would otherwise depend on the dimensions found.
+    """
+    signs = list(signs)
+    solved = {}
+
+    def solve(sign):
+        try:
+            solved[sign] = _right_null_space(sections[sign])
+        except Exception as exc:   # raised again in the calling thread, in sign order
+            solved[sign] = exc
+
+    workers = [threading.Thread(target=solve, args=(sign,))
+               for sign in signs[1:_concurrent_sections(len(signs))]]
+    if workers:
+        _MALLOPT(_M_ARENA_MAX, 1)
+        for worker in workers:
+            worker.start()
+        try:
+            solve(signs[0])
+        finally:
+            for worker in workers:
+                worker.join()
+    dims = {}
+    for sign in signs:
+        phase1 = solved.pop(sign) if sign in solved else _right_null_space(sections[sign])
+        if isinstance(phase1, Exception):
+            raise phase1
+        ns = _left_null_space(sections[sign], *phase1)
+        dims[sign] = localized_null_dims(ns, sections[sign].size)
     _MALLOC_TRIM(0)
     return dims
 

@@ -33,6 +33,7 @@ from .shift import ShiftParams, eval_alpha
 
 JUMP_LOCATION_TOL = 1e-9
 FREDHOLM_THRESHOLD = 1e-8
+ARGMIN_RTOL = 1e-12    # values this close to the minimum count as attaining it
 
 
 @dataclass(frozen=True)
@@ -219,6 +220,14 @@ def _y_grid(n_y: int) -> list[float]:
     return [-np.inf] + list(np.arctanh(v)) + [np.inf]
 
 
+def _first_near_min(values: np.ndarray) -> int:
+    """Flat index of the first value within a relative ARGMIN_RTOL of the
+    minimum, so that among values tied up to rounding the grid order picks
+    the reported point, not the last bit."""
+    flat = values.ravel()
+    return int(np.argmax(flat <= flat.min() * (1 + ARGMIN_RTOL)))
+
+
 def fredholm_symbol_check(
     a: PCLike,
     b: PCLike,
@@ -234,8 +243,10 @@ def fredholm_symbol_check(
     stay away from zero.  The report carries the minima over the grid,
     which includes the jump points and the circle zeros of both symbols
     and their images under alpha (degeneracies live exactly there), y = 0
-    and y = +/- infinity.  On the arc the one-sided limits of a and b come
-    from four array calls of limits_at, at the grid and at its alpha image.
+    and y = +/- infinity, and the first grid point (in t, then y order)
+    within a relative ARGMIN_RTOL of each minimum.  On the arc the one-sided
+    limits of a and b come from four array calls of limits_at, at the grid
+    and at its alpha image.
     """
     a = _as_pc(a)
     b = _as_pc(b)
@@ -259,21 +270,25 @@ def fredholm_symbol_check(
     m22 = aa_r[:, None] * nus[None, :] + aa_l[:, None] * (1 - nus[None, :])
     m12 = (b_r - b_l)[:, None] / 2j * hs[None, :]
     m21 = (ba_l - ba_r)[:, None] / 2j * hs[None, :]
-    det = m11 * m22 - m12 * m21
-    i_flat = int(np.argmin(np.abs(det)))
-    min_det = float(np.abs(det).flat[i_flat])
+    det = np.abs(m11 * m22 - m12 * m21)
+    i_flat = _first_near_min(det)
+    min_det = float(det.min())
 
     # scalar at the fixed points, mu(t_plus) = 1, mu(t_minus) = -1
-    min_scalar = np.inf
-    scalar_where = None
-    for tau, mu in ((shift.t_plus, 1.0), (shift.t_minus, -1.0)):
+    fixed = ((shift.t_plus, 1.0), (shift.t_minus, -1.0))
+    vals = []
+    for tau, mu in fixed:
         al, ar = a.limits_at(tau)
         bl, br = b.limits_at(tau)
-        vals = ar * nus + al * (1 - nus) + mu * (br - bl) / 2.0 * hs
-        j = int(np.argmin(np.abs(vals)))
-        if abs(vals[j]) < min_scalar:
-            min_scalar = float(abs(vals[j]))
-            scalar_where = {"t": [tau.real, tau.imag], "y": ys[j]}
+        vals.append(ar * nus + al * (1 - nus) + mu * (br - bl) / 2.0 * hs)
+    vals = np.array(vals)
+    scalars = np.abs(vals)
+    # min_abs_scalar is the scalar abs at each fixed point's array argmin,
+    # which can differ from the array abs in the last bit
+    min_scalar = min(float(abs(v[i])) for v, i in zip(vals, scalars.argmin(axis=1)))
+    i_tau, j = divmod(_first_near_min(scalars), len(ys))
+    tau = fixed[i_tau][0]
+    scalar_where = {"t": [tau.real, tau.imag], "y": ys[j]}
     verdict = bool(min_det > FREDHOLM_THRESHOLD and min_scalar > FREDHOLM_THRESHOLD)
     return {
         "fredholm": verdict,

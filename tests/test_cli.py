@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -267,3 +268,25 @@ def test_analyze_reports_the_pair_residual(tmp_path):
     sh = make_shift(2.0j)
     a, b = parse_symbol("one", sh), parse_symbol("chi^-1", sh)
     assert rep["matching_residual"] == check_matching(a, b, sh)
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_report_bytes_do_not_depend_on_concurrent_null_spaces(command, tmp_path):
+    # one BLAS thread on a multi-core host solves the plus and minus
+    # sections at once; unset, they are solved in turn
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": command, "shift": {"beta": [2.0, 0.0]},
+                                "a": "chi^-2", "b": "chi^-2", "N": 256}))
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    outputs = []
+    for threads in (None, "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toephankel.cli", "--spec", str(spec)],
+            env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["command"] == command

@@ -273,7 +273,7 @@ def test_coburn_one_null_space_per_sign(shift2, monkeypatch):
     from toephankel import oracle
 
     counts = {"svd": 0, "hankel": 0}
-    svd, hankel = oracle.numerical_null_space, oracle._hankel_entries
+    svd, hankel = oracle._right_null_space, oracle._hankel_entries
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -281,7 +281,7 @@ def test_coburn_one_null_space_per_sign(shift2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(oracle, "numerical_null_space", counted("svd", svd))
+    monkeypatch.setattr(oracle, "_right_null_space", counted("svd", svd))
     monkeypatch.setattr(oracle, "_hankel_entries", counted("hankel", hankel))
     one = RationalSymbol.constant(1.0)
     matches = coburn_class(one, one, shift2, oracle_size=64)
@@ -293,7 +293,7 @@ def test_coburn_one_sign_candidates(shift2, monkeypatch):
     from toephankel import LaurentPolynomial, oracle
 
     counts = {"svd": 0, "hankel": 0}
-    svd, hankel = oracle.numerical_null_space, oracle._hankel_entries
+    svd, hankel = oracle._right_null_space, oracle._hankel_entries
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -301,7 +301,7 @@ def test_coburn_one_sign_candidates(shift2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(oracle, "numerical_null_space", counted("svd", svd))
+    monkeypatch.setattr(oracle, "_right_null_space", counted("svd", svd))
     monkeypatch.setattr(oracle, "_hankel_entries", counted("hankel", hankel))
     a = RationalSymbol(LaurentPolynomial(0, [1.0, 0.25]))
     matches = coburn_class(a, a * shift2.chi.invert(), shift2, oracle_size=64)

@@ -1,5 +1,9 @@
 import ctypes
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -437,3 +441,150 @@ def test_toeplitz_sections_share_one_helper(shift2, monkeypatch):
     pc_entries, _ = pc.pc_toeplitz_entries(PCSymbol(shift2.chi, ()), shift2, 16)
     assert calls == [16, 16]
     assert np.allclose(pc_entries, entries, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# null spaces of several sections at once
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _two_cpus(monkeypatch, blas="scipy-openblas", **env):
+    for var in _BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": {"blas": {"name": blas}}})
+
+
+def _set_width(monkeypatch, width):
+    """Two usable CPUs and 2 // width OpenBLAS threads: width sections at once."""
+    _two_cpus(monkeypatch, OPENBLAS_NUM_THREADS=str(2 // width))
+    assert oracle._concurrent_sections(2) == width
+
+
+@pytest.mark.parametrize("env, blas, width", [
+    ({}, "scipy-openblas", 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "scipy-openblas", 1),
+    ({"OMP_NUM_THREADS": "1"}, "openblas", 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, "accelerate", 1),
+])
+def test_concurrent_sections_width(monkeypatch, env, blas, width):
+    _two_cpus(monkeypatch, blas, **env)
+    assert oracle._concurrent_sections(2) == width
+    assert oracle._concurrent_sections(1) == 1
+
+
+def _diagonal_section(n, zeros):
+    d = np.ones(n)
+    d[list(zeros)] = 0.0
+    return FiniteSection(n, np.diag(d).astype(complex), "toeplitz", {})
+
+
+def _sections_cases():
+    for beta in (2.0, 2j):
+        sh = make_shift(beta)
+        chi2 = sh.chi.power(-2)
+        yield f"chi^-2, beta={beta}", oracle.pair_sections((chi2, chi2), sh, 128)
+    # k > SKETCH: the second solve runs in the worker as well
+    yield "diagonal", {"+": _diagonal_section(64, range(6)), "-": _diagonal_section(64, (1, 2, 60))}
+
+
+@pytest.mark.parametrize("case", list(_sections_cases()), ids=lambda c: c[0])
+def test_null_dims_concurrent_equals_sequential(monkeypatch, case):
+    _, sections = case
+    solve = oracle._right_null_space
+    in_main = {}
+
+    def recorded(section):
+        sign = next(sign for sign, sec in sections.items() if sec is section)
+        in_main[sign] = threading.current_thread() is threading.main_thread()
+        return solve(section)
+
+    monkeypatch.setattr(oracle, "_right_null_space", recorded)
+    dims = {}
+    for width in (1, 2):
+        _set_width(monkeypatch, width)
+        in_main.clear()
+        dims[width] = oracle.null_dims(sections, ("+", "-"))
+        assert in_main == {"+": True, "-": width == 1}
+    assert dims[1] == dims[2]
+    assert list(dims[2]) == ["+", "-"]
+
+
+def _no_gap(second=3e-8):
+    # test_no_spectral_gap's diagonal: only a factor 30 above the zero block
+    d = np.ones(16)
+    d[-1] = 1e-9
+    d[-2] = second
+    return FiniteSection(16, np.diag(d).astype(complex), "toeplitz", {})
+
+
+@pytest.mark.parametrize("first, second", [
+    ("no gap", "healthy"), ("healthy", "no gap"), ("no gap", "no gap 2"), ("no LU", "no gap"),
+])
+def test_null_dims_concurrent_errors_in_sign_order(monkeypatch, first, second):
+    sections = {"healthy": _diagonal_section(16, (0,)), "no gap": _no_gap(),
+                "no gap 2": _no_gap(5e-8), "no LU": _diagonal_section(16, (0, 1))}
+    left = oracle._left_null_space
+
+    def failing_lu(section, *solved):   # a second-phase failure for "no LU"
+        if section is sections["no LU"]:
+            raise NoSpectralGap("augmented section is singular (test)")
+        return left(section, *solved)
+
+    monkeypatch.setattr(oracle, "_left_null_space", failing_lu)
+    pair = {"+": sections[first], "-": sections[second]}
+    raised = {}
+    for width in (1, 2):
+        _set_width(monkeypatch, width)
+        before = threading.active_count()
+        with pytest.raises(NoSpectralGap) as exc:
+            oracle.null_dims(pair, ("+", "-"))
+        assert threading.active_count() == before
+        raised[width] = (exc.type, str(exc.value))
+    assert raised[1] == raised[2]
+
+
+_RSS_SCRIPT = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from toephankel import oracle
+from toephankel.oracle import FiniteSection, numerical_null_space
+
+def rss_mb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
+n = 512
+d = np.ones(n)
+d[:3] = 0.0
+sections = {"+": FiniteSection(n, np.diag(d).astype(complex), "toeplitz", {}),
+            "-": FiniteSection(n, 2.0 * np.eye(n, dtype=complex), "toeplitz", {})}
+np.ones((n, n), dtype=complex).sum()   # freeing an n x n block moves such blocks to the heap
+for sec in sections.values():
+    numerical_null_space(sec)
+oracle._MALLOC_TRIM(0)
+assert oracle._concurrent_sections(2) == 2
+before = rss_mb()
+assert oracle.null_dims(sections, ("+", "-")) == {"+": (3, 3), "-": (0, 0)}
+print(rss_mb() - before)
+"""
+
+
+def test_concurrent_null_dims_leave_no_resident_heap():
+    # the worker's solve frees an n x n copy into whichever malloc arena the
+    # thread got; only the main arena's top is trimmed, so null_dims keeps
+    # glibc to that one arena.  A fresh interpreter, since the arena setting
+    # lasts for the process.
+    if not hasattr(ctypes.pythonapi, "mallopt") or not os.path.exists("/proc/self/status"):
+        pytest.skip("needs glibc's mallopt and /proc")
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0

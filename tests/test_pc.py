@@ -396,3 +396,21 @@ def test_fredholm_report_matches_a_per_point_reference(shift2, case):
     assert rep["min_abs_scalar"] == pytest.approx(min_scalar, rel=1e-12)
     at = rep["scalar_argmin"]
     assert scalars[(*at["t"], at["y"])] == pytest.approx(min_scalar, rel=1e-12)
+
+
+def test_fredholm_argmin_is_the_first_near_minimum(shift2):
+    # |det| = 1 at every (t, +-inf) point of this pair, so the minimum is
+    # tied up to rounding; the report names the first tied grid point, as
+    # the per-point reference does, whichever ties rounding favours
+    a = PsiFactor("t_plus", 0.2 + 0.1j, shift2)
+    b = PCSymbol(shift2.chi.invert(), (JumpFactor(1j, 0.3),))
+    rep = fredholm_symbol_check(a, b, 2.0, shift2, n_t=64, n_y=31)
+    dets, scalars = _fredholm_reference(a, b, 2.0, shift2, 64, 31)
+
+    def first_near_min(values):
+        low = min(values.values())
+        return next(key for key, v in values.items() if v <= low * (1 + 1e-12))
+
+    assert sum(v <= min(dets.values()) * (1 + 1e-12) for v in dets.values()) > 1
+    assert first_near_min(dets) == (rep["det_argmin"]["t_index"], rep["det_argmin"]["y"])
+    assert first_near_min(scalars) == (*rep["scalar_argmin"]["t"], rep["scalar_argmin"]["y"])
