@@ -4,17 +4,10 @@ Truncated matrices of the Toeplitz, flip-Hankel, sum/difference and 2x2
 block operators in the Fourier basis, plus null spaces and residual
 checks.  Everything analytic elsewhere in the package is cross-validated
 against these sections; the sections themselves are built from certified
-coefficient windows (exact partial fractions for Toeplitz, FFT grids with
-geometric-tail certificates for the Hankel columns).
-
-The Hankel grid is sized from the bandwidth of the flip images, about
-n (|beta|+1)/(|beta|-1) exponents, so it is not doubled after a failed
-tail test when |beta| is near 1.  The powers of alpha on the grid come from
-a running product over column blocks of at most HANKEL_BLOCK values, one
-FFT per block, so memory stays bounded as N grows; the tail certificate
-(rows m/2 +- 2 of every block against ENTRY_TAIL_TOL, a 2**22 grid cap)
-is checked as before.  pair_sections assembles T(a) and H(b) once and
-returns both T(a) + H(b) and T(a) - H(b).
+coefficient windows: exact partial fractions for Toeplitz, one FFT of b
+for Hankel, whose section is b's classical Hankel matrix times the
+coefficients of the flip images (_hankel_entries).  pair_sections
+assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b).
 
 A section's null dimension, its spectral-gap certificate and its right
 null vectors come from one least-squares solve (LAPACK gelsd), which
@@ -43,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import platform
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -51,19 +45,21 @@ import numpy as np
 from .errors import GridTooSmall, NoSpectralGap, WindowTooTight
 from .matching import MatchingPair, make_matching_pair
 from .rational import RationalSymbol
-from .series import TruncatedSeries, fourier_coefficients
-from .shift import ShiftParams, eval_alpha
+from .series import FFT_CAP, TruncatedSeries, fourier_coefficients
+from .shift import ShiftParams
 
 SVD_TOL = 1e-8
 SVD_GAP = 100.0
 SKETCH = 4             # random columns projected onto a null space by the first solve
 ENTRY_TAIL_TOL = 1e-10
-HANKEL_BLOCK = 2**21   # grid values in one column block of the Hankel FFT
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
 _MALLOPT = getattr(ctypes.pythonapi, "mallopt", lambda param, value: 0)   # glibc's
 _M_ARENA_MAX = -8      # glibc's mallopt parameter
+_FENV = ctypes.c_uint32 * 8   # fenv_t of x86-64 Linux; word 7 is the SSE MXCSR
+_FLUSH_SUBNORMALS = (platform.system() == "Linux" and platform.machine() == "x86_64"
+                     and hasattr(ctypes.pythonapi, "fesetenv"))
 
 
 @dataclass(frozen=True)
@@ -109,48 +105,49 @@ def _symbol_margin(s: RationalSymbol) -> int:
 def _hankel_entries(
     b: RationalSymbol, shift: ShiftParams, n: int
 ) -> tuple[np.ndarray, float]:
-    """Columns are the analytic coefficients of b * (flip of t^k).
+    """Column k is the analytic part of b J t^k, as the product B @ C.
 
-    Column k is the FFT of w * alpha^k, w = b * alpha_minus / t, on an
-    m-point circle grid.  The flip image of t^k spreads to about
-    n (|beta|+1)/(|beta|-1) negative exponents, which alias onto the first
-    rows unless m is twice that plus the tails' pad; m starts at the next
-    power of two above that bound, and never below 4(n + pad) or 1024.
-    The powers alpha^k come from a running product over column blocks of
-    at most HANKEL_BLOCK grid values, each block seeded from the last
-    column of the one before, with one FFT per block.  The rows m/2 +- 2
-    of every block certify the aliasing: while their largest entry exceeds
-    ENTRY_TAIL_TOL * max(1, |H|) the grid doubles, up to the 2**22 cap.
-    """
-    pad = shift.pad + b.pad_for(ENTRY_TAIL_TOL)
-    r = abs(shift.beta)
-    spread = int(np.ceil(n * (r + 1) / (r - 1)))
-    m = 1 << (max(1024, 4 * (n + pad), 2 * (spread + pad)) - 1).bit_length()
-    while True:
-        if m > 2**22:
-            raise GridTooSmall("hankel column grid exceeded the cap")
-        t = np.exp(2j * np.pi * np.arange(m) / m)
-        at = eval_alpha(shift, t)
-        run = b.eval(t) * shift.alpha_minus.eval(t) / t   # w * alpha^k0
-        width = max(1, HANKEL_BLOCK // m)
-        work = np.empty((min(width, n), m), dtype=complex)
-        cols = np.empty((n, n), dtype=complex)
-        tail = 0.0
-        for k0 in range(0, n, width):
-            blk = work[: min(width, n - k0)]
-            blk[0] = run
-            for i in range(1, len(blk)):   # by rows: cumprod down axis 0 is strided
-                np.multiply(blk[i - 1], at, out=blk[i])
-            run = blk[-1] * at
-            np.fft.fft(blk, axis=1, out=blk)
-            cols[:, k0 : k0 + len(blk)] = blk[:, :n].T
-            tail = max(tail, float(np.max(np.abs(blk[:, m // 2 - 2 : m // 2 + 3]))))
-        cols /= m
-        tail /= m
-        scale = max(1.0, float(np.max(np.abs(cols))))
-        if tail <= ENTRY_TAIL_TOL * scale:
-            return cols, tail
-        m *= 2
+    J t^k = lam alpha^k / (conj(beta) t - 1) = sum_{m>=1} c[m, k] t^-m, so
+    H[j, k] = sum_m b_{j+m} c[m, k]; B[j, m-1] = b_{j+m} for m <= R =
+    b.analytic_pad(eps), from one certified FFT of b, and C = _flip_matrix.
+    C's uncut columns have unit l2 norm (J is an isometry), so an entry
+    loses at most the l2 norm of b_{R+1}, b_{R+2}, ... to the cut: the
+    returned tail.  GridTooSmall when it exceeds ENTRY_TAIL_TOL * max(1, |H|),
+    or B would outgrow both the section and FFT_CAP."""
+    r = b.analytic_pad(np.finfo(float).eps)
+    if r == 0:   # no analytic coefficient of positive index: H(b) = 0
+        return np.zeros((n, n), dtype=complex), 0.0
+    if n * r > max(n * n, FFT_CAP):
+        raise GridTooSmall(f"hankel window R={r} is too wide for N={n}")
+    co = fourier_coefficients(b, (1, n - 1 + 2 * r), method="fft").coeffs
+    tail = float(np.linalg.norm(co[r:]))
+    hank = np.lib.stride_tricks.sliding_window_view(co[: n - 1 + r], r)   # B, a view
+    entries = hank @ _flip_matrix(shift, r, n)
+    if tail > ENTRY_TAIL_TOL and tail > ENTRY_TAIL_TOL * np.max(np.abs(entries)):
+        raise GridTooSmall(f"hankel window R={r} leaves a tail of {tail:.3e}")
+    return entries, tail
+
+
+def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
+    """C[m-1, k], the coefficient of t^-m in J t^k, for m <= r and k < n.
+
+    Column 0 is lam conj(beta)^-m and column k+1 is L (column k), L the
+    lower-triangular Toeplitz matrix of alpha = (1 - beta s)/(conj(beta) - s)
+    in s = 1/t, so cutting at r rows is exact.  Columns K .. 2K-1 are L^K
+    (columns 0 .. K-1): an FFT convolution with alpha^K."""
+    geometric = np.conj(shift.beta) ** -np.arange(1.0, r + 1)
+    alpha = (1.0 - abs(shift.beta) ** 2) * geometric
+    alpha[0] = geometric[0]
+    size = 1 << (2 * r - 1).bit_length()   # no wrap-around in a product of two r-windows
+    power = np.fft.fft(alpha, size)   # of alpha^K
+    flip = np.empty((n, r), dtype=complex)   # rows are columns of C
+    flip[0] = shift.lam * geometric
+    for done in (2**k for k in range((n - 1).bit_length())):
+        width = min(done, n - done)
+        flip[done : done + width] = np.fft.ifft(np.fft.fft(flip[:width], size) * power)[:, :r]
+        power = np.fft.fft(np.fft.ifft(power * power)[:r], size)
+    flip[np.abs(flip) < np.sqrt(np.finfo(float).tiny)] = 0.0   # c ~ |beta|^-k: no subnormals
+    return flip.T
 
 
 def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSection]:
@@ -261,6 +258,22 @@ def _orth(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[0][:, :k]
 
 
+def _lstsq(m: np.ndarray, rhs: np.ndarray):
+    """np.linalg.lstsq(m, rhs, rcond=SVD_TOL), with subnormals flushed to zero
+    in this thread on x86-64 Linux: with exact geometric tails in m (T(a)
+    alone, when H(b) = 0) LAPACK's reduction otherwise computes on
+    subnormals, 1.5x slower at N = 1024 for the same result."""
+    env = _FENV()
+    saved = _FLUSH_SUBNORMALS and ctypes.pythonapi.fegetenv(env) == 0
+    if saved:
+        ctypes.pythonapi.fesetenv(_FENV(*env[:7], env[7] | 0x8040))
+    try:
+        return np.linalg.lstsq(m, rhs, rcond=SVD_TOL)
+    finally:
+        if saved:
+            ctypes.pythonapi.fesetenv(env)
+
+
 def _right_null_space(
     section: FiniteSection,
 ) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
@@ -274,7 +287,7 @@ def _right_null_space(
 
     def null_projection(p):
         z = _gaussian(rng, n, p)
-        x, _, _, s = np.linalg.lstsq(m, m @ z, rcond=SVD_TOL)
+        x, _, _, s = _lstsq(m, m @ z)
         return z - x, s
 
     proj, s = null_projection(SKETCH)

@@ -420,15 +420,22 @@ class RationalSymbol:
             _reassemble(LaurentPolynomial.zero(), q_terms),
         )
 
-    def decay_rate(self) -> float:
-        """Largest geometric ratio of the coefficient tails (0 = finite support)."""
-        poles = self.roots[self.mults < 0]
-        modulus = np.abs(poles)
-        return float(np.max(np.where(_side(poles) < 0, modulus, 1.0 / modulus), initial=0.0))
-
     def pad_for(self, tol: float = 1e-12) -> int:
         """Window padding beyond which coefficient tails drop under tol."""
-        rate = self.decay_rate()
+        return self._pad(self.mults < 0, tol)
+
+    def analytic_pad(self, tol: float) -> int:
+        """Index beyond which the analytic coefficients drop under tol: the
+        degree, or the pad of the poles outside the disk, which alone set
+        their decay; order p scales a tail by C(i+p-1, p-1) < (i+p)^(p-1)."""
+        outside = (self.mults < 0) & (_side(self.roots) > 0)
+        order = int(np.max(-self.mults[outside], initial=1))
+        pad = self._pad(outside, tol / (self._pad(outside, tol) + order) ** (order - 1))
+        return max(self.mono + int(self.mults.sum()), pad)
+
+    def _pad(self, poles: np.ndarray, tol: float) -> int:
+        z = self.roots[poles]
+        rate = float(np.max(np.where(_side(z) < 0, np.abs(z), 1.0 / np.abs(z)), initial=0.0))
         if rate == 0.0:
             return 0
         scale = max(self.sup_norm_on_circle(64), 1.0)

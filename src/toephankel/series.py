@@ -152,8 +152,8 @@ def fourier_coefficients(
 
     method='exact' uses partial fractions and geometric series; method='fft'
     evaluates on a doubling grid until the coefficient tail certifies below
-    FFT_TAIL_TOL (raising GridTooSmall at the cap).  The returned series
-    carries the tail bound.
+    FFT_TAIL_TOL * max(1, max |s|), the scale of its rounding (GridTooSmall
+    at the cap).  The returned series carries the tail bound.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
@@ -174,7 +174,7 @@ def fourier_coefficients(
         # bins m/2-edge region estimate the aliasing tail
         edge = np.abs(co[m // 2 - m // 16 : m // 2 + m // 16])
         tail = float(np.max(edge))
-        if tail < FFT_TAIL_TOL:
+        if tail < FFT_TAIL_TOL * max(1.0, float(np.max(np.abs(vals)))):
             exps = np.arange(lo, hi + 1)
             out = co[np.mod(exps, m)]
             return TruncatedSeries(lo, out, tail=tail)

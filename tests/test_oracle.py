@@ -105,27 +105,79 @@ def test_hankel_entries_match_brute_force(beta):
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
 
 
-def test_hankel_entries_seeded_across_blocks(monkeypatch):
-    # blocks of at most 32 columns on any grid of 1024 points or more, so the
-    # 128 columns span 4 blocks or more, each seeded from the one before
-    monkeypatch.setattr(oracle, "HANKEL_BLOCK", 32 * 1024)
+def test_hankel_flip_window_cut_is_exact():
+    # H = B C with C cut at R rows: the rows kept do not depend on the rows
+    # dropped, every column of the uncut C has unit norm, and the product
+    # matches the definition
     sh = make_shift(1.5 + 0.5j)
     b = sh.chi * RationalSymbol.from_factors(
         0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
     )
-    n, m = 128, 2**15
-    ffts = []
-    with monkeypatch.context() as mp:
-        fft = np.fft.fft
-        mp.setattr(np.fft, "fft", lambda a, *args, **kw: ffts.append(a.shape) or fft(a, *args, **kw))
-        entries, _ = oracle._hankel_entries(b, sh, n)
-    assert len(ffts) >= 3
+    n = 128
+    r = b.analytic_pad(np.finfo(float).eps)
+    assert 8 < r < n
+    short, long = oracle._flip_matrix(sh, r, n), oracle._flip_matrix(sh, 2 * r, n)
+    assert short.shape == (r, n) and long.shape == (2 * r, n)
+    assert np.max(np.abs(long[:r] - short)) < 1e-14
+    norms = np.linalg.norm(oracle._flip_matrix(sh, 8 * n, n), axis=0)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
+    entries, tail = oracle._hankel_entries(b, sh, n)
+    assert tail < 1e-14
+    m = 2**15   # the definition on a fixed grid, as in the brute-force test
     t = np.exp(2j * np.pi * np.arange(m) / m)
     at = eval_alpha(sh, t)
     w = b.eval(t) * sh.alpha_minus.eval(t) / t
     brute = np.stack([np.fft.fft(w * at**k)[:n] / m for k in range(n)], axis=1)
-    assert np.max(np.abs(brute)) > 0.1
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.05])
+def test_hankel_columns_near_circle(beta):
+    # N = 1024 columns against the exact action.  b's one pole outside the
+    # disk is p, simple, so P(b J t^k) = rho (J t^k)(p) / (t - p), rho the
+    # residue: column k is -rho (J t^k)(p) p^(-j-1).  hankel_apply confirms
+    # this for k = 0, 1; from k = 16 (beta 1.2) or 10 (beta 1.05) on it
+    # raises DenominatorNearZero at the (k+1)-fold pole of J t^k.  Columns
+    # 511 and 1023 fall like |alpha(p)|^k to rounding level, which the
+    # section must not amplify.
+    from toephankel.kernels import hankel_apply
+
+    sh = make_shift(beta)
+    p = 2.1 - 0.7j
+    rest = sh.chi * RationalSymbol.from_factors(0.7 - 0.2j, -1, [0.4 + 0.2j, -0.5j], [-1, 1])
+    b = rest * RationalSymbol.from_factors(1.0, 0, [p], [-1])
+    n = 1024
+    sec = operator_section("hankel", b, sh, n)
+    j = np.arange(n)
+    for k in (0, 1, 511, 1023):
+        flip_at_p = sh.lam * eval_alpha(sh, p) ** k / (np.conj(sh.beta) * p - 1.0)
+        expect = -rest.eval(p) * flip_at_p * p ** (-j - 1.0)
+        if k < 2:
+            exact = analytic_series(hankel_apply(b, RationalSymbol.monomial(k), sh))
+            assert np.max(np.abs(exact.to_vector(n) - expect)) < 1e-12
+            assert np.max(np.abs(expect)) > 0.1
+        assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
+
+
+def test_hankel_of_analytic_free_symbol_near_circle(tmp_path):
+    # chi^-1 at |beta| = 1.0001 has no analytic coefficient of positive
+    # index, so its Hankel section is zero and costs no grid, although its
+    # pole sits 1e-4 inside the circle
+    sh = make_shift(1.0001)
+    tracemalloc.start()
+    try:
+        entries, tail = oracle._hankel_entries(sh.chi.invert(), sh, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.any(entries) and tail == 0.0
+    assert peak < 1e6
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": "verify", "shift": {"beta": [1.0001, 0.0]},
+                                "a": "chi^-1", "b": "chi^-1", "N": 64}))
+    out = tmp_path / "report.json"
+    assert main(["--spec", str(spec), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["dims"] == {"ker+": 1, "coker+": 0, "ker-": 1, "coker-": 0}
 
 
 def test_hankel_built_once_per_pair(shift2, monkeypatch, tmp_path):
@@ -192,6 +244,37 @@ def test_null_dims_leaves_no_free_heap():
     np.ones((n, n), dtype=complex).sum()   # freeing an n x n block moves such blocks to the heap
     assert oracle.null_dims({"+": sec}, "+") == {"+": (0, 0)}
     assert mallinfo2().keepcost < 1 << 20
+
+
+def _sse_control():
+    env = oracle._FENV()
+    assert ctypes.pythonapi.fegetenv(env) == 0
+    return env[7] & ~0x3F   # the MXCSR without its sticky exception flags
+
+
+def test_least_squares_flushes_subnormals_only_inside(shift2, monkeypatch):
+    # T(chi^-2) is strictly upper triangular with tails falling like 2^-k:
+    # the flushed solve gives the plain one's result, and the thread's
+    # floating-point control comes back unchanged, also when the solve raises
+    if not oracle._FLUSH_SUBNORMALS:
+        pytest.skip("flushes only on x86-64 Linux")
+    m = operator_section("toeplitz", shift2.chi.power(-2), shift2, 256).entries
+    rhs = m @ np.random.default_rng(0).standard_normal((256, 4))
+    before = _sse_control()
+    flushed = oracle._lstsq(m, rhs)
+    plain = np.linalg.lstsq(m, rhs, rcond=SVD_TOL)
+    assert _sse_control() == before
+    assert np.array_equal(flushed[0], plain[0]) and np.array_equal(flushed[3], plain[3])
+    inside = []
+
+    def failing(*args, **kw):
+        inside.append(_sse_control())
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle._lstsq(m, rhs)
+    assert inside == [before | 0x8040] and _sse_control() == before
 
 
 def test_null_space_chi_inverse(shift2):

@@ -195,3 +195,23 @@ def test_coefficient_input_double_zero_inverted():
                                   "coeffs": [[c.real, c.imag] for c in num]}}, None)
     inv = symbol_algebra("invert", s)
     _check_coefficient_input(inv)
+
+
+def test_analytic_pad_reads_only_outer_poles():
+    from toephankel import make_shift
+
+    eps = np.finfo(float).eps
+    sh = make_shift(1.0001)
+    # the pole 1e-4 inside the circle drives pad_for, not the analytic side
+    assert sh.chi.invert().pad_for(1e-10) > 10**5
+    assert sh.chi.invert().analytic_pad(eps) == 0
+    assert sh.chi.power(3).analytic_pad(eps) == 3   # a polynomial of degree 3
+    s = RationalSymbol.from_factors(2.0, 2, [0.5j, 1.6 - 0.9j, 3.0], [-3, -1, 1])
+    r = s.analytic_pad(eps)
+    coeffs, _ = s.coefficients(r + 1, r + 400)
+    assert 30 < r < 200 and np.max(np.abs(coeffs)) < eps
+    # a pole of order 10 outside: C(i+9, 9) 2^-i decays late
+    s = RationalSymbol.from_factors(1.0, 0, [2.0], [-10])
+    r = s.analytic_pad(eps)
+    coeffs, _ = s.coefficients(r + 1, r + 400)
+    assert np.max(np.abs(coeffs)) < eps

@@ -82,3 +82,12 @@ def test_multiply_by_symbol_matches_pointwise(rng, shift2):
     out = multiply_by_symbol(f, s)
     t = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
     assert np.max(np.abs(out.eval(t) - s.eval(t) * f.eval(t))) < 1e-9
+
+
+def test_fft_tail_relative_to_scale(rng):
+    # rounding in the FFT grows with the values; a large symbol still
+    # certifies on the first grid
+    s = 1e8 * random_rational(rng)
+    exact = fourier_coefficients(s, (-24, 24), method="exact")
+    fft = fourier_coefficients(s, (-24, 24), method="fft")
+    assert np.max(np.abs(exact.coeffs - fft.coeffs)) < 1e-10 * np.max(np.abs(exact.coeffs))
