@@ -67,13 +67,13 @@ def classify_regime(kappa1: int, kappa2: int) -> Regime:
 
 def toeplitz_apply(g: RationalSymbol, f: RationalSymbol) -> RationalSymbol:
     """T(g) f = P(g f) for analytic rational f."""
-    return (g * f).split_analytic()[0]
+    return (g * f).part("P")
 
 
 def hankel_apply(b: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> RationalSymbol:
     """H(b) f = P(b * J f); J f is anti-analytic for analytic f."""
     jf = apply_J_alpha(f, shift)
-    return (b * jf).split_analytic()[0]
+    return (b * jf).part("P")
 
 
 def operator_apply(
@@ -81,7 +81,7 @@ def operator_apply(
 ) -> RationalSymbol:
     """(T(a) + sign H(b)) f = P(a f + sign b J f): one sum, one projection."""
     jf = apply_J_alpha(f, pair.shift)
-    return (pair.a * f + float(sign) * (pair.b * jf)).split_analytic()[0]
+    return (pair.a * f + float(sign) * (pair.b * jf)).part("P")
 
 
 def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float:
@@ -180,7 +180,7 @@ def phi_pm(
         raise NotInKernel("s is not in ker T(d)")
     w_plus, w_minus = (pair.a_alpha_inv * s).split_analytic()
     x = apply_one_sided_inverse(fac_c, w_plus, "right")
-    u = apply_J_alpha((pair.c * x).split_analytic()[1], shift)
+    u = apply_J_alpha((pair.c * x).part("Q"), shift)
     v = apply_J_alpha(w_minus, shift)
     if sign > 0:
         return 0.5 * (x - u + v)
@@ -210,7 +210,7 @@ def in_image_chi_power(
         if np.max(np.abs(vals)) >= IMAGE_TOL * scale:
             return False, None
         quotient = h * chi_power(shift, -n)
-        q_side = quotient.split_analytic()[1]
+        q_side = quotient.part("Q")
         if q_side.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
             raise CrossCheckMismatch("certified quotient came out non-analytic")
         return True, quotient
@@ -261,7 +261,7 @@ def _intersect_and_divide(
             if abs(w) > 1e-14:
                 acc = acc + complex(w) * f
         quotient = acc * chi_power(shift, -n)
-        q_side = quotient.split_analytic()[1]
+        q_side = quotient.part("Q")
         scale = max(1.0, quotient.sup_norm_on_circle(128))
         if q_side.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
             raise CrossCheckMismatch("lifted quotient is not analytic")

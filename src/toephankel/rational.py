@@ -29,9 +29,10 @@ Admissibility means no pole inside the exclusion annulus
 
 Besides arithmetic, this module provides the partial-fraction machinery
 used everywhere else: principal parts from Taylor expansions at the known
-poles, exact Fourier coefficients on a window, the exact splitting of a
-symbol into its analytic-inside and analytic-outside parts, and winding
-numbers by counting the roots inside the disk.
+poles, exact Fourier coefficients on a window, the Riesz projections P
+(exponents >= 0) and Q = I - P (part builds one alone, from one
+decomposition; a symbol with its poles on one side is its own P or Q),
+and winding numbers by counting the roots inside the disk.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .laurent import LaurentPolynomial
 DELTA_CIRCLE = 1e-8   # exclusion annulus around |z| = 1
 ROOT_TOL = 1e-10      # relative distance at which two roots are the same root
 ENTRY_TOL = 1e-2      # input roots this close may be one scattered multiple root
-EVAL_GUARD = 1e-12    # eval raises where the monic denominator drops below this
+EVAL_GUARD = 1e-12    # eval raises closer than this to a pole
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,17 +171,21 @@ class RationalSymbol:
         return self.lead
 
     def eval(self, t):
-        """Pointwise value; raises when the monic denominator drops under
-        EVAL_GUARD."""
+        """Pointwise value; raises within EVAL_GUARD of a pole other than
+        t = 0, or where the monic denominator is 0 or not finite."""
         t = np.asarray(t, dtype=complex)
         nv = self.lead * t**self.mono
         dv = np.ones(t.shape, complex)
+        gap = np.inf
         for r, k in zip(self.roots, self.mults):
+            d = t - r
             if k > 0:
-                nv = nv * (t - r) ** k
+                nv = nv * d**k
             else:
-                dv = dv * (t - r) ** -k
-        if np.any(np.abs(dv) < EVAL_GUARD):
+                dv = dv * d**-k
+                gap = min(gap, np.abs(d).min(initial=np.inf))
+        size = np.abs(dv)
+        if gap < EVAL_GUARD or not 0 < size.min(initial=1.0) <= size.max(initial=1.0) < np.inf:
             raise DenominatorNearZero("evaluation too close to a pole")
         out = nv / dv
         return out if np.ndim(out) else complex(out)
@@ -406,19 +411,37 @@ class RationalSymbol:
         c, _ = self.coefficients(k, k)
         return complex(c[0])
 
+    def part(self, which: str) -> "RationalSymbol":
+        """The Riesz projection P(s) (which="P", exponents >= 0) or
+        Q(s) = s - P(s) (which="Q", exponents < 0), built alone."""
+        if which not in ("P", "Q"):
+            raise ValueError("which must be 'P' or 'Q'")
+        return self._parts(which)[0]
+
     def split_analytic(self):
-        """Exact splitting s = P(s) + Q(s) into rational parts.
+        """Exact splitting s = P(s) + Q(s), both parts from one decomposition.
 
         P(s) keeps nonnegative exponents (poles outside the closed disk),
         Q(s) keeps negative ones (poles inside, vanishing at infinity).
         """
-        poly_part, terms = self.partial_fractions()
-        p_terms = [(z, res) for z, res in terms if abs(z) > 1.0]
-        q_terms = [(z, res) for z, res in terms if abs(z) < 1.0]
-        return (
-            _reassemble(poly_part, p_terms),
-            _reassemble(LaurentPolynomial.zero(), q_terms),
-        )
+        return self._parts("PQ")
+
+    def _parts(self, which: str) -> tuple:
+        """The parts named in which.  With no pole in the open disk and
+        mono >= 0 the symbol is its own P; with no pole outside and negative
+        degree, its own Q (no pole lies in the annulus); the other part is 0.
+        Else one partial_fractions, and one _reassemble per part."""
+        outer = np.abs(self.roots[self.mults < 0]) > 1.0
+        if self.mono >= 0 and np.all(outer):
+            side = "P"
+        elif self.mono + int(self.mults.sum()) < 0 and not np.any(outer):
+            side = "Q"
+        else:
+            poly_part, terms = self.partial_fractions()
+            return tuple(_reassemble(poly_part if w == "P" else LaurentPolynomial.zero(),
+                                     [(z, r) for z, r in terms if (abs(z) > 1.0) == (w == "P")])
+                         for w in which)
+        return tuple(self if w == side else RationalSymbol.constant(0.0) for w in which)
 
     def pad_for(self, tol: float = 1e-12) -> int:
         """Window padding beyond which coefficient tails drop under tol."""

@@ -80,10 +80,10 @@ def apply_one_sided_inverse(
     if isinstance(h, RationalSymbol):
         if side == "right":
             x = gm_inv * RationalSymbol.monomial(kappa) * h
-            return gp_inv * x.split_analytic()[0]
-        x = (gm_inv * h).split_analytic()[0]
+            return gp_inv * x.part("P")
+        x = (gm_inv * h).part("P")
         x = RationalSymbol.monomial(kappa) * gp_inv * x
-        return x.split_analytic()[0]
+        return x.part("P")
     if side == "right":
         x = multiply_by_symbol(h.shift(kappa), gm_inv).part("P")
         return multiply_by_symbol(x, gp_inv).trim()

@@ -11,6 +11,7 @@ from toephankel import (
     in_image_chi_power,
     kernel_cokernel_bases,
     make_matching_pair,
+    make_shift,
     numerical_null_space,
     operator_section,
     phi_pm,
@@ -159,6 +160,25 @@ def test_defect_high_index_chi_power(shift2, k):
         rep.dim_coker_minus,
     ) == (k, 0, k, 0)
     assert rep.oracle["agreement"]["all"]
+
+
+@pytest.mark.parametrize("beta, k", [(1.05, 6), (1.05, 8), (1.02, 6)])
+def test_defect_chi_power_near_circle(beta, k):
+    # a = b = chi^k: c = 1 and d = chi^(2k), so kappa = (0, -2k) and both
+    # cokernels have dimension k.  They are built from a symbol with a
+    # 2k-fold pole at beta, 0.02-0.05 from the circle, where its monic
+    # denominator is far below EVAL_GUARD.
+    sh = make_shift(beta)
+    s = sh.chi.power(k)
+    pair = make_matching_pair(s, s, sh)
+    assert (pair.kappa1, pair.kappa2) == (0, -2 * k)
+    rep = defect_numbers(pair, run_oracle=False)
+    assert (
+        rep.dim_ker_plus,
+        rep.dim_coker_plus,
+        rep.dim_ker_minus,
+        rep.dim_coker_minus,
+    ) == (0, k, 0, k)
 
 
 def test_defect_lifted_pair(shift2):

@@ -5,6 +5,7 @@ from toephankel import (
     LaurentPolynomial,
     RationalSymbol,
     eval_symbol,
+    fourier_coefficients,
     symbol_algebra,
     winding_number,
 )
@@ -13,6 +14,7 @@ from toephankel.errors import (
     IllConditionedRoots,
     NotInvertibleOnCircle,
 )
+from toephankel import rational
 
 from conftest import circle
 from helpers import random_rational
@@ -46,6 +48,17 @@ def test_eval_near_pole_raises():
     s = RationalSymbol(LaurentPolynomial.one(), LaurentPolynomial(0, [-0.5, 1.0]))
     with pytest.raises(DenominatorNearZero):
         s.eval(0.5 + 1e-14)
+
+
+def test_eval_guard_reads_distance_to_pole():
+    # a 12-fold pole 0.05 away: the monic denominator is 2.4e-16, the value finite
+    s = RationalSymbol.from_factors(1.0, 0, [0.5], [-12])
+    assert abs(s.eval(0.55) - 0.05**-12) < 1e-10 * 0.05**-12
+    with pytest.raises(DenominatorNearZero):
+        s.eval(0.5 + 1e-13)
+    # 0.01^400 underflows: the denominator is 0 although the pole is 0.01 away
+    with pytest.raises(DenominatorNearZero):
+        RationalSymbol.from_factors(1.0, 0, [0.5], [-400]).eval(0.51)
 
 
 def test_conjugate_bar_of_t():
@@ -157,6 +170,79 @@ def test_split_analytic_parts(rng):
         assert np.all(np.abs(q.den_roots) < 1.0)
         if not q.is_zero:
             assert q.num.hi < q.den.hi  # decay at infinity
+
+
+TWO_SIDED = [
+    # poles on both sides of the circle
+    RationalSymbol.from_factors(1.3 - 0.4j, 1, [0.5 + 0.2j, -1.8j, 0.3, 2.2], [-2, -1, 1, 1]),
+    # a pole at 0 (mono < 0) against an outer pole
+    RationalSymbol.from_factors(0.8, -2, [1.6 - 0.5j, 0.45j], [-1, 1]),
+    # a polynomial part: degree 2 and no outer pole
+    RationalSymbol.from_factors(-0.6 + 1.1j, 0, [0.4 - 0.3j, 1.5, -2.1j], [-1, 2, 1]),
+]
+ONE_SIDED = [
+    (RationalSymbol.from_factors(2.0, 1, [1.7j, 0.3], [-2, 1]), "P"),
+    (RationalSymbol.from_factors(1.0, 0, [0.5, 2.5], [-3, 1]), "Q"),
+    (RationalSymbol.from_factors(0.4, -3, [1.2 + 0.5j], [2]), "Q"),
+    (RationalSymbol.constant(0.0), "P"),
+]
+
+
+@pytest.mark.parametrize("s", TWO_SIDED + [s for s, _ in ONE_SIDED])
+def test_parts_rebuild_symbol(s):
+    p, q = s.part("P"), s.part("Q")
+    assert (p + q).distance_to(s) < 1e-10 * max(1.0, s.sup_norm_on_circle())
+
+
+@pytest.mark.parametrize("s", TWO_SIDED)
+def test_part_equals_split_analytic(s):
+    for part, whole in zip((s.part("P"), s.part("Q")), s.split_analytic()):
+        assert part.lead == whole.lead and part.mono == whole.mono
+        assert np.array_equal(part.roots, whole.roots)
+        assert np.array_equal(part.mults, whole.mults)
+
+
+@pytest.mark.parametrize("s, side", ONE_SIDED)
+def test_one_sided_part_is_the_symbol(s, side):
+    other = "Q" if side == "P" else "P"
+    assert s.part(side) is s
+    assert s.part(other).is_zero
+    p, q = s.split_analytic()
+    kept, dropped = (p, q) if side == "P" else (q, p)
+    assert kept is s and dropped.is_zero
+    with pytest.raises(ValueError):
+        s.part("R")
+
+
+@pytest.mark.parametrize("s", TWO_SIDED + [s for s, _ in ONE_SIDED if not s.is_zero])
+def test_part_coefficients_match_fft(s):
+    lo, hi = -12, 12
+    ref = fourier_coefficients(s, (lo, hi), method="fft").coeffs
+    exps = np.arange(lo, hi + 1)
+    for which, keep in (("P", exps >= 0), ("Q", exps < 0)):
+        got, _ = s.part(which).coefficients(lo, hi)
+        assert np.max(np.abs(got - np.where(keep, ref, 0.0))) < 1e-10 * np.max(np.abs(ref))
+
+
+def test_projection_decomposes_once(monkeypatch):
+    calls = []
+    pf, reassemble = RationalSymbol.partial_fractions, rational._reassemble
+    monkeypatch.setattr(RationalSymbol, "partial_fractions",
+                        lambda self: calls.append("pf") or pf(self))
+    monkeypatch.setattr(rational, "_reassemble",
+                        lambda *args: calls.append("re") or reassemble(*args))
+
+    def count(run):
+        calls.clear()
+        run()
+        return calls.count("pf"), calls.count("re")
+
+    for s in TWO_SIDED:
+        assert count(lambda: s.part("P")) == (1, 1)
+        assert count(lambda: s.part("Q")) == (1, 1)
+        assert count(s.split_analytic) == (1, 2)
+    for s, _ in ONE_SIDED:
+        assert count(lambda: (s.part("P"), s.part("Q"), s.split_analytic())) == (0, 0)
 
 
 def _fft_coefficients(s, lo, hi, n=1024):
