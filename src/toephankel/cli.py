@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         report, code = run(problem, opts)
         return _emit(report, code, args.out)
     except (errors.InputError, errors.BetaInsideDisk, errors.WindowTooTight,
-            KeyError, TypeError, ValueError) as exc:
+            errors.GridTooSmall, KeyError, TypeError, ValueError) as exc:
         return _error(exc, 1, args.out)
     except (errors.NotFredholm, errors.NotFredholmPair, errors.NotMatching,
             errors.NotInvertible, errors.DenominatorNearZero,

@@ -90,8 +90,9 @@ def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float
 
 
 def analytic_series(f: RationalSymbol) -> TruncatedSeries:
-    """Coefficient window of an analytic rational, certified below SERIES_TAIL_TOL."""
-    hi = max(f.num.hi, 0) + f.pad_for(SERIES_TAIL_TOL)
+    """Coefficient window of an analytic rational, certified below SERIES_TAIL_TOL:
+    past the numerator's degree, by the pole-order-aware analytic_pad."""
+    hi = max(f.num.hi, 0) + f.analytic_pad(SERIES_TAIL_TOL)
     c, tail = f.coefficients(0, hi)
     return TruncatedSeries(0, c, tail=tail).trim(1e-14)
 
@@ -143,22 +144,14 @@ def toeplitz_kernel_split(
     return plus, minus
 
 
-def apply_P_alpha(
-    g: RationalSymbol,
-    f: Union[RationalSymbol, TruncatedSeries],
-    shift: ShiftParams,
-):
-    """The involution J Q g P restricted to ker T(g)."""
-    if isinstance(f, RationalSymbol):
-        scale = max(1.0, f.sup_norm_on_circle(128))
-        p_part, q_part = (g * f).split_analytic()
-        if p_part.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
-            raise NotInKernel("input is not in ker T(g)")
-        return apply_J_alpha(q_part, shift)
-    gf = multiply_by_symbol(f, g)
-    if gf.part("P").norm() > KERNEL_RESIDUAL_TOL * max(1.0, f.norm()):
+def apply_P_alpha(g: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> RationalSymbol:
+    """The involution J Q g P restricted to ker T(g), on analytic rationals;
+    NotInKernel when f is not in ker T(g)."""
+    scale = max(1.0, f.sup_norm_on_circle(128))
+    p_part, q_part = (g * f).split_analytic()
+    if p_part.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
         raise NotInKernel("input is not in ker T(g)")
-    return apply_J_alpha(gf.part("Q"), shift)
+    return apply_J_alpha(q_part, shift)
 
 
 def phi_pm(

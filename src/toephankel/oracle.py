@@ -3,9 +3,10 @@
 Truncated matrices of the Toeplitz, flip-Hankel, sum/difference and 2x2
 block operators in the Fourier basis, plus null spaces and residual
 checks.  Everything analytic elsewhere in the package is cross-validated
-against these sections; the sections themselves are built from certified
-coefficient windows: exact partial fractions for Toeplitz, one FFT of b
-for Hankel, whose section is b's classical Hankel matrix times the
+against these sections, so they share none of its partial-fraction
+algebra: every coefficient window comes from the certified circle FFT
+(fourier_coefficients), one FFT of a for Toeplitz and one of b for
+Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
 assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b).
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import platform
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -57,9 +57,6 @@ DUMP_VERSION = 1
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
 _MALLOPT = getattr(ctypes.pythonapi, "mallopt", lambda param, value: 0)   # glibc's
 _M_ARENA_MAX = -8      # glibc's mallopt parameter
-_FENV = ctypes.c_uint32 * 8   # fenv_t of x86-64 Linux; word 7 is the SSE MXCSR
-_FLUSH_SUBNORMALS = (platform.system() == "Linux" and platform.machine() == "x86_64"
-                     and hasattr(ctypes.pythonapi, "fesetenv"))
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,8 @@ def toeplitz_matrix(col: np.ndarray, row: np.ndarray) -> np.ndarray:
 
 
 def _toeplitz_entries(a: RationalSymbol, n: int) -> tuple[np.ndarray, float]:
+    """T(a)'s n x n section from one certified FFT of a, and its tail bound
+    (GridTooSmall when a's poles hug the circle too closely for FFT_CAP)."""
     co = fourier_coefficients(a, (-(n - 1), n - 1))
     col = co.coeffs[n - 1 :]
     row = co.coeffs[: n][::-1]
@@ -119,7 +118,7 @@ def _hankel_entries(
         return np.zeros((n, n), dtype=complex), 0.0
     if n * r > max(n * n, FFT_CAP):
         raise GridTooSmall(f"hankel window R={r} is too wide for N={n}")
-    co = fourier_coefficients(b, (1, n - 1 + 2 * r), method="fft").coeffs
+    co = fourier_coefficients(b, (1, n - 1 + 2 * r)).coeffs
     tail = float(np.linalg.norm(co[r:]))
     hank = np.lib.stride_tricks.sliding_window_view(co[: n - 1 + r], r)   # B, a view
     entries = hank @ _flip_matrix(shift, r, n)
@@ -258,22 +257,6 @@ def _orth(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[0][:, :k]
 
 
-def _lstsq(m: np.ndarray, rhs: np.ndarray):
-    """np.linalg.lstsq(m, rhs, rcond=SVD_TOL), with subnormals flushed to zero
-    in this thread on x86-64 Linux: with exact geometric tails in m (T(a)
-    alone, when H(b) = 0) LAPACK's reduction otherwise computes on
-    subnormals, 1.5x slower at N = 1024 for the same result."""
-    env = _FENV()
-    saved = _FLUSH_SUBNORMALS and ctypes.pythonapi.fegetenv(env) == 0
-    if saved:
-        ctypes.pythonapi.fesetenv(_FENV(*env[:7], env[7] | 0x8040))
-    try:
-        return np.linalg.lstsq(m, rhs, rcond=SVD_TOL)
-    finally:
-        if saved:
-            ctypes.pythonapi.fesetenv(env)
-
-
 def _right_null_space(
     section: FiniteSection,
 ) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
@@ -287,7 +270,7 @@ def _right_null_space(
 
     def null_projection(p):
         z = _gaussian(rng, n, p)
-        x, _, _, s = _lstsq(m, m @ z)
+        x, _, _, s = np.linalg.lstsq(m, m @ z, rcond=SVD_TOL)
         return z - x, s
 
     proj, s = null_projection(SKETCH)

@@ -407,10 +407,6 @@ class RationalSymbol:
                     tail += abs(r * _binom_geom(j, np.array([hi + 1]), 1.0 / z)[0] * z ** (-j))
         return out, float(tail)
 
-    def coefficient(self, k: int) -> complex:
-        c, _ = self.coefficients(k, k)
-        return complex(c[0])
-
     def part(self, which: str) -> "RationalSymbol":
         """The Riesz projection P(s) (which="P", exponents >= 0) or
         Q(s) = s - P(s) (which="Q", exponents < 0), built alone."""
@@ -450,19 +446,25 @@ class RationalSymbol:
     def analytic_pad(self, tol: float) -> int:
         """Index beyond which the analytic coefficients drop under tol: the
         degree, or the pad of the poles outside the disk, which alone set
-        their decay; order p scales a tail by C(i+p-1, p-1) < (i+p)^(p-1)."""
+        their decay, corrected for their order."""
         outside = (self.mults < 0) & (_side(self.roots) > 0)
         order = int(np.max(-self.mults[outside], initial=1))
-        pad = self._pad(outside, tol / (self._pad(outside, tol) + order) ** (order - 1))
-        return max(self.mono + int(self.mults.sum()), pad)
+        return max(self.mono + int(self.mults.sum()), self._pad(outside, tol, order))
 
-    def _pad(self, poles: np.ndarray, tol: float) -> int:
+    def _pad(self, poles: np.ndarray, tol: float, order: int = 1) -> int:
+        """The pad of the given poles.  Poles of order p scale a tail by
+        C(i+p-1, p-1) < (i+p)^(p-1), so tol is divided by that factor at
+        the pad of order 1."""
         z = self.roots[poles]
         rate = float(np.max(np.where(_side(z) < 0, np.abs(z), 1.0 / np.abs(z)), initial=0.0))
         if rate == 0.0:
             return 0
         scale = max(self.sup_norm_on_circle(64), 1.0)
-        return int(np.ceil(np.log(tol / scale) / np.log(rate))) + 4
+        pad = int(np.ceil(np.log(tol / scale) / np.log(rate))) + 4
+        if order > 1:
+            tol /= (pad + order) ** (order - 1)
+            pad = int(np.ceil(np.log(tol / scale) / np.log(rate))) + 4
+        return pad
 
     def __repr__(self) -> str:
         return (

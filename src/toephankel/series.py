@@ -4,9 +4,12 @@ TruncatedSeries is the numerical counterpart of RationalSymbol: a dense
 complex coefficient vector over the exponent window lo .. lo+len-1.  The
 complementary projections keep nonnegative (P) or negative (Q) exponents.
 
-fourier_coefficients computes symbol coefficients either exactly (partial
-fractions + geometric series) or by FFT quadrature with grid doubling and
-a certified tail; the two paths cross-validate each other in the tests.
+fourier_coefficients computes symbol coefficients by FFT quadrature on the
+unit circle with grid doubling and a certified tail.  It shares no algebra
+with RationalSymbol.coefficients, the exact windows (partial fractions and
+geometric series) of the analytic pipeline, so the finite-section oracle
+builds its sections from it, and the tests check the two against each
+other.
 """
 
 from __future__ import annotations
@@ -145,24 +148,17 @@ def multiply_by_symbol(f: TruncatedSeries, s: RationalSymbol) -> TruncatedSeries
     return f.convolve(TruncatedSeries(lo, c)).trim(1e-14)
 
 
-def fourier_coefficients(
-    s: RationalSymbol, window: tuple[int, int], method: str = "exact"
-) -> TruncatedSeries:
+def fourier_coefficients(s: RationalSymbol, window: tuple[int, int]) -> TruncatedSeries:
     """Fourier coefficients of an admissible symbol on [window[0], window[1]].
 
-    method='exact' uses partial fractions and geometric series; method='fft'
-    evaluates on a doubling grid until the coefficient tail certifies below
-    FFT_TAIL_TOL * max(1, max |s|), the scale of its rounding (GridTooSmall
-    at the cap).  The returned series carries the tail bound.
+    s is evaluated on a doubling grid of the unit circle until the
+    coefficient tail certifies below FFT_TAIL_TOL * max(1, max |s|), the
+    scale of its rounding (GridTooSmall at FFT_CAP).  The returned series
+    carries the tail bound.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
         raise ValueError("empty window")
-    if method == "exact":
-        c, tail = s.coefficients(lo, hi)
-        return TruncatedSeries(lo, c, tail=tail)
-    if method != "fft":
-        raise ValueError("method must be 'exact' or 'fft'")
     m = FFT_START
     span = max(hi, 0) - min(lo, 0) + 1
     while m < 4 * span:

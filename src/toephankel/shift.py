@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BetaInsideDisk, GridTooSmall, PoleHit
+from .errors import BetaInsideDisk, CrossCheckMismatch, GridTooSmall, PoleHit
 from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries
 
@@ -88,17 +88,24 @@ def make_shift(beta: complex) -> ShiftParams:
 
 
 def _verify(shift: ShiftParams) -> None:
-    for t in (shift.t_plus, shift.t_minus):
-        assert abs(abs(t) - 1.0) < _CHECK_TOL, "fixed point off the circle"
-        assert abs(eval_alpha(shift, t) - t) < _CHECK_TOL * 10, "fixed point not fixed"
+    """CrossCheckMismatch, naming the check, when the shift data fail one."""
     t = shift.circle_grid(_CHECK_GRID)
     a = eval_alpha(shift, t)
-    scale = max(1.0, abs(shift.beta))
-    assert np.max(np.abs(eval_alpha(shift, a) - t)) < _CHECK_TOL * scale * 10
-    fact = shift.alpha_plus.eval(t) / t * shift.alpha_minus.eval(t)
-    assert np.max(np.abs(fact - a)) < _CHECK_TOL * scale * 10
-    chi_match = shift.chi.eval(t) * shift.chi.eval(a)
-    assert np.max(np.abs(chi_match - 1.0)) < _CHECK_TOL * scale * 10
+    tol = _CHECK_TOL * max(1.0, abs(shift.beta)) * 10
+    fixed = np.array([shift.t_plus, shift.t_minus])
+    checks = (
+        ("fixed points on the circle", np.abs(np.abs(fixed) - 1.0), _CHECK_TOL),
+        ("fixed points fixed by alpha", np.abs(eval_alpha(shift, fixed) - fixed), _CHECK_TOL * 10),
+        ("alpha an involution", np.abs(eval_alpha(shift, a) - t), tol),
+        ("alpha = alpha_plus t^-1 alpha_minus",
+         np.abs(shift.alpha_plus.eval(t) / t * shift.alpha_minus.eval(t) - a), tol),
+        ("chi (chi o alpha) = 1", np.abs(shift.chi.eval(t) * shift.chi.eval(a) - 1.0), tol),
+    )
+    for name, err, bound in checks:
+        if not np.max(err) < bound:
+            raise CrossCheckMismatch(
+                f"shift data for beta = {shift.beta:.6g} fail '{name}': "
+                f"error {np.max(err):.3e} >= {bound:.3e}")
 
 
 def eval_alpha(shift: ShiftParams, t):

@@ -111,6 +111,23 @@ def test_fredholm_command_boundary(tmp_path):
     assert rep["report"]["fredholm"] is False
 
 
+_POLE_NEAR_CIRCLE = {"rational": {"num": {"lo": 0, "coeffs": [[1.0, 0.0]]},
+                                  "den": {"lo": 0, "coeffs": [[-1.0001, 0.0], [1.0, 0.0]]}}}
+_POLE_NEARER_CIRCLE = {"rational": {"num": {"lo": 0, "coeffs": [[1.0, 0.0]]},
+                                    "den": {"lo": 0, "coeffs": [[-1.00001, 0.0], [1.0, 0.0]]}}}
+
+
+@pytest.mark.parametrize("a, b, where", [
+    (_POLE_NEAR_CIRCLE, _POLE_NEAR_CIRCLE, "hankel window"),   # H(b)'s window outgrows N
+    (_POLE_NEARER_CIRCLE, 1, "grid cap"),                      # T(a)'s FFT needs > FFT_CAP points
+])
+def test_uncertifiable_window_exits_one(a, b, where, tmp_path):
+    problem = {"command": "verify", "shift": {"beta": [2.0, 0.0]}, "a": a, "b": b, "N": 64}
+    code, rep, _ = run_cli(problem, tmp_path=tmp_path)
+    assert code == 1
+    assert rep["error"]["type"] == "GridTooSmall" and where in rep["error"]["message"]
+
+
 def test_signature_command(tmp_path):
     problem = {
         "command": "signature",

@@ -8,6 +8,7 @@ from toephankel import (
     coburn_class,
     defect_numbers,
     factorize,
+    fourier_coefficients,
     in_image_chi_power,
     kernel_cokernel_bases,
     make_matching_pair,
@@ -19,7 +20,7 @@ from toephankel import (
     transfer_U,
 )
 from toephankel.errors import NotApplicable, NotInKernel, WrongRegime
-from toephankel.kernels import Regime, analytic_series, operator_residual
+from toephankel.kernels import SERIES_TAIL_TOL, Regime, analytic_series, operator_residual
 from toephankel.oracle import block_residual_check, residual_check
 
 
@@ -55,6 +56,16 @@ def test_split_residuals_against_sections(shift2):
         b_plus, b_minus = toeplitz_kernel_split(g, shift2)
         for f in b_plus + b_minus:
             assert residual_check(sec, analytic_series(f)) < 1e-6
+
+
+@pytest.mark.parametrize("pole, order", [(2.0, 1), (2.0, 4), (2.0, 10), (1.1, 3)])
+def test_analytic_series_window_covers_multiple_poles(pole, order):
+    f = RationalSymbol.from_factors(1.0, 0, [pole], [-order])
+    got = analytic_series(f)
+    ref = fourier_coefficients(f, (0, got.hi + 2000)).coeffs
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref[got.hi + 1 :])) < SERIES_TAIL_TOL * scale
+    assert np.max(np.abs(ref[: got.hi + 1] - got.to_vector(got.hi + 1))) < 1e-12 * scale
 
 
 def test_p_alpha_examples(shift2):

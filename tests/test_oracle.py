@@ -26,7 +26,7 @@ from toephankel import (
 )
 from toephankel import oracle
 from toephankel.oracle import SVD_TOL, NullSpace
-from toephankel.cli import main
+from toephankel.cli import main, parse_symbol
 from toephankel.errors import NoSpectralGap, WindowTooTight
 from toephankel.kernels import analytic_series
 from toephankel.shift import eval_alpha
@@ -204,8 +204,32 @@ def test_hankel_built_once_per_pair(shift2, monkeypatch, tmp_path):
     assert calls == [64, 64, 64, 64]
 
 
+_PAIR_DIMS = {   # (a, b): ((ker, coker) of T(a) + H(b) and of T(a) - H(b)), block null dim
+    ("chi^-2", "chi^-2"): ({"+": (2, 0), "-": (2, 0)}, 4),
+    ("chi^3", "chi^3"): ({"+": (0, 3), "-": (0, 3)}, 6),
+    ("one", "chi^-1"): ({"+": (0, 0), "-": (0, 0)}, 1),
+    ("chi", "one"): ({"+": (0, 1), "-": (0, 1)}, 2),
+}
+
+
+@pytest.mark.parametrize("beta", [2.0, 2.0j, 1.5 + 0.5j, 1.2])
+@pytest.mark.parametrize("symbols", list(_PAIR_DIMS))
+def test_sections_run_no_partial_fractions(symbols, beta, monkeypatch):
+    # the oracle checks the partial-fraction pipeline, so it must not use it
+    sh = make_shift(beta)
+    pair = make_matching_pair(*(parse_symbol(s, sh) for s in symbols), sh)
+
+    def forbidden(self):
+        raise AssertionError("the oracle called partial_fractions")
+
+    monkeypatch.setattr(RationalSymbol, "partial_fractions", forbidden)
+    dims, block_dim = _PAIR_DIMS[symbols]
+    assert oracle.null_dims(oracle.pair_sections(pair, sh, 256), "+-") == dims
+    assert numerical_null_space(operator_section("block", pair, sh, 256)).dim == block_dim
+
+
 def test_hankel_memory_bounded():
-    # column blocks keep the work array near HANKEL_BLOCK values, whatever n
+    # besides the n x n section, B @ C holds n x R and R x n blocks, R = b.analytic_pad, whatever n
     sh = make_shift(1.5 + 0.5j)
     b = sh.chi.power(-2) + RationalSymbol.constant(0.5)
     tracemalloc.start()
@@ -244,37 +268,6 @@ def test_null_dims_leaves_no_free_heap():
     np.ones((n, n), dtype=complex).sum()   # freeing an n x n block moves such blocks to the heap
     assert oracle.null_dims({"+": sec}, "+") == {"+": (0, 0)}
     assert mallinfo2().keepcost < 1 << 20
-
-
-def _sse_control():
-    env = oracle._FENV()
-    assert ctypes.pythonapi.fegetenv(env) == 0
-    return env[7] & ~0x3F   # the MXCSR without its sticky exception flags
-
-
-def test_least_squares_flushes_subnormals_only_inside(shift2, monkeypatch):
-    # T(chi^-2) is strictly upper triangular with tails falling like 2^-k:
-    # the flushed solve gives the plain one's result, and the thread's
-    # floating-point control comes back unchanged, also when the solve raises
-    if not oracle._FLUSH_SUBNORMALS:
-        pytest.skip("flushes only on x86-64 Linux")
-    m = operator_section("toeplitz", shift2.chi.power(-2), shift2, 256).entries
-    rhs = m @ np.random.default_rng(0).standard_normal((256, 4))
-    before = _sse_control()
-    flushed = oracle._lstsq(m, rhs)
-    plain = np.linalg.lstsq(m, rhs, rcond=SVD_TOL)
-    assert _sse_control() == before
-    assert np.array_equal(flushed[0], plain[0]) and np.array_equal(flushed[3], plain[3])
-    inside = []
-
-    def failing(*args, **kw):
-        inside.append(_sse_control())
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, "lstsq", failing)
-    with pytest.raises(np.linalg.LinAlgError):
-        oracle._lstsq(m, rhs)
-    assert inside == [before | 0x8040] and _sse_control() == before
 
 
 def test_null_space_chi_inverse(shift2):

@@ -217,7 +217,7 @@ def test_one_sided_part_is_the_symbol(s, side):
 @pytest.mark.parametrize("s", TWO_SIDED + [s for s, _ in ONE_SIDED if not s.is_zero])
 def test_part_coefficients_match_fft(s):
     lo, hi = -12, 12
-    ref = fourier_coefficients(s, (lo, hi), method="fft").coeffs
+    ref = fourier_coefficients(s, (lo, hi)).coeffs
     exps = np.arange(lo, hi + 1)
     for which, keep in (("P", exps >= 0), ("Q", exps < 0)):
         got, _ = s.part(which).coefficients(lo, hi)

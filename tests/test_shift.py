@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,8 @@ from toephankel import (
     make_shift,
     operator_section,
 )
-from toephankel.errors import BetaInsideDisk, PoleHit
+from toephankel.cli import main
+from toephankel.errors import BetaInsideDisk, CrossCheckMismatch, PoleHit
 
 from conftest import circle
 from helpers import random_laurent
@@ -37,6 +42,24 @@ def test_make_shift_beta_two_i():
 def test_beta_inside_disk_rejected():
     with pytest.raises(BetaInsideDisk):
         make_shift(1.0)
+
+
+def test_failed_shift_check_raises_also_under_optimization(tmp_path):
+    # at |beta| = 1.00001 alpha o alpha misses the identity by 4e-11 on the
+    # check grid; the check is no assert, so it holds under python -O too
+    with pytest.raises(CrossCheckMismatch, match="alpha an involution"):
+        make_shift(1.00001)
+    problem = json.dumps({"command": "verify", "shift": {"beta": [1.00001, 0.0]},
+                          "a": "chi^-1", "b": "chi^-1", "N": 64})
+    spec = tmp_path / "spec.json"
+    spec.write_text(problem)
+    out = tmp_path / "report.json"
+    assert main(["--spec", str(spec), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["error"]["type"] == "CrossCheckMismatch"
+    proc = subprocess.run([sys.executable, "-O", "-m", "toephankel.cli"],
+                          input=problem.encode(), capture_output=True)
+    assert proc.returncode == 3 and proc.stderr == b""
+    assert json.loads(proc.stdout)["error"]["type"] == "CrossCheckMismatch"
 
 
 def test_alpha_swaps_plus_minus_one():
