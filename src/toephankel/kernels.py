@@ -90,10 +90,9 @@ def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float
 
 
 def analytic_series(f: RationalSymbol) -> TruncatedSeries:
-    """Coefficient window of an analytic rational, certified below SERIES_TAIL_TOL:
-    past the numerator's degree, by the pole-order-aware analytic_pad."""
-    hi = max(f.num.hi, 0) + f.analytic_pad(SERIES_TAIL_TOL)
-    c, tail = f.coefficients(0, hi)
+    """Coefficient window of an analytic rational, certified below
+    SERIES_TAIL_TOL by analytic_pad."""
+    c, tail = f.coefficients(0, f.analytic_pad(SERIES_TAIL_TOL))
     return TruncatedSeries(0, c, tail=tail).trim(1e-14)
 
 

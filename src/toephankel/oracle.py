@@ -3,7 +3,7 @@
 Truncated matrices of the Toeplitz, flip-Hankel, sum/difference and 2x2
 block operators in the Fourier basis, plus null spaces and residual
 checks.  Everything analytic elsewhere in the package is cross-validated
-against these sections, so they share none of its partial-fraction
+against these sections, so they share none of its exact rational
 algebra: every coefficient window comes from the certified circle FFT
 (fourier_coefficients), one FFT of a for Toeplitz and one of b for
 Hankel, whose section is b's classical Hankel matrix times the

@@ -27,11 +27,12 @@ and the root lists num_roots/den_roots are derived from the factors.
 Admissibility means no pole inside the exclusion annulus
 | |z| - 1 | < DELTA_CIRCLE, so evaluation on the circle is bounded.
 
-Besides arithmetic, this module provides the partial-fraction machinery
-used everywhere else: principal parts from Taylor expansions at the known
-poles, exact Fourier coefficients on a window, the Riesz projections P
+Besides arithmetic, this module provides exact Fourier coefficients on a
+window, read off the factors as the product of one binomial series per
+root (coefficients); partial fractions, principal parts from Taylor
+expansions at the known poles, which serve only the Riesz projections P
 (exponents >= 0) and Q = I - P (part builds one alone, from one
-decomposition; a symbol with its poles on one side is its own P or Q),
+decomposition; a symbol with its poles on one side is its own P or Q);
 and winding numbers by counting the roots inside the disk.
 """
 
@@ -371,41 +372,31 @@ class RationalSymbol:
         return poly_part, terms
 
     def coefficients(self, lo: int, hi: int):
-        """Exact Fourier coefficients on the exponent window [lo, hi].
+        """Exact Fourier coefficients on the exponent window [lo, hi] and
+        the tail max(|c_(lo-1)|, |c_(hi+1)|), read off the factors.
 
-        Returns (coeffs, tail_bound) where tail_bound estimates the largest
-        coefficient magnitude just outside the window.
+        With the roots split by _side, s = lead' t^w I(1/t) O(t): I = prod
+        (1 - z/t)^k over the roots in the open disk, O = prod (1 - t/r)^k
+        over the others, lead' = lead prod (-r)^k, w = mono plus the
+        multiplicities inside.  So c_n = lead' sum_j I_j O_(n-w+j), cut
+        where I drops below rounding: at the pad of the inner poles at
+        machine epsilon, plus the degree of the inner zeros.
         """
-        poly_part, terms = self.partial_fractions()
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        for i, c in enumerate(poly_part.coeffs):
-            e = poly_part.lo + i
-            if lo <= e <= hi and c != 0:
-                out[e - lo] += c
-        tail = 0.0
-        for z, residues in terms:
-            inside = abs(z) < 1.0
-            for j, r in enumerate(residues, start=1):
-                if r == 0:
-                    continue
-                if inside:
-                    # r/(t-z)^j = r * sum_i C(j+i-1, i) z^i t^(-j-i)
-                    i_hi = -lo - j
-                    if i_hi >= 0:
-                        i_arr = np.arange(i_hi + 1)
-                        vals = r * _binom_geom(j, i_arr, z)
-                        e_arr = -j - i_arr
-                        mask = e_arr <= hi
-                        out[e_arr[mask] - lo] += vals[mask]
-                    tail += abs(r * _binom_geom(j, np.array([max(0, -lo - j + 1)]), z)[0])
-                else:
-                    # r/(t-z)^j = r (-1)^j sum_i C(j+i-1, i) z^(-j-i) t^i
-                    if hi >= 0:
-                        i_arr = np.arange(max(lo, 0), hi + 1)
-                        vals = r * (-1) ** j * _binom_geom(j, i_arr, 1.0 / z) * z ** (-j)
-                        out[i_arr - lo] += vals
-                    tail += abs(r * _binom_geom(j, np.array([hi + 1]), 1.0 / z)[0] * z ** (-j))
-        return out, float(tail)
+        inner = _side(self.roots) < 0
+        z, k = self.roots[inner], self.mults[inner]
+        r, kr = self.roots[~inner], self.mults[~inner]
+        order = int(np.max(-k, initial=1))
+        last = self._pad(inner & (self.mults < 0), np.finfo(float).eps, order)
+        last += int(k[k > 0].sum())
+        w = self.mono + int(k.sum())
+        m_lo, m_hi = lo - 1 - w, hi + 1 - w     # indices of O at j = 0
+        if m_hi + last < 0:
+            return np.zeros(hi - lo + 1, complex), 0.0
+        outer = _binomial_product(1.0 / r, kr, m_hi + last + 1)
+        outer = np.concatenate([np.zeros(max(-m_lo, 0), complex), outer[max(m_lo, 0):]])
+        c = self.lead * np.prod((-r) ** kr) * np.convolve(
+            outer, _binomial_product(z, k, last + 1)[::-1], "valid")
+        return c[1:-1], float(max(abs(c[0]), abs(c[-1])))
 
     def part(self, which: str) -> "RationalSymbol":
         """The Riesz projection P(s) (which="P", exponents >= 0) or
@@ -445,11 +436,13 @@ class RationalSymbol:
 
     def analytic_pad(self, tol: float) -> int:
         """Index beyond which the analytic coefficients drop under tol: the
-        degree, or the pad of the poles outside the disk, which alone set
-        their decay, corrected for their order."""
+        degree, or past the numerator's degree the pad of the poles outside
+        the disk, which alone set their decay, corrected for their order."""
         outside = (self.mults < 0) & (_side(self.roots) > 0)
         order = int(np.max(-self.mults[outside], initial=1))
-        return max(self.mono + int(self.mults.sum()), self._pad(outside, tol, order))
+        top = self.mono + int(self.mults[self.mults > 0].sum())
+        return max(self.mono + int(self.mults.sum()),
+                   max(top, 0) + self._pad(outside, tol, order))
 
     def _pad(self, poles: np.ndarray, tol: float, order: int = 1) -> int:
         """The pad of the given poles.  Poles of order p scale a tail by
@@ -584,17 +577,35 @@ def _polynomial_factors(poly: LaurentPolynomial, mono: int, roots, mults):
 
 
 def _binomial_product(c: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """First n Taylor coefficients in v of prod (1 - c v)^k."""
+    """First n Taylor coefficients in v of prod (1 - c v)^k: a zero
+    multiplies by 1 - c v, a pole divides by it."""
     out = np.zeros(n, complex)
     out[0] = 1.0
-    i = np.arange(1, n)
     for ci, ki in zip(c, k):
-        if ci == 0 or ki == 0:
+        if ci == 0:
             continue
-        factor = np.ones(n, complex)
-        factor[1:] = np.cumprod((i - 1 - ki) / i * ci)
-        out = np.convolve(out, factor)[:n]
+        for _ in range(ki):
+            out[1:] -= ci * out[:-1]
+        if ki < 0:
+            _divide_geometric(out, ci, -ki)
     return out
+
+
+def _divide_geometric(x: np.ndarray, c: complex, times: int) -> None:
+    """x /= (1 - c v)^times, cut at len(x): times passes of the recurrence
+    y_i = x_i + c y_(i-1), each vectorised as y_(s+i) = c^i (c y_(s-1) +
+    sum_(l<=i) c^-l x_(s+l)) over blocks short enough that c^i and c^-i
+    stay within e^(+-36), far from overflow and underflow."""
+    n = len(x)
+    rate = abs(np.log(abs(c)))
+    block = n if rate * n <= 36.0 else max(1, int(36.0 / rate))
+    powers = c ** np.arange(block)
+    for _ in range(times):
+        carry = 0.0
+        for s in range(0, n, block):
+            p = powers[: n - s]
+            x[s : s + block] = p * (c * carry + np.cumsum(x[s : s + block] / p))
+            carry = x[s + len(p) - 1]
 
 
 def _eval_pf(terms, t: np.ndarray) -> np.ndarray:
@@ -608,18 +619,6 @@ def _eval_pf(terms, t: np.ndarray) -> np.ndarray:
             if r != 0:
                 acc = acc + r * p
     return acc
-
-
-def _binom_geom(j: int, i_arr: np.ndarray, z: complex) -> np.ndarray:
-    """C(j+i-1, i) * z^i for the i values requested (i >= 0, increasing)."""
-    if len(i_arr) == 0:
-        return np.zeros(0, complex)
-    i_max = int(i_arr[-1])
-    fac = np.ones(i_max + 1, dtype=complex)
-    if i_max > 0:
-        u = np.arange(1, i_max + 1)
-        fac[1:] = np.cumprod((j + u - 1) / u * z)
-    return fac[i_arr]
 
 
 def _reassemble(poly_part: LaurentPolynomial, terms) -> RationalSymbol:

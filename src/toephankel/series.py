@@ -6,8 +6,8 @@ complementary projections keep nonnegative (P) or negative (Q) exponents.
 
 fourier_coefficients computes symbol coefficients by FFT quadrature on the
 unit circle with grid doubling and a certified tail.  It shares no algebra
-with RationalSymbol.coefficients, the exact windows (partial fractions and
-geometric series) of the analytic pipeline, so the finite-section oracle
+with RationalSymbol.coefficients, the exact windows (binomial series of the
+factors) of the analytic pipeline, so the finite-section oracle
 builds its sections from it, and the tests check the two against each
 other.
 """

@@ -402,6 +402,18 @@ def test_transfer_round_trip_on_svd_kernel(shift2):
         assert block_residual_check(blk, f2, g2) < 1e-8
 
 
+def test_transfer_on_one_stacked_vector(shift2):
+    # a block null vector passed whole is split into its two halves
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    n = 128
+    vec = numerical_null_space(operator_section("block", pair, shift2, n)).right[:, 0]
+    stacked = transfer_U(pair, shift2, "U1", vec)
+    halves = transfer_U(pair, shift2, "U1", (vec[:n], vec[n:]))
+    for x, y in zip(stacked, halves):
+        assert x.lo == y.lo and np.array_equal(x.coeffs, y.coeffs)
+        assert x.norm() > 0.1
+
+
 def test_phi_image_inclusions(shift2):
     # phi_plus maps the minus eigenspace of T(d) into that of T(c)
     a = shift2.chi.power(-1)

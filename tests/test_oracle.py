@@ -87,22 +87,39 @@ def test_hankel_columns_match_exact_action_nonzero(beta):
     assert largest > 0.1
 
 
+def _hankel_by_definition(b, sh, n, m=2**15):
+    """H(b)'s n x n section column by column: the FFT of b * alpha_minus / t *
+    alpha^k on a fixed m-point grid, with the powers taken one by one."""
+    t = np.exp(2j * np.pi * np.arange(m) / m)
+    at = eval_alpha(sh, t)
+    w = b.eval(t) * sh.alpha_minus.eval(t) / t
+    return np.stack([np.fft.fft(w * at**k)[:n] / m for k in range(n)], axis=1)
+
+
 @pytest.mark.parametrize("beta", [2.0, 2j, 1.5 + 0.5j, 1.2, 1.05j])
 def test_hankel_entries_match_brute_force(beta):
-    # the definition column by column: FFT of b * alpha_minus / t * alpha^k on
-    # a fixed 2^15-point grid, with the powers taken one by one
     sh = make_shift(beta)
     b = sh.chi * RationalSymbol.from_factors(
         0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
     )
-    n, m = 128, 2**15
+    n = 128
     entries, _ = oracle._hankel_entries(b, sh, n)
-    t = np.exp(2j * np.pi * np.arange(m) / m)
-    at = eval_alpha(sh, t)
-    w = b.eval(t) * sh.alpha_minus.eval(t) / t
-    brute = np.stack([np.fft.fft(w * at**k)[:n] / m for k in range(n)], axis=1)
+    brute = _hankel_by_definition(b, sh, n)
     assert np.max(np.abs(brute)) > 0.1
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
+
+
+def test_hankel_window_counts_from_the_numerator_degree():
+    # b = t^30/(t - 2) has analytic coefficients -2^-(i+1) at 30 + i: the
+    # window must reach past the pole's pad counted from degree 30
+    sh = make_shift(2.0)
+    b = RationalSymbol.from_factors(1.0, 30, [2.0], [-1])
+    assert b.analytic_pad(np.finfo(float).eps) > 80
+    brute = _hankel_by_definition(b, sh, 128)
+    for n in (64, 128):
+        entries, tail = oracle._hankel_entries(b, sh, n)
+        assert tail < 1e-14
+        assert np.max(np.abs(entries - brute[:n, :n])) < 1e-12 * max(1.0, np.max(np.abs(brute)))
 
 
 def test_hankel_flip_window_cut_is_exact():
@@ -123,11 +140,7 @@ def test_hankel_flip_window_cut_is_exact():
     assert np.max(np.abs(norms - 1.0)) < 1e-12
     entries, tail = oracle._hankel_entries(b, sh, n)
     assert tail < 1e-14
-    m = 2**15   # the definition on a fixed grid, as in the brute-force test
-    t = np.exp(2j * np.pi * np.arange(m) / m)
-    at = eval_alpha(sh, t)
-    w = b.eval(t) * sh.alpha_minus.eval(t) / t
-    brute = np.stack([np.fft.fft(w * at**k)[:n] / m for k in range(n)], axis=1)
+    brute = _hankel_by_definition(b, sh, n)
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
 
 

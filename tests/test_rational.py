@@ -245,6 +245,39 @@ def test_projection_decomposes_once(monkeypatch):
         assert count(lambda: (s.part("P"), s.part("Q"), s.split_analytic())) == (0, 0)
 
 
+def test_window_left_of_an_outer_pole_is_zero():
+    coeffs, tail = RationalSymbol.from_factors(1.0, 0, [2.0], [-1]).coefficients(-5, -2)
+    assert np.array_equal(coeffs, np.zeros(4)) and tail == 0.0
+
+
+def test_windows_read_off_the_factors_match_fft(monkeypatch):
+    # random symbols and windows against a 2^16-point FFT, tails included;
+    # no window goes through partial fractions
+    def forbidden(self):
+        raise AssertionError("coefficients called partial_fractions")
+
+    monkeypatch.setattr(RationalSymbol, "partial_fractions", forbidden)
+    rng = np.random.default_rng(1404)
+    m = 2**16
+    t = np.exp(2j * np.pi * np.arange(m) / m)
+    for _ in range(60):
+        n = int(rng.integers(1, 6))
+        radius = np.where(rng.random(n) < 0.5, rng.uniform(0.3, 0.97, n),
+                          rng.uniform(1.03, 3.0, n))
+        roots = radius * np.exp(2j * np.pi * rng.random(n))
+        mults = rng.choice([-3, -2, -1, 1, 2], n)
+        s = RationalSymbol.from_factors(complex(*rng.normal(size=2)),
+                                        int(rng.integers(-3, 4)), roots, mults)
+        lo = int(rng.integers(-60, 61))
+        hi = int(rng.integers(lo, 61))
+        vals = s.eval(t)
+        ref = np.fft.fft(vals)[np.arange(lo - 1, hi + 2) % m] / m
+        coeffs, tail = s.coefficients(lo, hi)
+        scale = max(1.0, np.max(np.abs(vals)))
+        assert np.max(np.abs(coeffs - ref[1:-1])) < 1e-12 * scale
+        assert abs(tail - max(abs(ref[0]), abs(ref[-1]))) < 1e-12 * scale
+
+
 def _fft_coefficients(s, lo, hi, n=1024):
     """Independent oracle: Fourier coefficients from samples on the circle."""
     c = np.fft.fft(s.eval(np.exp(2j * np.pi * np.arange(n) / n))) / n

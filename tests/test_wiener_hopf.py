@@ -86,6 +86,15 @@ def test_right_inverse_series_path(shift2):
     assert (x - expect).norm() < 1e-10
 
 
+def test_left_inverse_series_path(shift2):
+    fac = factorize(shift2.chi)
+    h = shift2.chi * RationalSymbol.monomial(3)
+    x = apply_one_sided_inverse(fac, fourier_coefficients(h, (0, 4)), "left")
+    xr = apply_one_sided_inverse(fac, h, "left")
+    expect = fourier_coefficients(xr, (x.lo, x.hi))
+    assert (x - expect).norm() < 1e-10
+
+
 def test_two_sided_scalar():
     fac = factorize(RationalSymbol.constant(5.0))
     out = apply_one_sided_inverse(fac, RationalSymbol.monomial(2), "two_sided")
