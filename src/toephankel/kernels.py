@@ -37,7 +37,7 @@ from .errors import (
 from .matching import MatchingPair, adjoint_pair, alpha_signature, make_matching_pair
 from .oracle import FiniteSection, null_dims, pair_sections, residual_check
 from .rational import RationalSymbol
-from .series import TruncatedSeries, multiply_by_symbol
+from .series import TruncatedSeries
 from .shift import ShiftParams, apply_J_alpha, chi_power, compose_with_shift
 from .wiener_hopf import WHFactorization, apply_one_sided_inverse, factorize
 
@@ -62,11 +62,11 @@ def classify_regime(kappa1: int, kappa2: int) -> Regime:
 
 
 # ---------------------------------------------------------------------------
-# exact operator actions on analytic rationals
+# operator actions on analytic inputs, exact or windowed
 
 
-def toeplitz_apply(g: RationalSymbol, f: RationalSymbol) -> RationalSymbol:
-    """T(g) f = P(g f) for analytic rational f."""
+def toeplitz_apply(g: RationalSymbol, f: Union[RationalSymbol, TruncatedSeries]):
+    """T(g) f = P(g f) for analytic f, exact or windowed."""
     return (g * f).part("P")
 
 
@@ -77,9 +77,10 @@ def hankel_apply(b: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> Ra
 
 
 def operator_apply(
-    pair: MatchingPair, sign: int, f: RationalSymbol
-) -> RationalSymbol:
-    """(T(a) + sign H(b)) f = P(a f + sign b J f): one sum, one projection."""
+    pair: MatchingPair, sign: int, f: Union[RationalSymbol, TruncatedSeries]
+):
+    """(T(a) + sign H(b)) f = P(a f + sign b J f) for analytic f, exact or
+    windowed: one sum, one projection."""
     jf = apply_J_alpha(f, pair.shift)
     return (pair.a * f + float(sign) * (pair.b * jf)).part("P")
 
@@ -186,12 +187,12 @@ def phi_pm(
 def in_image_chi_power(
     h: Union[RationalSymbol, TruncatedSeries], n: int, shift: ShiftParams
 ):
-    """Is the analytic h divisible by chi^n?  Returns (flag, quotient).
+    """Is the analytic h, exact or windowed, divisible by chi^n?  Returns
+    (flag, quotient).
 
     Membership is equivalent to vanishing of the coefficients 0..n-1 of
-    h * alpha_minus^n; on success the quotient h / chi^n is returned
-    (exact rational division, or stable backward synthetic division for
-    coefficient windows).
+    h * alpha_minus^n; on success the quotient h * chi^-n is returned (for
+    a window, the analytic part of the windowed product).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -209,21 +210,9 @@ def in_image_chi_power(
     scale = max(1.0, h.norm())
     if h.part("Q").norm() > 1e-12 * scale:
         raise ValueError("input series must be analytic (no negative modes)")
-    prod = multiply_by_symbol(h, am_n)
-    vals = np.array([prod.coefficient(i) for i in range(n)])
-    if np.max(np.abs(vals)) >= IMAGE_TOL * scale:
+    if np.max(np.abs((h * am_n).to_vector(n))) >= IMAGE_TOL * scale:
         return False, None
-    bc = np.conj(shift.beta)
-    coeffs = h.to_vector(max(h.hi + 1, 2))
-    for _ in range(n):
-        # divide by (bc*t - 1): backward recursion is stable since |bc| > 1
-        q = np.zeros(len(coeffs) - 1, dtype=complex)
-        for i in range(len(q) - 1, -1, -1):
-            upper = q[i + 1] if i + 1 < len(q) else 0.0
-            q[i] = (coeffs[i + 1] + upper) / bc
-        coeffs = q
-    coeffs = coeffs * shift.lam**n
-    return True, TruncatedSeries(0, coeffs).trim()
+    return True, (h * chi_power(shift, -n)).part("P").trim()
 
 
 def _lift_exponent(kappa: int) -> int:
@@ -570,16 +559,6 @@ def _series_pair(vec):
     )
 
 
-def _toeplitz_series(g: RationalSymbol, f: TruncatedSeries) -> TruncatedSeries:
-    return multiply_by_symbol(f, g).part("P")
-
-
-def _op_series(pair: MatchingPair, sign: int, f: TruncatedSeries) -> TruncatedSeries:
-    jf = apply_J_alpha(f, pair.shift)
-    hank = multiply_by_symbol(jf.part("Q"), pair.b).part("P")
-    return _toeplitz_series(pair.a, f) + float(sign) * hank
-
-
 def transfer_U(
     pair: MatchingPair,
     shift: Optional[ShiftParams] = None,
@@ -597,26 +576,24 @@ def transfer_U(
     f, g = _series_pair(vec)
     scale = max(f.norm(), g.norm(), 1e-300)
     if direction == "U1":
-        r1 = _toeplitz_series(pair.d, g).norm()
-        r2 = (_toeplitz_series(pair.a_alpha_inv, g) - _toeplitz_series(pair.c, f)).norm()
+        r1 = toeplitz_apply(pair.d, g).norm()
+        r2 = (toeplitz_apply(pair.a_alpha_inv, g) - toeplitz_apply(pair.c, f)).norm()
         if max(r1, r2) > KERNEL_RESIDUAL_TOL * scale:
             raise NotInKernel("input fails the block-kernel residual gate")
-        cf = apply_J_alpha(multiply_by_symbol(f, pair.c).part("Q"), shift)
-        ag = apply_J_alpha(multiply_by_symbol(g, pair.a_alpha_inv).part("Q"), shift)
+        cf = apply_J_alpha((f * pair.c).part("Q"), shift)
+        ag = apply_J_alpha((g * pair.a_alpha_inv).part("Q"), shift)
         big = f - cf + ag
         small = f + cf - ag
         return (0.5 * big).trim(), (0.5 * small).trim()
     if direction == "U2":
         if max(
-            _op_series(pair, +1, f).norm(), _op_series(pair, -1, g).norm()
+            operator_apply(pair, +1, f).norm(), operator_apply(pair, -1, g).norm()
         ) > KERNEL_RESIDUAL_TOL * scale:
             raise NotInKernel("input fails the diagonal-kernel residual gate")
         b_alpha = compose_with_shift(pair.b, shift)
         a_alpha = compose_with_shift(pair.a, shift)
         total = f + g
         diff = apply_J_alpha((f - g).part("P"), shift)
-        second = (
-            multiply_by_symbol(total, b_alpha) + multiply_by_symbol(diff, a_alpha)
-        ).part("P")
+        second = (total * b_alpha + diff * a_alpha).part("P")
         return total.trim(), second.trim()
     raise ValueError("direction must be 'U1' or 'U2'")

@@ -15,6 +15,26 @@ import numpy as np
 TRIM_REL = 1e-13
 
 
+def add_windows(x, y) -> tuple[int, np.ndarray]:
+    """(lo, coeffs) of the sum of two windows, anything with lo, hi, coeffs."""
+    lo = min(x.lo, y.lo)
+    out = np.zeros(max(x.hi, y.hi) - lo + 1, dtype=complex)
+    out[x.lo - lo : x.lo - lo + len(x.coeffs)] += x.coeffs
+    out[y.lo - lo : y.lo - lo + len(y.coeffs)] += y.coeffs
+    return lo, out
+
+
+def horner(x, t) -> np.ndarray:
+    """sum_k x.coeffs[k] t^(x.lo + k) by Horner's rule, as an array."""
+    t = np.asarray(t, dtype=complex)
+    acc = np.zeros_like(t)
+    for c in x.coeffs[::-1]:
+        acc = acc * t + c
+    if x.lo != 0:
+        acc = acc * t**x.lo
+    return acc
+
+
 def _as_coeff_array(coeffs) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if arr.ndim != 1:
@@ -93,12 +113,7 @@ class LaurentPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        out[self.lo - lo : self.lo - lo + len(self.coeffs)] += self.coeffs
-        out[other.lo - lo : other.lo - lo + len(other.coeffs)] += other.coeffs
-        return LaurentPolynomial(lo, out)
+        return LaurentPolynomial(*add_windows(self, other))
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial(self.lo, -self.coeffs)
@@ -137,13 +152,7 @@ class LaurentPolynomial:
 
     def eval(self, t):
         """Evaluate at scalar or array t (t nonzero when lo < 0)."""
-        t = np.asarray(t, dtype=complex)
-        # Horner on the ascending coefficients, highest power first.
-        acc = np.zeros_like(t)
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        if self.lo != 0:
-            acc = acc * t**self.lo
+        acc = horner(self, t)
         return acc if acc.ndim else complex(acc)
 
     def roots(self) -> np.ndarray:

@@ -38,6 +38,7 @@ and winding numbers by counting the roots inside the disk.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Optional
@@ -210,6 +211,8 @@ class RationalSymbol:
                 np.concatenate([self.roots, other.roots]),
                 np.concatenate([self.mults, other.mults]),
             )
+        if not isinstance(other, numbers.Number):
+            return NotImplemented  # a TruncatedSeries takes the product itself
         return RationalSymbol.from_factors(
             self.lead * complex(other), self.mono, self.roots, self.mults
         )
@@ -431,8 +434,9 @@ class RationalSymbol:
         return tuple(self if w == side else RationalSymbol.constant(0.0) for w in which)
 
     def pad_for(self, tol: float = 1e-12) -> int:
-        """Window padding beyond which coefficient tails drop under tol."""
-        return self._pad(self.mults < 0, tol)
+        """Window padding beyond which coefficient tails drop under tol,
+        with the largest pole order counted as in analytic_pad."""
+        return self._pad(self.mults < 0, tol, int(np.max(-self.mults, initial=1)))
 
     def analytic_pad(self, tol: float) -> int:
         """Index beyond which the analytic coefficients drop under tol: the
@@ -444,7 +448,7 @@ class RationalSymbol:
         return max(self.mono + int(self.mults.sum()),
                    max(top, 0) + self._pad(outside, tol, order))
 
-    def _pad(self, poles: np.ndarray, tol: float, order: int = 1) -> int:
+    def _pad(self, poles: np.ndarray, tol: float, order: int) -> int:
         """The pad of the given poles.  Poles of order p scale a tail by
         C(i+p-1, p-1) < (i+p)^(p-1), so tol is divided by that factor at
         the pad of order 1."""

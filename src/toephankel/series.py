@@ -3,6 +3,8 @@
 TruncatedSeries is the numerical counterpart of RationalSymbol: a dense
 complex coefficient vector over the exponent window lo .. lo+len-1.  The
 complementary projections keep nonnegative (P) or negative (Q) exponents.
+A window times a RationalSymbol, f * s or s * f, is multiply_by_symbol, so
+each operator formula serves exact symbols and windows alike.
 
 fourier_coefficients computes symbol coefficients by FFT quadrature on the
 unit circle with grid doubling and a certified tail.  It shares no algebra
@@ -20,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooSmall
+from .laurent import add_windows, horner
 from .rational import RationalSymbol
 
 FFT_START = 1024
@@ -58,11 +61,6 @@ class TruncatedSeries:
         """The analytic series with coefficients vec on exponents 0, 1, ..."""
         return TruncatedSeries(0, np.asarray(vec, dtype=complex))
 
-    def coefficient(self, k: int) -> complex:
-        if self.lo <= k <= self.hi:
-            return complex(self.coeffs[k - self.lo])
-        return 0.0 + 0.0j
-
     def to_vector(self, n: int) -> np.ndarray:
         """Dense coefficients on [0, n); exponents outside are dropped."""
         out = np.zeros(n, dtype=complex)
@@ -86,34 +84,23 @@ class TruncatedSeries:
             self.lo + first, self.coeffs[first : last + 1], tail=self.tail
         )
 
-    def eval(self, t):
-        t = np.asarray(t, dtype=complex)
-        acc = np.zeros_like(t)
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc * t**self.lo
+    def eval(self, t) -> np.ndarray:
+        return horner(self, t)
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        out[self.lo - lo : self.lo - lo + len(self.coeffs)] += self.coeffs
-        out[other.lo - lo : other.lo - lo + len(other.coeffs)] += other.coeffs
-        return TruncatedSeries(lo, out)
+        return TruncatedSeries(*add_windows(self, other))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-1.0) * other
 
-    def __mul__(self, scalar) -> "TruncatedSeries":
-        return TruncatedSeries(self.lo, self.coeffs * complex(scalar), tail=self.tail)
+    def __mul__(self, other) -> "TruncatedSeries":
+        if isinstance(other, RationalSymbol):
+            return multiply_by_symbol(self, other)
+        return TruncatedSeries(self.lo, self.coeffs * complex(other), tail=self.tail)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        return TruncatedSeries(self.lo + k, self.coeffs, tail=self.tail)
 
     def convolve(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Coefficientwise product of the two windows."""
@@ -139,8 +126,8 @@ def project_analytic(f: TruncatedSeries, which: str) -> TruncatedSeries:
 
 
 def multiply_by_symbol(f: TruncatedSeries, s: RationalSymbol) -> TruncatedSeries:
-    """Coefficients of s*f, using the symbol's exact windowed coefficients
-    padded until their tails drop below 1e-12 (pad_for's default)."""
+    """Coefficients of f * s and s * f: f convolved with s's exact window,
+    cut where its tails, pole order counted, drop below 1e-12 (pad_for)."""
     pad = s.pad_for()
     lo = s.num.lo - (s.den.hi - s.den.lo) - pad
     hi = s.num.hi + pad

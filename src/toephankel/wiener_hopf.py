@@ -22,7 +22,7 @@ from typing import Union
 
 from .errors import NotFredholm, WrongSide
 from .rational import RationalSymbol
-from .series import TruncatedSeries, multiply_by_symbol
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ def apply_one_sided_inverse(
     """Apply the explicit one-sided inverse of T(g) to an analytic input.
 
     side='right' needs kappa >= 0, side='left' needs kappa <= 0,
-    side='two_sided' needs kappa = 0.  Rational inputs stay exact; series
-    inputs go through windowed coefficient convolutions.
+    side='two_sided' needs kappa = 0.  Exact or windowed h take the same
+    formula: rational inputs stay exact, windows are convolved.
     """
     kappa = fac.kappa
     if side == "right" and kappa < 0:
@@ -77,16 +77,9 @@ def apply_one_sided_inverse(
 
     gm_inv = fac.g_minus.invert()
     gp_inv = fac.g_plus.invert()
-    if isinstance(h, RationalSymbol):
-        if side == "right":
-            x = gm_inv * RationalSymbol.monomial(kappa) * h
-            return gp_inv * x.part("P")
-        x = (gm_inv * h).part("P")
-        x = RationalSymbol.monomial(kappa) * gp_inv * x
-        return x.part("P")
     if side == "right":
-        x = multiply_by_symbol(h.shift(kappa), gm_inv).part("P")
-        return multiply_by_symbol(x, gp_inv).trim()
-    x = multiply_by_symbol(h, gm_inv).part("P")
-    x = multiply_by_symbol(x, gp_inv).shift(kappa)
-    return x.part("P").trim()
+        x = gm_inv * RationalSymbol.monomial(kappa) * h
+        return gp_inv * x.part("P")
+    x = (gm_inv * h).part("P")
+    x = RationalSymbol.monomial(kappa) * gp_inv * x
+    return x.part("P")

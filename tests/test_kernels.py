@@ -141,6 +141,18 @@ def test_in_image_series_path(shift2):
     assert not ok2
 
 
+@pytest.mark.parametrize("beta", [2.0, 1.5 + 0.5j, 1.2])
+def test_in_image_series_high_power(beta):
+    # the windowed quotient h * chi^-n against the exact one, up to n = 8
+    sh = make_shift(beta)
+    for n, k in ((3, 4), (6, 7), (8, 9), (8, 8)):
+        ok, q = in_image_chi_power(analytic_series(sh.chi.power(k)), n, sh)
+        assert ok
+        assert (q - analytic_series(sh.chi.power(k - n))).norm() < 1e-12
+    ok, _ = in_image_chi_power(analytic_series(sh.chi.power(5)), 6, sh)
+    assert not ok
+
+
 def test_defect_right_invertible(shift2):
     pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
     rep = defect_numbers(pair, oracle_size=256)
@@ -158,7 +170,8 @@ def test_defect_right_invertible(shift2):
 def test_defect_high_index_chi_power(shift2, k):
     # a = b = chi^-k: c = 1 and d = chi^(-2k), so kappa = (0, 2k) and both
     # kernels have dimension k.  The oracle runs at N = 256, above
-    # 2 * margin + dim for both k (section margins 86 and 94).
+    # f.hi + margin for every basis function f, which the residual gate
+    # checks (section margins 114 and 146, f.hi at most 5 and 9).
     s = shift2.chi.power(-k)
     pair = make_matching_pair(s, s, shift2)
     assert (pair.kappa1, pair.kappa2) == (0, 2 * k)
@@ -383,6 +396,12 @@ def test_transfer_membership_gate(shift2):
     pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
     with pytest.raises(NotInKernel):
         transfer_U(pair, shift2, "U1", (TruncatedSeries.basis(3), TruncatedSeries.zero()))
+
+
+def test_transfer_U2_membership_gate(shift2):
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    with pytest.raises(NotInKernel):
+        transfer_U(pair, shift2, "U2", (TruncatedSeries.basis(3), TruncatedSeries.zero()))
 
 
 def test_transfer_round_trip_on_svd_kernel(shift2):

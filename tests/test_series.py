@@ -6,6 +6,7 @@ from toephankel import (
     RationalSymbol,
     TruncatedSeries,
     fourier_coefficients,
+    make_shift,
     project_analytic,
 )
 from toephankel.errors import GridTooSmall
@@ -82,6 +83,38 @@ def test_multiply_by_symbol_matches_pointwise(rng, shift2):
     out = multiply_by_symbol(f, s)
     t = np.exp(2j * np.pi * (np.arange(64) + 0.3) / 64)
     assert np.max(np.abs(out.eval(t) - s.eval(t) * f.eval(t))) < 1e-9
+
+
+def test_window_times_symbol_in_either_order(rng, all_shifts):
+    # f * s and s * f are the windowed product, bit for bit
+    s = all_shifts[2].chi.power(-2) * RationalSymbol.monomial(3)
+    f = TruncatedSeries(-4, rng.normal(size=9) + 1j * rng.normal(size=9))
+    ref = multiply_by_symbol(f, s)
+    for out in (s * f, f * s):
+        assert out.lo == ref.lo and np.array_equal(out.coeffs, ref.coeffs)
+
+
+def test_symbol_times_non_number_raises(shift2):
+    # complex("2") would parse the string
+    with pytest.raises(TypeError):
+        shift2.chi * "2"
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5 + 0.5j, 1.2])
+def test_symbol_window_counts_pole_order(beta):
+    # 1 * s is s's window, which must not be cut before its tail drops
+    # below 1e-12 when the poles are multiple: compared on every exponent
+    # against a 2^16-point FFT, zero outside the window
+    sh = make_shift(beta)
+    m = 2**16
+    t = np.exp(2j * np.pi * np.arange(m) / m)
+    for k in (3, 6, 8, 12):
+        for s in (sh.chi.power(-k), sh.alpha_minus.power(k)):
+            ref = np.fft.fft(s.eval(t)) / m
+            out = s * TruncatedSeries.basis(0)
+            win = np.zeros(m, complex)
+            win[np.mod(np.arange(out.lo, out.hi + 1), m)] = out.coeffs
+            assert np.max(np.abs(win - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_fft_tail_relative_to_scale(rng):

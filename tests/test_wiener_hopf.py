@@ -9,6 +9,7 @@ from toephankel import (
     eval_gplus_inverse_at,
     factorize,
     fourier_coefficients,
+    make_shift,
 )
 from toephankel.errors import NotFredholm, WrongSide
 from toephankel.kernels import toeplitz_apply
@@ -91,6 +92,23 @@ def test_left_inverse_series_path(shift2):
     h = shift2.chi * RationalSymbol.monomial(3)
     x = apply_one_sided_inverse(fac, fourier_coefficients(h, (0, 4)), "left")
     xr = apply_one_sided_inverse(fac, h, "left")
+    expect = fourier_coefficients(xr, (x.lo, x.hi))
+    assert (x - expect).norm() < 1e-10
+
+
+@pytest.mark.parametrize("index, side", [(2, "right"), (-2, "left")])
+def test_one_sided_inverse_series_path_two_sided_roots(index, side):
+    # g = chi^-index h with zeros and poles of h on both sides of the circle
+    sh = make_shift(1.5 + 0.5j)
+    h = RationalSymbol(
+        LaurentPolynomial.from_roots([0.3 + 0.2j, 2.5], 1.3 - 0.4j),
+        LaurentPolynomial.from_roots([0.5 - 0.1j, -3j]),
+    )
+    fac = factorize(sh.chi.power(-index) * h)
+    assert fac.kappa == index
+    coeffs = [1.0, 0.5, 0.0, -0.2j]
+    x = apply_one_sided_inverse(fac, TruncatedSeries(0, coeffs), side)
+    xr = apply_one_sided_inverse(fac, RationalSymbol(LaurentPolynomial(0, coeffs)), side)
     expect = fourier_coefficients(xr, (x.lo, x.hi))
     assert (x - expect).norm() < 1e-10
 
