@@ -76,18 +76,23 @@ def hankel_apply(b: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> Ra
     return (b * jf).part("P")
 
 
+def _operator_symbol(pair: MatchingPair, sign: int, f):
+    """a f + sign b J f, whose P is (T(a) + sign H(b)) f for analytic f."""
+    return pair.a * f + float(sign) * (pair.b * apply_J_alpha(f, pair.shift))
+
+
 def operator_apply(
     pair: MatchingPair, sign: int, f: Union[RationalSymbol, TruncatedSeries]
 ):
     """(T(a) + sign H(b)) f = P(a f + sign b J f) for analytic f, exact or
     windowed: one sum, one projection."""
-    jf = apply_J_alpha(f, pair.shift)
-    return (pair.a * f + float(sign) * (pair.b * jf)).part("P")
+    return _operator_symbol(pair, sign, f).part("P")
 
 
 def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float:
+    """sup |(T(a) + sign H(b)) f| / max(1, sup |f|) on 128 circle points."""
     scale = max(1.0, f.sup_norm_on_circle(128))
-    return operator_apply(pair, sign, f).sup_norm_on_circle(128) / scale
+    return _operator_symbol(pair, sign, f).part_sup_norm("P", 128) / scale
 
 
 def analytic_series(f: RationalSymbol) -> TruncatedSeries:
@@ -112,10 +117,14 @@ def toeplitz_kernel_split(
     dropped, of dimensions m + (1 +/- sigma)/2.
     """
     fac = factorize(g)
+    if fac.kappa <= 0:
+        raise NotApplicable(f"kernel split needs index >= 1, got {fac.kappa}")
+    return _kernel_split(fac, alpha_signature(g, shift), shift)
+
+
+def _kernel_split(fac: WHFactorization, sigma: int, shift: ShiftParams):
+    """toeplitz_kernel_split given g's factorization and signature."""
     n = fac.kappa
-    if n <= 0:
-        raise NotApplicable(f"kernel split needs index >= 1, got {n}")
-    sigma = alpha_signature(g, shift)
     gpi = fac.g_plus.invert()
     plus: list[RationalSymbol] = []
     minus: list[RationalSymbol] = []
@@ -163,21 +172,19 @@ def phi_pm(
 ) -> RationalSymbol:
     """Transport of s in ker T(d) into ker(T(a) + sign * H(b)).
 
-    2 phi(s) = x -/+ J Q c x +/- J Q a_alpha^-1 s  with
-    x = T_r^-1(c) T(a_alpha^-1) s; requires T(c) right-invertible.
+    2 phi(s) = x -/+ J Q c x +/- J Q w  with w = a_alpha^-1 s and
+    x = T_r^-1(c) P(w); requires T(c) right-invertible.  T(c) T_r^-1(c) = I
+    gives P(c x) = P(w), so c x - w = Q(c x) - Q(w) and 2 phi(s) =
+    x -/+ J (c x - w): one projection besides T_r^-1(c)'s, one sum, one flip.
     """
     if pair.kappa1 < 0:
         raise WrongRegime("phi maps need a right-invertible T(c)")
     scale = max(1.0, s.sup_norm_on_circle(128))
-    if toeplitz_apply(pair.d, s).sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
+    if (pair.d * s).part_sup_norm("P", 128) > KERNEL_RESIDUAL_TOL * scale:
         raise NotInKernel("s is not in ker T(d)")
-    w_plus, w_minus = (pair.a_alpha_inv * s).split_analytic()
-    x = apply_one_sided_inverse(fac_c, w_plus, "right")
-    u = apply_J_alpha((pair.c * x).part("Q"), shift)
-    v = apply_J_alpha(w_minus, shift)
-    if sign > 0:
-        return 0.5 * (x - u + v)
-    return 0.5 * (x + u - v)
+    w = pair.a_alpha_inv * s
+    x = apply_one_sided_inverse(fac_c, w.part("P"), "right")
+    return 0.5 * (x - float(sign) * apply_J_alpha(pair.c * x - w, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +210,7 @@ def in_image_chi_power(
         if np.max(np.abs(vals)) >= IMAGE_TOL * scale:
             return False, None
         quotient = h * chi_power(shift, -n)
-        q_side = quotient.part("Q")
-        if q_side.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
+        if quotient.part_sup_norm("Q", 128) > KERNEL_RESIDUAL_TOL * scale:
             raise CrossCheckMismatch("certified quotient came out non-analytic")
         return True, quotient
     scale = max(1.0, h.norm())
@@ -227,11 +233,7 @@ def _intersect_and_divide(
     if not funcs:
         return []
     am_n = shift.alpha_minus.power(n)
-    rows = []
-    for f in funcs:
-        vals, _ = (f * am_n).coefficients(0, n - 1)
-        rows.append(vals)
-    m = np.array(rows).T  # n x dim
+    m = np.array([(f * am_n).coefficients(0, n - 1)[0] for f in funcs]).T  # n x dim
     _, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > RANK_TOL * (s[0] if len(s) and s[0] > 0 else 1.0)))
     null_vecs = vh[rank:].conj().T  # dim x q
@@ -242,9 +244,8 @@ def _intersect_and_divide(
             if abs(w) > 1e-14:
                 acc = acc + complex(w) * f
         quotient = acc * chi_power(shift, -n)
-        q_side = quotient.part("Q")
         scale = max(1.0, quotient.sup_norm_on_circle(128))
-        if q_side.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
+        if quotient.part_sup_norm("Q", 128) > KERNEL_RESIDUAL_TOL * scale:
             raise CrossCheckMismatch("lifted quotient is not analytic")
         out.append(quotient)
     return out
@@ -257,13 +258,13 @@ def _kernel_functions(pair: MatchingPair):
     plus: list[tuple[RationalSymbol, str]] = []
     minus: list[tuple[RationalSymbol, str]] = []
     if k1 >= 0:
+        fac_c = factorize(pair.c)
         if k1 >= 1:
-            b_plus, b_minus = toeplitz_kernel_split(pair.c, shift)
+            b_plus, b_minus = _kernel_split(fac_c, pair.sigma_c, shift)
             plus += [(f, "P_minus_c") for f in b_minus]
             minus += [(f, "P_plus_c") for f in b_plus]
         if k2 >= 1:
-            fac_c = factorize(pair.c)
-            d_plus, d_minus = toeplitz_kernel_split(pair.d, shift)
+            d_plus, d_minus = _kernel_split(factorize(pair.d), pair.sigma_d, shift)
             plus += [(phi_pm(s, pair, fac_c, +1, shift), "phi_plus_d") for s in d_plus]
             minus += [(phi_pm(s, pair, fac_c, -1, shift), "phi_minus_d") for s in d_minus]
     elif k2 >= 1:
@@ -271,15 +272,11 @@ def _kernel_functions(pair: MatchingPair):
         lifted = make_matching_pair(
             pair.a * chi_power(shift, -n), pair.b * chi_power(shift, n), shift
         )
-        if lifted.kappa1 != k1 + 2 * n or lifted.kappa2 != k2:
+        if lifted.kappa1 != k1 + 2 * n or lifted.kappa2 != k2 or not lifted.is_fredholm:
             raise CrossCheckMismatch("lifted pair has unexpected indices")
         br_plus, br_minus = _kernel_functions(lifted)
-        plus += [
-            (f, "lifted") for f in _intersect_and_divide([g for g, _ in br_plus], n, shift)
-        ]
-        minus += [
-            (f, "lifted") for f in _intersect_and_divide([g for g, _ in br_minus], n, shift)
-        ]
+        for out, br in ((plus, br_plus), (minus, br_minus)):
+            out += [(f, "lifted") for f in _intersect_and_divide([g for g, _ in br], n, shift)]
     # kappa1 <= -1 and kappa2 <= 0: both kernels are trivial
     for sign, funcs in ((+1, plus), (-1, minus)):
         for f, _tag in funcs:
@@ -576,12 +573,13 @@ def transfer_U(
     f, g = _series_pair(vec)
     scale = max(f.norm(), g.norm(), 1e-300)
     if direction == "U1":
+        cf, ag = f * pair.c, g * pair.a_alpha_inv
         r1 = toeplitz_apply(pair.d, g).norm()
-        r2 = (toeplitz_apply(pair.a_alpha_inv, g) - toeplitz_apply(pair.c, f)).norm()
+        r2 = (ag.part("P") - cf.part("P")).norm()
         if max(r1, r2) > KERNEL_RESIDUAL_TOL * scale:
             raise NotInKernel("input fails the block-kernel residual gate")
-        cf = apply_J_alpha((f * pair.c).part("Q"), shift)
-        ag = apply_J_alpha((g * pair.a_alpha_inv).part("Q"), shift)
+        cf = apply_J_alpha(cf.part("Q"), shift)
+        ag = apply_J_alpha(ag.part("Q"), shift)
         big = f - cf + ag
         small = f + cf - ag
         return (0.5 * big).trim(), (0.5 * small).trim()

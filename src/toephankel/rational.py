@@ -4,15 +4,20 @@ A symbol is kept as
 
     lead * t^mono * prod_i (t - roots[i])^mults[i]
 
-with distinct nonzero roots and nonzero integer multiplicities, positive
-for zeros and negative for poles.  Products, inverses, powers, the
-boundary conjugate and substitutions are bookkeeping on this list, so an
-m-fold root stays one root of multiplicity m instead of scattering like
-eps^(1/m) under a root finder.  No other module reads the factors; they
-use two primitives: circle_factors splits a symbol by the one partition of
-its roots (_side: inside, within DELTA_CIRCLE of, or outside the circle;
-circle_zeros lists the zeros on it), and compose_moebius substitutes a
-Moebius map, alpha in shift.compose_with_shift and 1/t in conjugate_bar.
+with nonzero roots, pairwise farther apart than ROOT_TOL, and nonzero
+integer multiplicities, positive for zeros and negative for poles.
+Products, inverses, powers, the boundary conjugate and substitutions are
+bookkeeping on this list, so an m-fold root stays one root of
+multiplicity m instead of scattering like eps^(1/m) under a root finder.
+The roots being pairwise apart keeps that bookkeeping cheap: -s, scalar
+* s, invert and power keep the roots as they are, and a product only
+matches the roots of one factor against the other's (_align); only a
+general factor list is merged in full (_merge).  No other module reads
+the factors; they use two primitives: circle_factors splits a symbol by
+the one partition of its roots (_side: inside, within DELTA_CIRCLE of, or
+outside the circle; circle_zeros lists the zeros on it), and
+compose_moebius substitutes a Moebius map, alpha in
+shift.compose_with_shift and 1/t in conjugate_bar.
 
 Only a sum needs root finding.  It factors out the roots both terms share,
 at their smaller multiplicity, expands what is left into one polynomial
@@ -21,8 +26,9 @@ known roots at the single relative tolerance ROOT_TOL, which cancels a
 zero against a pole.  Coefficient input RationalSymbol(num, den) is
 factored once, on entry, with one np.roots call per polynomial; since an
 m-fold input root comes back scattered, roots within ENTRY_TOL are taken
-as one multiple root when that reproduces the input values (_entry_roots).  The coefficient vectors num/den
-and the root lists num_roots/den_roots are derived from the factors.
+as one multiple root when that reproduces the input values
+(_entry_roots).  The coefficient vectors num/den and the root lists
+num_roots/den_roots are derived from the factors.
 
 Admissibility means no pole inside the exclusion annulus
 | |z| - 1 | < DELTA_CIRCLE, so evaluation on the circle is bounded.
@@ -32,15 +38,18 @@ window, read off the factors as the product of one binomial series per
 root (coefficients); partial fractions, principal parts from Taylor
 expansions at the known poles, which serve only the Riesz projections P
 (exponents >= 0) and Q = I - P (part builds one alone, from one
-decomposition; a symbol with its poles on one side is its own P or Q);
-and winding numbers by counting the roots inside the disk.
+decomposition; a symbol with its poles on one side is its own P or Q;
+part_sup_norm evaluates one part's sup norm off the decomposition, with
+no part built); and winding numbers by counting the roots inside the
+disk.
 """
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -83,27 +92,24 @@ class RationalSymbol:
             np.concatenate([counts, -orders]),
         )
 
-    def _factor(self, lead, mono, roots, mults) -> None:
-        """Store the canonical factors: roots merged within ROOT_TOL, roots
-        at 0 folded into the monomial, poles checked against the annulus."""
-        lead = complex(lead)
-        roots = np.asarray(roots, complex)
-        mults = np.asarray(mults, int)
-        if not (np.isfinite(lead) and np.all(np.isfinite(roots))):
+    def _factor(self, lead, mono, roots, mults, merged: bool = False) -> None:
+        """Store the canonical factors: roots merged within ROOT_TOL (unless
+        merged: pairwise apart already), roots at 0 folded into the monomial,
+        zero multiplicities dropped, poles checked against the annulus."""
+        lead, roots = complex(lead), np.asarray(roots, complex).tolist()
+        if not (cmath.isfinite(lead) and all(map(cmath.isfinite, roots))):
             raise ValueError("non-finite factor")
-        if lead == 0:
-            mono, roots, mults = 0, roots[:0], mults[:0]
-        else:
-            roots, mults = _merge(roots, mults)
-            at_zero = roots == 0
-            mono = int(mono) + int(mults[at_zero].sum())
-            roots, mults = roots[~at_zero], mults[~at_zero]
-            bad = (mults < 0) & (_side(roots) == 0)
-            if np.any(bad):
-                raise DenominatorNearZero(
-                    f"pole(s) {roots[bad]} inside the circle annulus (delta={DELTA_CIRCLE})"
-                )
-        self._store(lead, mono, roots, mults)
+        mults = np.asarray(mults, int).tolist() if lead else [0] * len(roots)
+        if lead and not merged:
+            mults = _merge(roots, mults)
+        mono = int(mono) + sum(k for r, k in zip(roots, mults) if r == 0) if lead else 0
+        kept = [(r, k) for r, k in zip(roots, mults) if k and r != 0]
+        bad = [r for r, k in kept if k < 0 and abs(abs(r) - 1.0) < DELTA_CIRCLE]  # _side's 0
+        if bad:
+            raise DenominatorNearZero(
+                f"pole(s) {np.array(bad)} inside the circle annulus (delta={DELTA_CIRCLE})")
+        self._store(lead, mono, np.array([r for r, _ in kept], complex),
+                    np.array([k for _, k in kept], int))
 
     def _store(self, lead, mono, roots, mults) -> None:
         roots.setflags(write=False)
@@ -116,16 +122,19 @@ class RationalSymbol:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_factors(cls, lead: complex, mono: int = 0, roots=(), mults=()):
-        """lead * t^mono * prod (t - roots)^mults; equal roots are merged."""
+    def from_factors(cls, lead: complex, mono: int = 0, roots=(), mults=(), merged=False):
+        """lead * t^mono * prod (t - roots)^mults; equal roots are merged,
+        unless merged says the roots are pairwise apart already."""
         out = object.__new__(cls)
-        out._factor(lead, mono, roots, mults)
+        out._factor(lead, mono, roots, mults, merged)
         return out
 
     @classmethod
     def _canonical(cls, lead: complex, mono: int, roots, mults):
-        """Factors that are canonical already (a subset or the conjugates
-        of a symbol's factors), stored without merging or checks."""
+        """Roots canonical already (a symbol's, a subset or their conjugates,
+        making no new pole), stored unchecked; a zero or inf lead: from_factors."""
+        if lead == 0 or not cmath.isfinite(lead):
+            return cls.from_factors(lead, mono, roots, mults)
         out = object.__new__(cls)
         out._store(lead, mono, roots, mults)
         return out
@@ -193,34 +202,29 @@ class RationalSymbol:
         return out if np.ndim(out) else complex(out)
 
     def sup_norm_on_circle(self, grid: int = 512) -> float:
-        t = np.exp(2j * np.pi * (np.arange(grid) + 0.2371) / grid)
-        return float(np.max(np.abs(self.eval(t))))
+        return float(np.max(np.abs(self.eval(_circle(grid)))))
 
     def distance_to(self, other: "RationalSymbol", grid: int = 512) -> float:
         """sup over a circle grid of |self - other|."""
-        t = np.exp(2j * np.pi * (np.arange(grid) + 0.2371) / grid)
+        t = _circle(grid)
         return float(np.max(np.abs(self.eval(t) - other.eval(t))))
 
     # -- algebra ----------------------------------------------------------------
 
     def __mul__(self, other) -> "RationalSymbol":
         if isinstance(other, RationalSymbol):
-            return RationalSymbol.from_factors(
-                self.lead * other.lead,
-                self.mono + other.mono,
-                np.concatenate([self.roots, other.roots]),
-                np.concatenate([self.mults, other.mults]),
-            )
+            roots, ka, kb = _align(self, other)
+            return RationalSymbol.from_factors(self.lead * other.lead, self.mono + other.mono,
+                                               roots, ka + kb, merged=True)
         if not isinstance(other, numbers.Number):
             return NotImplemented  # a TruncatedSeries takes the product itself
-        return RationalSymbol.from_factors(
-            self.lead * complex(other), self.mono, self.roots, self.mults
-        )
+        lead = self.lead * complex(other)
+        return RationalSymbol._canonical(lead, self.mono, self.roots, self.mults)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "RationalSymbol":
-        return RationalSymbol.from_factors(-self.lead, self.mono, self.roots, self.mults)
+        return RationalSymbol._canonical(-self.lead, self.mono, self.roots, self.mults)
 
     def __add__(self, other) -> "RationalSymbol":
         """Sum with one root-finding step on the part the terms do not share."""
@@ -248,9 +252,7 @@ class RationalSymbol:
             raise NotInvertibleOnCircle(
                 "symbol has a zero inside the circle annulus"
             )
-        return RationalSymbol.from_factors(
-            1.0 / self.lead, -self.mono, self.roots, -self.mults
-        )
+        return RationalSymbol._canonical(1.0 / self.lead, -self.mono, self.roots, -self.mults)
 
     def conjugate_bar(self) -> "RationalSymbol":
         """Boundary-function conjugate: sum c_k t^k -> sum conj(c_k) t^-k.
@@ -276,7 +278,7 @@ class RationalSymbol:
             return self
         roots = np.append(self.roots, 0.0)
         mults = np.append(self.mults, self.mono)
-        at_inf = _close(roots, np.array([p / r]))[:, 0]
+        at_inf = np.array([_first_near(p / r, [z]) == 0 for z in roots.tolist()])
         z, k = roots[~at_inf], mults[~at_inf]
         degree = int(mults.sum())
         lead = (
@@ -294,9 +296,7 @@ class RationalSymbol:
             return RationalSymbol.constant(1.0)
         base = self if k > 0 else self.invert()
         k = abs(k)
-        return RationalSymbol.from_factors(
-            base.lead**k, base.mono * k, base.roots, base.mults * k
-        )
+        return RationalSymbol._canonical(base.lead**k, base.mono * k, base.roots, base.mults * k)
 
     def winding_number(self) -> int:
         """#zeros minus #poles inside the open disk (with multiplicity).
@@ -416,21 +416,34 @@ class RationalSymbol:
         """
         return self._parts("PQ")
 
-    def _parts(self, which: str) -> tuple:
-        """The parts named in which.  With no pole in the open disk and
-        mono >= 0 the symbol is its own P; with no pole outside and negative
-        degree, its own Q (no pole lies in the annulus); the other part is 0.
-        Else one partial_fractions, and one _reassemble per part."""
+    def part_sup_norm(self, which: str, grid: int) -> float:
+        """sup over a circle grid of |P(s)| or |Q(s)|, evaluated off the
+        partial fractions without building the part (no _reassemble)."""
+        if which not in ("P", "Q"):
+            raise ValueError("which must be 'P' or 'Q'")
+        side, t = self._own_part(), _circle(grid)
+        if side is not None:
+            return self.sup_norm_on_circle(grid) if side == which else 0.0
+        poly_part, terms = _side_terms(*self.partial_fractions(), which)
+        return float(np.max(np.abs(poly_part.eval(t) + _eval_pf(terms, t))))
+
+    def _own_part(self) -> Optional[str]:
+        """"P" with no pole in the open disk and mono >= 0, "Q" with no pole
+        outside (none is in the annulus) and negative degree, else None."""
         outer = np.abs(self.roots[self.mults < 0]) > 1.0
         if self.mono >= 0 and np.all(outer):
-            side = "P"
-        elif self.mono + int(self.mults.sum()) < 0 and not np.any(outer):
-            side = "Q"
-        else:
-            poly_part, terms = self.partial_fractions()
-            return tuple(_reassemble(poly_part if w == "P" else LaurentPolynomial.zero(),
-                                     [(z, r) for z, r in terms if (abs(z) > 1.0) == (w == "P")])
-                         for w in which)
+            return "P"
+        if self.mono + int(self.mults.sum()) < 0 and not np.any(outer):
+            return "Q"
+        return None
+
+    def _parts(self, which: str) -> tuple:
+        """The parts named in which: a one-sided symbol (_own_part) and 0,
+        else one partial_fractions and one _reassemble per part."""
+        side = self._own_part()
+        if side is None:
+            pf = self.partial_fractions()
+            return tuple(_reassemble(*_side_terms(*pf, w)) for w in which)
         return tuple(self if w == side else RationalSymbol.constant(0.0) for w in which)
 
     def pad_for(self, tol: float = 1e-12) -> int:
@@ -483,31 +496,41 @@ def _side(roots: np.ndarray) -> np.ndarray:
     return gap
 
 
-def _close(x: np.ndarray, y: np.ndarray, tol: float = ROOT_TOL) -> np.ndarray:
-    """Matrix of |x_i - y_j| <= tol * max(1, |x_i|, |y_j|)."""
-    scale = np.maximum(1.0, np.maximum.outer(np.abs(x), np.abs(y)))
-    return np.abs(x[:, None] - y[None, :]) <= tol * scale
+@cache
+def _circle(grid: int) -> np.ndarray:
+    """The circle grid of the sup norms, offset from the roots of unity."""
+    t = np.exp(2j * np.pi * (np.arange(grid) + 0.2371) / grid)
+    t.setflags(write=False)
+    return t
 
 
-def _groups(roots: np.ndarray, tol: float) -> np.ndarray:
-    """For each root, the index of the first root of its group within tol."""
-    rep = np.argmax(_close(roots, roots, tol), axis=1)  # first root it matches
-    while np.any(rep[rep] != rep):
-        rep = rep[rep]
+def _first_near(x: complex, roots: list, tol: float = ROOT_TOL) -> int:
+    """Index of the first y in roots with |x - y| <= tol * max(1, |x|, |y|),
+    the one rule for the same root, else len(roots)."""
+    sx = max(1.0, abs(x))
+    for j, y in enumerate(roots):
+        if abs(x - y) <= tol * max(sx, abs(y)):
+            return j
+    return len(roots)
+
+
+def _groups(roots: list, tol: float) -> list:
+    """For each root, the index of the first root of its group within tol:
+    the first root it is near (itself at the latest), chained on."""
+    rep = []
+    for i, x in enumerate(roots):
+        j = _first_near(x, roots, tol)
+        rep.append(rep[j] if j < i else i)
     return rep
 
 
-def _merge(roots: np.ndarray, mults: np.ndarray):
-    """Identify roots within ROOT_TOL of each other, adding multiplicities;
-    roots whose multiplicities cancel to zero are dropped."""
-    if len(roots) > 1:
-        rep = _groups(roots, ROOT_TOL)
-        if np.any(rep != np.arange(len(roots))):
-            total = np.zeros(len(roots), int)
-            np.add.at(total, rep, mults)
-            mults = total
-    keep = mults != 0
-    return roots[keep], mults[keep]
+def _merge(roots: list, mults: list) -> list:
+    """Multiplicities after identifying roots within ROOT_TOL: each group's
+    total at its representative, 0 at the other roots of the group."""
+    total = [0] * len(roots)
+    for i, k in zip(_groups(roots, ROOT_TOL), mults):
+        total[i] += k
+    return total
 
 
 def _entry_roots(poly: LaurentPolynomial):
@@ -522,7 +545,7 @@ def _entry_roots(poly: LaurentPolynomial):
     ones = np.ones(len(found), int)
     if len(found) < 2:
         return found, ones
-    rep, where = np.unique(_groups(found, ENTRY_TOL), return_inverse=True)
+    rep, where = np.unique(_groups(found.tolist(), ENTRY_TOL), return_inverse=True)
     if len(rep) == len(found):
         return found, ones
     counts = np.bincount(where)
@@ -539,17 +562,18 @@ def _entry_roots(poly: LaurentPolynomial):
 
 
 def _align(a: RationalSymbol, b: RationalSymbol):
-    """The union of two root lists (within ROOT_TOL) and the multiplicity
-    each symbol has on it."""
-    close = _close(a.roots, b.roots)
-    hit = np.any(close, axis=0)
-    roots = np.concatenate([a.roots, b.roots[~hit]])
-    ka = np.concatenate([a.mults, np.zeros(np.count_nonzero(~hit), int)])
-    kb = np.zeros(len(roots), int)
-    if np.any(hit):
-        np.add.at(kb, np.argmax(close[:, hit], axis=0), b.mults[hit])
-    kb[len(a.roots):] = b.mults[~hit]
-    return roots, ka, kb
+    """The union of two root lists and the multiplicity each symbol has on
+    it: a root of b joins the first root of a it is near, else comes after.
+    Each list is pairwise apart, so this is the full merge of the two."""
+    ra = a.roots.tolist()
+    roots, ka, kb = list(ra), a.mults.tolist(), [0] * len(ra)
+    for r, k in zip(b.roots.tolist(), b.mults.tolist()):
+        i = _first_near(r, ra)
+        if i == len(ra):
+            i = len(roots)
+            roots, ka, kb = roots + [r], ka + [0], kb + [0]
+        kb[i] += k
+    return roots, np.array(ka, int), np.array(kb, int)
 
 
 def _repeat(roots: np.ndarray, mults: np.ndarray) -> np.ndarray:
@@ -623,6 +647,14 @@ def _eval_pf(terms, t: np.ndarray) -> np.ndarray:
             if r != 0:
                 acc = acc + r * p
     return acc
+
+
+def _side_terms(poly_part: LaurentPolynomial, terms, which: str):
+    """The decomposition of P(s) (poly_part and the principal parts of the
+    poles outside the disk) or of Q(s) (those of the other poles)."""
+    if which == "P":
+        return poly_part, [(z, r) for z, r in terms if abs(z) > 1.0]
+    return LaurentPolynomial.zero(), [(z, r) for z, r in terms if abs(z) <= 1.0]
 
 
 def _reassemble(poly_part: LaurentPolynomial, terms) -> RationalSymbol:

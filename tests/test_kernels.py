@@ -612,3 +612,73 @@ def test_cokernel_gate_makes_no_section_copy(monkeypatch):
     vec = basis.functions[0].series.to_vector(n)
     want = np.linalg.norm(sections["+"].entries.conj().T @ vec) / np.linalg.norm(vec)
     assert kernels._oracle_residual(sections["+"], basis) == pytest.approx(want, rel=1e-12)
+
+
+def _phi_four_projections(s, pair, fac_c, sign, shift):
+    """The transport map as first written: 2 phi(s) = x -/+ J Q(c x) +/- J Q(w),
+    w = a_alpha^-1 s, x = T_r^-1(c) P(w), with P(w) and Q(w) from one split."""
+    from toephankel.shift import apply_J_alpha
+    from toephankel.wiener_hopf import apply_one_sided_inverse
+
+    w_plus, w_minus = (pair.a_alpha_inv * s).split_analytic()
+    x = apply_one_sided_inverse(fac_c, w_plus, "right")
+    u = apply_J_alpha((pair.c * x).part("Q"), shift)
+    v = apply_J_alpha(w_minus, shift)
+    return 0.5 * (x - u + v) if sign > 0 else 0.5 * (x + u - v)
+
+
+@pytest.mark.parametrize("beta", [2.0, 2.0j, 1.5 + 0.5j, 1.2])
+def test_phi_matches_the_four_projection_formula(beta):
+    # 2 phi(s) = x -/+ J(c x - w) equals the four-projection form, since
+    # P(c x) = P(w) when T(c) T_r^-1(c) = I
+    shift = make_shift(beta)
+    h = RationalSymbol.from_factors(1.3 - 0.4j, 0, [2.5 + 1.0j, -1.8j, 3.0], [1, 1, -1])
+    for i, j, kappa1, kappa2 in ((-1, 0, 1, 1), (-1, -1, 0, 2), (-2, -1, 1, 3),
+                                 (-2, -2, 0, 4), (-3, -1, 2, 4)):
+        pair = make_matching_pair(h * shift.chi.power(i), h * shift.chi.power(j), shift)
+        assert (pair.kappa1, pair.kappa2) == (kappa1, kappa2)
+        fac_c = factorize(pair.c)
+        d_plus, d_minus = toeplitz_kernel_split(pair.d, shift)
+        for s in d_plus + d_minus:
+            for sign in (+1, -1):
+                want = _phi_four_projections(s, pair, fac_c, sign, shift)
+                got = phi_pm(s, pair, fac_c, sign, shift)
+                assert got.distance_to(want, 128) <= 1e-10 * max(1.0, want.sup_norm_on_circle(128))
+
+
+def test_operator_residual_builds_no_part(monkeypatch, shift2):
+    # the exact residual gate reads sup |P(a f +/- b J f)| off the partial
+    # fractions: no _reassemble, so no np.roots of a projection
+    from toephankel import rational
+
+    h = RationalSymbol.from_factors(1.3 - 0.4j, 0, [2.5 + 1.0j, -1.8j, 3.0], [1, 1, -1])
+    pair = make_matching_pair(h * shift2.chi.power(-2), h * shift2.chi.power(-1), shift2)
+    bases = defect_numbers(pair, run_oracle=False).bases
+    calls = []
+    pf = RationalSymbol.partial_fractions
+    monkeypatch.setattr(RationalSymbol, "partial_fractions",
+                        lambda self: calls.append(1) or pf(self))
+
+    def no_reassembly(*args):
+        raise AssertionError("_reassemble called")
+
+    monkeypatch.setattr(rational, "_reassemble", no_reassembly)
+    for (kind, sign), basis in bases.items():
+        if kind == "ker":
+            for f in basis.functions:
+                assert operator_residual(pair, 1 if sign == "+" else -1, f.rational) < 1e-8
+    assert bases[("ker", "+")].dim + bases[("ker", "-")].dim > 0 and calls
+
+
+def test_transfer_U1_takes_each_product_once(monkeypatch, shift2):
+    # c f and a_alpha^-1 g serve both the gate (their P) and the map (their Q)
+    from toephankel import series
+
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    calls = []
+    mul = series.multiply_by_symbol
+    monkeypatch.setattr(series, "multiply_by_symbol", lambda f, s: calls.append(1) or mul(f, s))
+    F, G = transfer_U(pair, shift2, "U1", (TruncatedSeries.zero(), TruncatedSeries.basis(0)))
+    assert len(calls) == 3
+    half_chi = 0.5 * analytic_series(shift2.chi)
+    assert (F - half_chi).norm() < 1e-10 and (G + half_chi).norm() < 1e-10

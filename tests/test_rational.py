@@ -334,3 +334,116 @@ def test_analytic_pad_reads_only_outer_poles():
     r = s.analytic_pad(eps)
     coeffs, _ = s.coefficients(r + 1, r + 400)
     assert np.max(np.abs(coeffs)) < eps
+
+
+@pytest.mark.parametrize("s", TWO_SIDED + [s for s, _ in ONE_SIDED])
+def test_part_sup_norm_matches_the_built_part(s):
+    # the residual gates read sup |P(s)| or sup |Q(s)| off the partial
+    # fractions; it must be the sup norm of the part that part() builds
+    scale = max(1.0, s.sup_norm_on_circle(128))
+    for which in ("P", "Q"):
+        want = s.part(which).sup_norm_on_circle(128)
+        assert abs(s.part_sup_norm(which, 128) - want) <= 1e-12 * scale
+    with pytest.raises(ValueError):
+        s.part_sup_norm("R", 128)
+
+
+def _factor_bytes(s):
+    return (np.complex128(s.lead).tobytes(), s.mono, s.roots.tobytes(), s.mults.tobytes(),
+            s.roots.dtype, s.mults.dtype)
+
+
+# r3 lies within ROOT_TOL of both r1 and r2, which are apart from each other
+R1 = 2.0 + 0.5j
+R2, R3 = R1 + 3e-10, R1 + 1.5e-10
+BOOKKEEPING = [
+    RationalSymbol.from_factors(1.5 - 0.5j, 2, [R1, R2, 0.3j, -0.4, 3.0], [1, -2, 2, -1, 1]),
+    # a zero cancelling a pole of the first, and a double pole cancelling its double zero
+    RationalSymbol.from_factors(-0.7 + 0.2j, -3, [R3, -0.4 + 1e-12, 0.3j, 1.7], [2, 1, -2, -1]),
+    # a zero just inside the annulus and a double pole just outside it, 1e-11 apart
+    RationalSymbol.from_factors(1.0, 0, [1 + 0.9995e-8], [1]),
+    RationalSymbol.from_factors(0.5j, 1, [1 + 1.0005e-8, -2.0], [-2, 1]),
+]
+
+
+def test_bookkeeping_fixtures_are_canonical():
+    assert len(BOOKKEEPING[0].roots) == 5   # R1 and R2 stay two roots
+    assert rational._side(BOOKKEEPING[2].roots)[0] == 0.0
+    assert rational._side(BOOKKEEPING[3].roots)[0] > 0.0
+
+
+@pytest.mark.parametrize("i", range(len(BOOKKEEPING)))
+@pytest.mark.parametrize("j", range(len(BOOKKEEPING)))
+def test_product_is_the_full_merge(i, j):
+    # the cross matching of a product gives bitwise the factors of the
+    # concatenated lists, or the same error
+    x, y = BOOKKEEPING[i], BOOKKEEPING[j]
+
+    def merged():
+        return RationalSymbol.from_factors(x.lead * y.lead, x.mono + y.mono,
+                                           np.concatenate([x.roots, y.roots]),
+                                           np.concatenate([x.mults, y.mults]))
+
+    try:
+        want = merged()
+    except DenominatorNearZero:
+        with pytest.raises(DenominatorNearZero):
+            x * y
+        return
+    assert _factor_bytes(x * y) == _factor_bytes(want)
+
+
+def test_product_cases_are_covered():
+    a, b, zero_in, pole_out = BOOKKEEPING
+    ab = a * b
+    k = dict(zip(ab.roots.tolist(), ab.mults.tolist()))
+    assert k[R1] == 1 + 2 and k[R2] == -2 and R3 not in k   # R3 joins R1, the first it is near
+    assert not np.any(np.isclose(ab.roots, -0.4)) and not np.any(np.isclose(ab.roots, 0.3j))
+    with pytest.raises(DenominatorNearZero):
+        zero_in * pole_out          # the merged double pole keeps the root inside the band
+    assert (pole_out * zero_in).mults[0] == -1
+
+
+@pytest.mark.parametrize("s", BOOKKEEPING + [BOOKKEEPING[0] * BOOKKEEPING[1]])
+def test_root_keeping_operations_are_from_factors(s):
+    # -s, scalar * s, invert and power keep the roots without a merge
+    f = RationalSymbol.from_factors
+    inv_lead = 1.0 / s.lead
+    cases = [
+        (-s, f(-s.lead, s.mono, s.roots, s.mults)),
+        (2.5 * s, f(s.lead * complex(2.5), s.mono, s.roots, s.mults)),
+        (s * (0.5 - 1j), f(s.lead * complex(0.5 - 1j), s.mono, s.roots, s.mults)),
+        (0.0 * s, f(s.lead * complex(0.0), s.mono, s.roots, s.mults)),
+        (s.power(3), f(s.lead**3, 3 * s.mono, s.roots, 3 * s.mults)),
+    ]
+    if not np.any(rational._side(s.roots) == 0):
+        cases += [
+            (s.invert(), f(inv_lead, -s.mono, s.roots, -s.mults)),
+            (s.power(-2), f(inv_lead**2, -2 * s.mono, s.roots, -2 * s.mults)),
+        ]
+    for got, want in cases:
+        assert _factor_bytes(got) == _factor_bytes(want)
+
+
+def _groups_by_matrix(roots, tol):
+    """The all-pairs closeness matrix form of rational._groups, as a reference."""
+    x = np.asarray(roots, complex)
+    scale = np.maximum(1.0, np.maximum.outer(np.abs(x), np.abs(x)))
+    rep = np.argmax(np.abs(x[:, None] - x[None, :]) <= tol * scale, axis=1)
+    while np.any(rep[rep] != rep):
+        rep = rep[rep]
+    return rep.tolist()
+
+
+@pytest.mark.parametrize("tol", [rational.ROOT_TOL, rational.ENTRY_TOL])
+def test_groups_match_the_matrix_reference(rng, tol):
+    # chains of roots 0.6 tol apart, exact repeats and zeros, shuffled
+    for _ in range(200):
+        centres = (rng.uniform(0.1, 3.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))).tolist()
+        roots = []
+        for z in centres:
+            step = 0.6 * tol * max(1.0, abs(z)) * np.exp(2j * np.pi * rng.uniform())
+            roots += [z + step * k for k in range(int(rng.integers(1, 4)))]
+        roots += [roots[0], 0.0, 0.0][: int(rng.integers(0, 4))]
+        roots = [roots[i] for i in rng.permutation(len(roots))]
+        assert rational._groups(roots, tol) == _groups_by_matrix(roots, tol)
