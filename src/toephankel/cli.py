@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 malformed input (a malformed command line
 included), 2 "not Fredholm" verdicts, 3 internal cross-check mismatches
-(analytic pipeline vs oracle).
+(analytic pipeline vs oracle), 4 the oracle cannot certify its answer
+(no spectral gap in a section, or a coefficient window no grid
+certifies).
 
 Reports are deterministic: fixed key order, every float printed with 17
 significant digits, complex numbers as [re, im] pairs.
@@ -383,15 +385,16 @@ def main(argv=None) -> int:
         report, code = run(problem, opts)
         return _emit(report, code, args.out)
     except (errors.InputError, errors.BetaInsideDisk, errors.WindowTooTight,
-            errors.GridTooSmall, KeyError, TypeError, ValueError) as exc:
+            KeyError, TypeError, ValueError) as exc:
         return _error(exc, 1, args.out)
     except (errors.NotFredholm, errors.NotFredholmPair, errors.NotMatching,
             errors.NotInvertible, errors.DenominatorNearZero,
             errors.IllConditionedRoots) as exc:
         return _error(exc, 2, args.out)
-    except (errors.CrossCheckMismatch, errors.NoSpectralGap,
-            errors.SignatureIndeterminate) as exc:
+    except (errors.CrossCheckMismatch, errors.SignatureIndeterminate) as exc:
         return _error(exc, 3, args.out)
+    except (errors.NoSpectralGap, errors.GridTooSmall) as exc:
+        return _error(exc, 4, args.out)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,7 @@ class NotFredholmPair(ToepHankelError):
 
 
 class NoSpectralGap(ToepHankelError):
-    """Singular values show no clear zero/nonzero separation."""
+    """A section's zero/nonzero singular value split cannot be certified."""
 
 
 class WindowTooTight(ToepHankelError):
@@ -92,4 +92,5 @@ class AtJumpPoint(ToepHankelError):
 
 
 class InputError(ToepHankelError):
-    """Malformed problem specification (CLI front end)."""
+    """Malformed problem specification (CLI front end), or an oracle section
+    too large to allocate (oracle.MAX_SECTION_BYTES)."""

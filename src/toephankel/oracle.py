@@ -10,22 +10,22 @@ Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
 assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b).
 
-A section's null dimension, its spectral-gap certificate and its right
-null vectors come from one least-squares solve (LAPACK gelsd), which
-returns every singular value and projects a few random vectors onto the
-null space; the left null vectors come from one LU of the section plus a
-rank-k term built from the right ones.  No full SVD with every singular
-vector is taken, and both bases are checked by their residuals.
-Localization counts the directions of the null space with most of their
-mass in the first half of the coordinates, whatever basis the null space
-is given in.  Every caller gets these dimensions from null_dims, which
-solves the plus and minus sections at once when each solve has cores of
-its own (usable CPUs over BLAS threads per call, as OpenBLAS reads them;
-one at a time otherwise) and then takes the LUs in turn; results and
-errors are those of solving them one after the other.
+A section's null space comes from three LU solves (numerical_null_space):
+sigma_max from a few Golub-Kahan-Lanczos steps, the right basis from a
+Rayleigh-Ritz step on the range of two solves with a randomly augmented
+section, and the left basis and the spectral-gap certificate from one
+solve with the section augmented by the right basis.  The certificate
+bounds the dropped singular values above and the kept ones below, so no
+singular spectrum is computed, and both bases are checked by their
+residuals.  Localization counts the directions of the null space with
+most of their mass in the first half of the coordinates, whatever basis
+the null space is given in.  Every caller gets these dimensions from
+null_dims.
 
 Everything here runs on numpy alone: Toeplitz sections come from
 toeplitz_matrix, a strided view, and the null space from np.linalg.
+Sections whose four n x n blocks would exceed MAX_SECTION_BYTES are
+refused before anything is allocated.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -42,7 +42,7 @@ import threading
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import GridTooSmall, NoSpectralGap, WindowTooTight
+from .errors import GridTooSmall, InputError, NoSpectralGap, WindowTooTight
 from .matching import MatchingPair, make_matching_pair
 from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries, fourier_coefficients
@@ -50,13 +50,18 @@ from .shift import ShiftParams
 
 SVD_TOL = 1e-8
 SVD_GAP = 100.0
-SKETCH = 4             # random columns projected onto a null space by the first solve
+SKETCH = 4             # rank of the first augmentation of a section (numerical_null_space)
+PROBES = 4             # extra random right-hand sides that bound a smallest singular value
+LANCZOS_STEPS = 20     # Golub-Kahan-Lanczos steps of the sigma_max estimate
+HMT = 10 * np.sqrt(2 / np.pi)   # Halko-Martinsson-Tropp's constant of a norm bound from probes
 ENTRY_TAIL_TOL = 1e-10
+MAX_SECTION_BYTES = 1 << 30   # four n x n blocks of the largest section allowed
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
 _MALLOPT = getattr(ctypes.pythonapi, "mallopt", lambda param, value: 0)   # glibc's
 _M_ARENA_MAX = -8      # glibc's mallopt parameter
+_SOLVING = threading.Lock()   # one first phase at a time (null_dims)
 
 
 @dataclass(frozen=True)
@@ -149,6 +154,21 @@ def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
     return flip.T
 
 
+def _refuse_oversized(size: int) -> None:
+    """InputError unless four size x size complex blocks fit MAX_SECTION_BYTES.
+
+    operator_section checks this before it allocates.  Four blocks is the
+    peak of pair_sections (T(a), H(b) and the two sums) and of a caller
+    holding both sections while a null space holds its augmented section
+    and LAPACK's copy of it."""
+    need = 4 * size * size * np.dtype(complex).itemsize
+    if need > MAX_SECTION_BYTES:
+        raise InputError(
+            f"a {size} x {size} section needs {need / 2**30:.3g} GiB for four blocks, "
+            f"over the bound MAX_SECTION_BYTES = {MAX_SECTION_BYTES / 2**30:g} GiB"
+        )
+
+
 def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSection]:
     """The sections of T(a) + H(b) and T(a) - H(b), keyed '+' and '-'.
 
@@ -180,6 +200,7 @@ def operator_section(
     """
     if n < 8:
         raise ValueError("section size must be at least 8")
+    _refuse_oversized(2 * n if kind == "block" else n)
     if kind in ("toeplitz", "hankel"):
         sym = payload
         if not isinstance(sym, RationalSymbol):
@@ -223,27 +244,50 @@ class NullSpace:
 
 
 def numerical_null_space(section: FiniteSection) -> NullSpace:
-    """Null space from one least-squares SVD and one LU.
+    """Null space from three LU solves, with a certified spectral gap.
 
-    np.linalg.lstsq(M, M Z, rcond=SVD_TOL), Z a seeded random n x p block
-    with p = SKETCH, returns every singular value of M and the truncated
-    pseudo-inverse solution M^+ M Z.  Singular values at or below
-    SVD_TOL * sigma_max count as zero; the smallest kept value must exceed
-    the largest dropped one by SVD_GAP, otherwise the split is ambiguous and
-    NoSpectralGap is raised.
+    sigma_max is estimated (from below) by LANCZOS_STEPS steps of
+    Golub-Kahan-Lanczos; singular values at or below the cut
+    SVD_TOL * sigma_max count as zero, and only the zero section has an
+    estimate of 0 and a null space of everything.
 
-    When 0 < k < n values are dropped, Z - M^+ M Z is the projection of Z
-    onto the span V of the dropped right singular vectors, and its k leading
-    left singular vectors are the right basis; a second solve with p = k
-    runs only when k > SKETCH.  The left basis is W = M'^-H V,
-    orthonormalized, from one LU of M' = M + sigma_max Y V^H, Y a seeded
-    random n x k block: M^H W = V (I - sigma_max Y^H W) lies in span V, and
-    the kept right singular vectors are orthogonal to span V, so W has no
-    component along the kept left singular vectors, even when the dropped
-    singular values are not zero.  A singular M', or a residual not below
-    SVD_TOL * sigma_max, raises NoSpectralGap.
+    Right basis V.  With M' = M + sigma_max Y Z^H, Y and Z seeded n x p
+    blocks (p = SKETCH), a null vector v of M is M'^-1 Y (sigma_max Z^H v):
+    for k <= p the null space lies in the range of M'^-1 Y, and the left one
+    in that of M'^-H Z.  Two solves give M'^-1 [Y, M'^-H Z], the second half
+    a step of inverse iteration for dropped values that are not zero.  The
+    thin SVD of M Q, Q an orthonormal basis of that range, gives Ritz
+    values (upper bounds on the smallest singular values) and V, the Ritz
+    vectors of those at or below the cut.  p doubles while M' is singular,
+    more than p Ritz values are under the cut, or PROBES extra right-hand
+    sides show sigma_min(M') <= cut (as k > p forces).
 
-    The solves are _right_null_space, the LU and gates _left_null_space.
+    Left basis and certificate.  One solve with M'' = M + sigma_max W0 V^H,
+    W0 the matching left Ritz vectors from M'^-H Z, gives W = M''^-H V,
+    orthonormalized (M^H W lies in span V, so W has no component along the
+    kept left singular vectors), and M''^-H G for PROBES seeded columns G.
+    The dropped values are at most ||M V||_2 (Courant-Fischer); the kept
+    ones at least sigma_min(M'') >= 1 / (HMT sqrt(n) max_i ||M''^-H g_i||),
+    a rank-k update and Halko, Martinsson and Tropp's norm bound, which
+    fails with probability (1 / HMT^2)^PROBES ~ 6e-8.  W0 makes M'' nearly M
+    with its null space lifted to sigma_max; with a random block there the
+    bound fell 35 times short of the smallest kept value (chi^-10 at beta
+    1.5+0.5j, N = 128).  The split is certified when the bound exceeds the
+    cut and SVD_GAP ||M V||_2.  If it does not but the (k+1)-th Ritz value
+    does, one power step (two more solves) sharpens it to
+    (HMT sqrt(n) max_i ||B B^H B g_i||)^(-1/3), B = M''^-H; else, or if it
+    still falls short, NoSpectralGap.  So a certified split has the k and
+    the gap that the full singular spectrum gives, but where the smallest
+    kept value is below about (HMT sqrt(2 n))^(1/3) (5 at N = 128, 7 at
+    N = 1024) times max(cut, SVD_GAP * largest dropped), NoSpectralGap may
+    come where the full SVD finds the gap.  Both bases must also leave a
+    residual below the cut.
+
+    singular_values holds the values computed, descending: sigma_max's
+    estimate, then the last Ritz values, of which the last dim are dropped;
+    not the full spectrum.  _right_null_space does the Lanczos steps, the
+    solves with M' and the Ritz steps, _left_null_space the rest.  No
+    n x n SVD, least-squares solve or inverse is taken.
     """
     return _left_null_space(section, *_right_null_space(section))
 
@@ -257,65 +301,161 @@ def _orth(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[0][:, :k]
 
 
+def _solve_adjoint(aug: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # aug^T conj(X) = conj(rhs) is aug^H X = rhs without an n x n conjugate copy
+    return np.linalg.solve(aug.T, rhs.conj()).conj()
+
+
+def _smallest_bound(probes: np.ndarray, power: int = 1) -> float:
+    """Lower bound on sigma_min(A) from probes = (B B^H)^q B G, with B = A^-1
+    or A^-H, 2q + 1 = power and G from _gaussian (numerical_null_space)."""
+    top = np.sqrt(len(probes)) * HMT * np.max(np.linalg.norm(probes, axis=0))
+    return float(top ** (-1.0 / power))
+
+
+def _norm_estimate(m: np.ndarray, rng: np.random.Generator) -> float:
+    """sigma_max(m) from Golub-Kahan-Lanczos bidiagonalization with full
+    reorthogonalization: the largest singular value of the bidiagonal B,
+    from the eigenvalues of B^H B.  Stops at LANCZOS_STEPS steps or when
+    alpha or beta falls to rounding level relative to the largest alpha
+    (an invariant subspace: the identity stops after one step, the zero
+    section before any)."""
+    n = len(m)
+    steps = min(LANCZOS_STEPS, n)
+    us = np.zeros((steps, n), dtype=complex)
+    vs = np.zeros((steps, n), dtype=complex)
+    alphas, betas = [], []
+    floor = n * np.finfo(float).eps
+    v = _gaussian(rng, n, 1)[:, 0]
+    v /= np.linalg.norm(v)
+    u = np.zeros(n, dtype=complex)
+    beta = scale = 0.0
+    for j in range(steps):
+        vs[j] = v
+        u = m @ v - beta * u
+        for _ in range(2):   # Gram-Schmidt twice
+            u -= us[:j].T @ (us[:j].conj() @ u)
+        alpha = float(np.linalg.norm(u))
+        scale = max(scale, alpha)
+        if alpha <= floor * scale:
+            break
+        u /= alpha
+        us[j] = u
+        alphas.append(alpha)
+        w = (u.conj() @ m).conj() - alpha * v   # M^H u, without a copy of M^H
+        for _ in range(2):
+            w -= vs[: j + 1].T @ (vs[: j + 1].conj() @ w)
+        beta = float(np.linalg.norm(w))
+        if beta <= floor * scale or j == steps - 1:
+            break
+        v = w / beta
+        betas.append(beta)
+    if not alphas:
+        return 0.0
+    b = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
+    return float(np.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]))
+
+
 def _right_null_space(
     section: FiniteSection,
-) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
-    """First phase of numerical_null_space: the singular values, the
-    spectral-gap check and the right basis, from the least-squares solves.
-    Returns them with the random generator, which the second phase goes on
-    drawing from.  Holds one n x n copy of the section at a time."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.random.Generator]:
+    """First phase of numerical_null_space: sigma_max, the Ritz values, the
+    right basis V and the left Ritz vectors W0, from the Lanczos steps and
+    two solves per value of p.  Returns the values computed (sigma_max's
+    estimate, then the Ritz values, descending), V and W0, with the random
+    generator, which the second phase goes on drawing from.  Holds two
+    n x n blocks, the augmented section and LAPACK's copy of it."""
     m = section.entries
     n = len(m)
     rng = np.random.default_rng(0)
+    smax = _norm_estimate(m, rng)
+    if smax == 0.0:
+        return np.zeros(1), np.eye(n, dtype=complex), np.eye(n, dtype=complex), rng
+    cut = SVD_TOL * smax
+    p = min(SKETCH, n)
+    while True:
+        y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
+        aug = (smax * y) @ z.conj().T
+        aug += m
+        try:
+            adj = _solve_adjoint(aug, np.hstack((z, g)))             # M'^-H [Z, G]
+            span = np.linalg.solve(aug, np.hstack((y, adj[:, :p])))  # M'^-1 [Y, M'^-H Z]
+        except np.linalg.LinAlgError:
+            adj = None
+        del aug
+        if adj is not None:
+            right, ritz = _ritz(m, span, cut)
+            k = right.shape[1]
+            growth = np.linalg.norm(adj[:, p:], axis=0) / np.linalg.norm(g, axis=0)
+            if p == n or (k <= p and np.max(growth) * cut < 1):
+                break
+        elif p == n:
+            raise NoSpectralGap("augmented section is singular")
+        p = min(2 * p, n)
+    near_left, _ = _ritz(m.T, adj[:, :p].conj(), cut, k)   # M^T conj(w) = conj(M^H w)
+    return np.concatenate(([smax], ritz)), right, near_left.conj(), rng
 
-    def null_projection(p):
-        z = _gaussian(rng, n, p)
-        x, _, _, s = np.linalg.lstsq(m, m @ z, rcond=SVD_TOL)
-        return z - x, s
 
-    proj, s = null_projection(SKETCH)
-    smax = s[0] if n else 0.0
-    k = int(np.sum(s <= SVD_TOL * smax))
-    if k == 0 or k == n:
-        return s, np.eye(n, k, dtype=complex), rng
-    largest_zero = s[n - k]
-    smallest_nonzero = s[n - k - 1]
-    if largest_zero > 0 and smallest_nonzero < SVD_GAP * largest_zero:
-        raise NoSpectralGap(
-            f"singular values {smallest_nonzero:.3e} / {largest_zero:.3e} "
-            f"below the gap factor {SVD_GAP}"
-        )
-    if k > SKETCH:
-        proj, _ = null_projection(k)
-    return s, _orth(proj, k), rng
+def _ritz(
+    m: np.ndarray, span: np.ndarray, cut: float, k: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz for the smallest singular values of m on the range of
+    span: the Ritz vectors of the k smallest Ritz values (k: those at or
+    below cut) and all Ritz values, descending."""
+    q = np.linalg.qr(span / np.linalg.norm(span, axis=0))[0]
+    _, ritz, vh = np.linalg.svd(m @ q, full_matrices=False)
+    if k is None:
+        k = int(np.sum(ritz <= cut))
+    return q @ vh[len(ritz) - k :].conj().T, ritz
 
 
 def _left_null_space(
     section: FiniteSection,
     s: np.ndarray,
     right: np.ndarray,
+    near_left: np.ndarray,
     rng: np.random.Generator,
 ) -> NullSpace:
-    """Second phase of numerical_null_space: the left basis from one LU of
-    the augmented section, and both residual gates.  Holds two n x n
-    blocks, the augmented section and its LU."""
+    """Second phase of numerical_null_space: the spectral-gap certificate
+    and the left basis from one solve with M'' (three with the power step),
+    and both residual gates.  Holds two n x n blocks, M'' and LAPACK's copy
+    of it."""
     m = section.entries
     n, k = right.shape
-    if k == 0 or k == n:
+    if k == n:
         return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
-    smax = s[0]
+    smax, ritz = s[0], s[:0:-1]   # ritz ascending
     cut = SVD_TOL * smax
-    aug = (smax * _gaussian(rng, n, k)) @ right.conj().T
-    aug += m
+    dropped = float(np.linalg.norm(m @ right, 2))
+    if not dropped < cut:
+        raise NoSpectralGap(f"right null vectors leave residual {dropped:.3e} >= {cut:.3e}")
+    need = max(cut, SVD_GAP * dropped)
+    if not ritz[k] > need:
+        raise NoSpectralGap(
+            f"a kept singular value is at most {ritz[k]:.3e}, not above {need:.3e} "
+            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
+        )
+    aug = m
+    if k:
+        aug = (smax * near_left) @ right.conj().T
+        aug += m
     try:
-        # M'^T conj(W) = conj(V) is M'^H W = V without an n x n conjugate copy
-        left = _orth(np.linalg.solve(aug.T, right.conj()).conj(), k)
+        solved = _solve_adjoint(aug, np.hstack((right, _gaussian(rng, n, PROBES))))
+        kept = _smallest_bound(solved[:, k:])
+        if not kept > need:   # one power step
+            probes = _solve_adjoint(aug, np.linalg.solve(aug, solved[:, k:]))
+            kept = _smallest_bound(probes, 3)
     except np.linalg.LinAlgError as exc:
         raise NoSpectralGap(f"augmented section is singular ({exc})") from None
-    for name, res in (("right", m @ right), ("left", left.conj().T @ m)):
-        r = np.linalg.norm(res, 2)
-        if not r < cut:
-            raise NoSpectralGap(f"{name} null vectors leave residual {r:.3e} >= {cut:.3e}")
+    if not kept > need:
+        raise NoSpectralGap(
+            f"kept singular values are only shown above {kept:.3e}, not above {need:.3e} "
+            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
+        )
+    left = _orth(solved[:, :k], k)
+    r = float(np.linalg.norm(m.T @ left.conj(), 2))   # ||M^H W||
+    if not r < cut:
+        raise NoSpectralGap(f"left null vectors leave residual {r:.3e} >= {cut:.3e}")
     return NullSpace(k, right, left, s)
 
 
@@ -341,16 +481,15 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
 
 
 def _concurrent_sections(count: int) -> int:
-    """How many of count sections null_dims solves at once.
+    """How many of count sections null_dims hands to threads of their own.
 
-    Concurrent least-squares solves only pay when each runs on cores of
-    its own: on 2 cores at N = 1024, two at once took 1.5x as long as two
-    in turn with the default threaded OpenBLAS, and ran 1.7-1.9x faster
-    with one BLAS thread each.  So the width is the usable CPUs divided by
-    the BLAS threads per call, read as OpenBLAS reads them
-    (OPENBLAS_NUM_THREADS, else GOTO_NUM_THREADS, else OMP_NUM_THREADS,
-    the first that is positive), and 1 when the BLAS is not OpenBLAS or
-    none of them is set.
+    The width is the usable CPUs divided by the BLAS threads per call,
+    read as OpenBLAS reads them (OPENBLAS_NUM_THREADS, else
+    GOTO_NUM_THREADS, else OMP_NUM_THREADS, the first that is positive),
+    and 1 when the BLAS is not OpenBLAS or none of them is set: two
+    threaded least-squares solves at once took 1.5x as long as two in
+    turn on 2 cores.  The threads now take their first phases one at a
+    time (null_dims).
     """
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     if "openblas" not in str(blas.get("name", "")).lower():
@@ -369,21 +508,26 @@ def _concurrent_sections(count: int) -> int:
 def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
     """Localized (kernel, cokernel) dimensions of sections[sign], per sign.
 
-    The solves (_right_null_space) of the first _concurrent_sections
-    sections run at once, all but the first in threads (LAPACK releases
-    the interpreter lock); the LUs, two n x n blocks each, then run in turn
-    in this thread.  Errors are raised once the threads have ended, in the
-    order a sequential run meets them.  glibc is held to one malloc arena,
-    as malloc_trim does not shrink a thread arena's top, and the heap is
-    trimmed after: whether the freed n x n LAPACK copies stay resident
-    would otherwise depend on the dimensions found.
+    The first phases (_right_null_space) of the first _concurrent_sections
+    sections run in threads, all but the first in workers, but one at a
+    time: an LU that starts while another thread is inside OpenBLAS takes
+    a second OpenBLAS work buffer, whose touched pages (1.6 MB at N = 512,
+    2.6 MB at N = 1024, with scipy-openblas 0.3.31) stay resident for the
+    life of the process.  Overlapping them ran oracle_large 1.3-1.5x
+    faster on 2 cores, at 2.5 MB more peak RSS.  The second phases then
+    run in turn in this thread.  Errors are raised once the threads have
+    ended, in the order a sequential run meets them.  glibc is held to one
+    malloc arena, as malloc_trim does not shrink a thread arena's top, and
+    the heap is trimmed after: whether the freed n x n LAPACK copies stay
+    resident would otherwise depend on the dimensions found.
     """
     signs = list(signs)
     solved = {}
 
     def solve(sign):
         try:
-            solved[sign] = _right_null_space(sections[sign])
+            with _SOLVING:
+                solved[sign] = _right_null_space(sections[sign])
         except Exception as exc:   # raised again in the calling thread, in sign order
             solved[sign] = exc
 

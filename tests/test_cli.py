@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -121,11 +122,36 @@ _POLE_NEARER_CIRCLE = {"rational": {"num": {"lo": 0, "coeffs": [[1.0, 0.0]]},
     (_POLE_NEAR_CIRCLE, _POLE_NEAR_CIRCLE, "hankel window"),   # H(b)'s window outgrows N
     (_POLE_NEARER_CIRCLE, 1, "grid cap"),                      # T(a)'s FFT needs > FFT_CAP points
 ])
-def test_uncertifiable_window_exits_one(a, b, where, tmp_path):
+def test_uncertifiable_window_exits_four(a, b, where, tmp_path):
     problem = {"command": "verify", "shift": {"beta": [2.0, 0.0]}, "a": a, "b": b, "N": 64}
     code, rep, _ = run_cli(problem, tmp_path=tmp_path)
-    assert code == 1
+    assert code == 4
     assert rep["error"]["type"] == "GridTooSmall" and where in rep["error"]["message"]
+
+
+def test_section_without_spectral_gap_exits_four(tmp_path):
+    # chi^8 at |beta| = 1.2: the smallest kept singular value of the N = 128
+    # sections is within a factor 100 of the dropped ones, in double precision
+    problem = {"command": "verify", "shift": {"beta": [1.2, 0.0]}, "a": "chi^8", "b": "chi^8",
+               "N": 128}
+    code, rep, _ = run_cli(problem, tmp_path=tmp_path)
+    assert code == 4
+    assert set(rep) == {"error"} and rep["error"]["type"] == "NoSpectralGap"
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_oversized_section_refused_before_allocation(command, tmp_path):
+    problem = {"command": command, "shift": {"beta": [2.0, 0.0]}, "a": "chi^-2",
+               "b": "chi^-2", "N": 100000}
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_cli(problem, tmp_path=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert rep["error"]["type"] == "InputError" and "MAX_SECTION_BYTES" in rep["error"]["message"]
+    assert peak < 16e6
 
 
 def test_signature_command(tmp_path):

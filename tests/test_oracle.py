@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from toephankel import (
     residual_check,
 )
 from toephankel import oracle
-from toephankel.oracle import SVD_TOL, NullSpace
+from toephankel.oracle import SVD_GAP, SVD_TOL, NullSpace
 from toephankel.cli import main, parse_symbol
 from toephankel.errors import NoSpectralGap, WindowTooTight
 from toephankel.kernels import analytic_series
@@ -300,11 +301,18 @@ def test_null_space_golden_pair(shift2):
     assert (dk, dc) == (2, 0)
 
 
+_MORE_K = (-3, -1, 2)
+_ALL_K = (-10, -6, -3, -2, -1, 1, 2, 3)
+
+
 def _reference_cases():
     for k in (-10, -6, -2, 1, 3):
         for beta in (2.0, 1.5 + 0.5j):
             for n in (128, 256):
                 yield pytest.param(("chi", k, beta, n), id=f"chi^{k}-beta{beta}-N{n}")
+    for k, beta in itertools.chain(itertools.product(_MORE_K, (2.0, 1.5 + 0.5j)),
+                                   itertools.product(_ALL_K, (2j, 3.0))):
+        yield pytest.param(("chi", k, beta, 128), id=f"chi^{k}-beta{beta}-N128")
     yield pytest.param(("block", -2, 2.0, 128), id="block-chi^-2-N128")
     yield pytest.param(("identity",), id="identity")
     yield pytest.param(("zero",), id="zero")
@@ -345,6 +353,68 @@ def test_null_space_matches_full_svd(case):
             assert np.linalg.norm(op @ got, 2) < SVD_TOL * smax
 
 
+def _band(n):
+    # numerical_null_space's docstring: below this factor over the needed
+    # margin, a split the full SVD certifies may raise NoSpectralGap
+    return (oracle.HMT * np.sqrt(2 * n)) ** (1 / 3)
+
+
+def _assert_full_svd_verdict(sec):
+    """Compare with the verdict of the full singular spectrum: k values at or
+    below the cut, certified when the next is SVD_GAP times the largest of
+    them; returns "no gap", "band" or "certified"."""
+    u, s, vh = scipy.linalg.svd(sec.entries)
+    n, cut = len(s), SVD_TOL * s[0]
+    k = int(np.sum(s <= cut))
+    dropped = s[n - k] if 0 < k < n else 0.0
+    if dropped > 0 and s[n - k - 1] < SVD_GAP * dropped:
+        with pytest.raises(NoSpectralGap):
+            numerical_null_space(sec)
+        return "no gap"
+    try:
+        ns = numerical_null_space(sec)
+    except NoSpectralGap:
+        assert 0 < s[n - k - 1] < _band(n) * max(cut, SVD_GAP * dropped)
+        return "band"
+    ref = NullSpace(k, vh[n - k :].conj().T, u[:, n - k :], s)
+    assert ns.dim == k
+    assert localized_null_dims(ns, n) == localized_null_dims(ref, n)
+    return "certified"
+
+
+@pytest.mark.parametrize("k", _ALL_K)
+@pytest.mark.parametrize("beta", [1.2, 1.1])
+def test_null_space_verdict_matches_full_svd_near_circle(k, beta):
+    # near the circle kept singular values approach the cut and chi^-10 has
+    # no gap at all: same dims and localized dims where the full SVD certifies
+    # by more than the band, NoSpectralGap where it finds no gap
+    sh = make_shift(beta)
+    sym = sh.chi.power(k)
+    for n in (128, 256):
+        for sec in oracle.pair_sections((sym, sym), sh, n).values():
+            _assert_full_svd_verdict(sec)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_null_space_gap_band(mixed):
+    # two dropped values at half the cut, the smallest kept one `ratio` times
+    # larger: the full SVD finds no gap below 100, so neither may the oracle;
+    # at 1e4 the margin is 100 times what is needed, far outside the band
+    n = 64
+    rng = np.random.default_rng(5)
+    frames = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+              for _ in range(2)] if mixed else [np.eye(n)] * 2
+    verdicts = {}
+    for ratio in (30, 99, 101, 300, 1e4):
+        d = np.linspace(1.0, 0.5, n)
+        d[-2:] = 0.5 * SVD_TOL
+        d[-3] = ratio * d[-1]
+        m = (frames[0] * d) @ frames[1].conj().T
+        verdicts[ratio] = _assert_full_svd_verdict(FiniteSection(n, m, "toeplitz", {}))
+    assert verdicts[30] == verdicts[99] == "no gap"
+    assert verdicts[1e4] == "certified"
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -374,32 +444,36 @@ def test_null_space_residual_matches_singular_vectors(case):
             assert np.linalg.norm(op @ basis, 2) <= 1.01 * s[n - k]
 
 
-def test_null_space_takes_singular_values_only(shift2, monkeypatch):
-    # one n x n least-squares solve gives the count and the right basis (a
-    # second one only when k > SKETCH); no n x n SVD computes vectors
+def test_null_space_solve_budget(shift2, monkeypatch):
+    # no n x n least-squares solve, SVD or inverse: three n x n LU solves when
+    # k <= SKETCH and the first bound certifies (two more for the power step
+    # of chi^3 at beta 1.2), and thin SVDs of at most 4 max(k, SKETCH) columns
     calls = []
-    for name in ("lstsq", "svd", "solve", "qr"):
+    for name in ("lstsq", "svd", "solve", "inv"):
         def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a), kwargs.get("compute_uv", True)))
+            calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
     pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    near = make_shift(1.2)
     d = np.ones(64)
     d[::8] = 0.0
     sections = [
-        operator_section("plus", pair, shift2, 64),
-        FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}),
-        FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}),
+        (operator_section("plus", pair, shift2, 64), 2, 3),
+        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None),
+        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 3),
+        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 5),
     ]
-    for sec, dim in zip(sections, (2, 8, 0)):
+    for sec, dim, solves in sections:
         calls.clear()
         assert numerical_null_space(sec).dim == dim
-        square = [(name, uv) for name, shape, uv in calls if shape == (64, 64)]
-        assert square.count(("lstsq", True)) == (2 if dim > oracle.SKETCH else 1)
-        assert ("svd", True) not in square
-        assert all(shape[1] <= max(dim, oracle.SKETCH) for _, shape, _ in calls
-                   if shape != (64, 64))
+        square = [name for name, shape in calls if shape == (sec.size, sec.size)]
+        assert set(square) == {"solve"}
+        if solves is not None:
+            assert len(square) == solves
+        widths = [shape[1] for name, shape in calls if name == "svd"]
+        assert widths and max(widths) <= 4 * max(dim, oracle.SKETCH)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 5, 12, 32])
