@@ -20,7 +20,8 @@ singular spectrum is computed, and both bases are checked by their
 residuals.  Localization counts the directions of the null space with
 most of their mass in the first half of the coordinates, whatever basis
 the null space is given in.  Every caller gets these dimensions from
-null_dims.
+null_dims, which solves the null spaces at once from CONCURRENT_MIN_SIZE
+rows on where six n x n blocks fit MAX_SECTION_BYTES; errors come in sign order.
 
 Everything here runs on numpy alone: Toeplitz sections come from
 toeplitz_matrix, a strided view, and the null space from np.linalg.
@@ -56,12 +57,14 @@ LANCZOS_STEPS = 20     # Golub-Kahan-Lanczos steps of the sigma_max estimate
 HMT = 10 * np.sqrt(2 / np.pi)   # Halko-Martinsson-Tropp's constant of a norm bound from probes
 ENTRY_TAIL_TOL = 1e-10
 MAX_SECTION_BYTES = 1 << 30   # four n x n blocks of the largest section allowed
+# null_dims solves smaller sections in turn: at N = 256 the overlap saved 10 ms
+# of a 200 ms cold CLI request and raised its peak RSS by 5.7%
+CONCURRENT_MIN_SIZE = 512
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
 _MALLOPT = getattr(ctypes.pythonapi, "mallopt", lambda param, value: 0)   # glibc's
 _M_ARENA_MAX = -8      # glibc's mallopt parameter
-_SOLVING = threading.Lock()   # one first phase at a time (null_dims)
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def _refuse_oversized(size: int) -> None:
     operator_section checks this before it allocates.  Four blocks is the
     peak of pair_sections (T(a), H(b) and the two sums) and of a caller
     holding both sections while a null space holds its augmented section
-    and LAPACK's copy of it."""
+    and LAPACK's copy of it; null_dims runs two at once only if six fit."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -481,15 +484,12 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
 
 
 def _concurrent_sections(count: int) -> int:
-    """How many of count sections null_dims hands to threads of their own.
+    """How many of count sections null_dims may solve at once.
 
     The width is the usable CPUs divided by the BLAS threads per call,
     read as OpenBLAS reads them (OPENBLAS_NUM_THREADS, else
     GOTO_NUM_THREADS, else OMP_NUM_THREADS, the first that is positive),
-    and 1 when the BLAS is not OpenBLAS or none of them is set: two
-    threaded least-squares solves at once took 1.5x as long as two in
-    turn on 2 cores.  The threads now take their first phases one at a
-    time (null_dims).
+    and 1 when the BLAS is not OpenBLAS or none of them is set.
     """
     blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
     if "openblas" not in str(blas.get("name", "")).lower():
@@ -508,31 +508,31 @@ def _concurrent_sections(count: int) -> int:
 def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
     """Localized (kernel, cokernel) dimensions of sections[sign], per sign.
 
-    The first phases (_right_null_space) of the first _concurrent_sections
-    sections run in threads, all but the first in workers, but one at a
-    time: an LU that starts while another thread is inside OpenBLAS takes
-    a second OpenBLAS work buffer, whose touched pages (1.6 MB at N = 512,
-    2.6 MB at N = 1024, with scipy-openblas 0.3.31) stay resident for the
-    life of the process.  Overlapping them ran oracle_large 1.3-1.5x
-    faster on 2 cores, at 2.5 MB more peak RSS.  The second phases then
-    run in turn in this thread.  Errors are raised once the threads have
-    ended, in the order a sequential run meets them.  glibc is held to one
-    malloc arena, as malloc_trim does not shrink a thread arena's top, and
-    the heap is trimmed after: whether the freed n x n LAPACK copies stay
-    resident would otherwise depend on the dimensions found.
+    The null spaces of the first _concurrent_sections sections are solved
+    at once, all but the first in worker threads, if the sections have
+    CONCURRENT_MIN_SIZE rows or more and six n x n blocks (the two
+    sections, and an augmented section and LAPACK's copy per thread) fit
+    MAX_SECTION_BYTES; the rest in turn in this thread.  The first overlap
+    keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
+    Errors are raised once every thread has ended, the first in sign
+    order.  glibc is held to one malloc arena, as malloc_trim does not
+    shrink a thread arena's top, and the heap is trimmed after, so that
+    the freed n x n LAPACK copies do not stay resident.
     """
     signs = list(signs)
-    solved = {}
+    size = max((sections[sign].size for sign in signs), default=0)
+    width = _concurrent_sections(len(signs))
+    if size < CONCURRENT_MIN_SIZE or (2 + 2 * width) * 16 * size**2 > MAX_SECTION_BYTES:
+        width = 1
+    spaces = {}
 
     def solve(sign):
         try:
-            with _SOLVING:
-                solved[sign] = _right_null_space(sections[sign])
+            spaces[sign] = numerical_null_space(sections[sign])
         except Exception as exc:   # raised again in the calling thread, in sign order
-            solved[sign] = exc
+            spaces[sign] = exc
 
-    workers = [threading.Thread(target=solve, args=(sign,))
-               for sign in signs[1:_concurrent_sections(len(signs))]]
+    workers = [threading.Thread(target=solve, args=(sign,)) for sign in signs[1:width]]
     if workers:
         _MALLOPT(_M_ARENA_MAX, 1)
         for worker in workers:
@@ -544,10 +544,9 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
                 worker.join()
     dims = {}
     for sign in signs:
-        phase1 = solved.pop(sign) if sign in solved else _right_null_space(sections[sign])
-        if isinstance(phase1, Exception):
-            raise phase1
-        ns = _left_null_space(sections[sign], *phase1)
+        ns = spaces.pop(sign) if sign in spaces else numerical_null_space(sections[sign])
+        if isinstance(ns, Exception):
+            raise ns
         dims[sign] = localized_null_dims(ns, sections[sign].size)
     _MALLOC_TRIM(0)
     return dims

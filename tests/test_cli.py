@@ -313,13 +313,15 @@ def test_analyze_reports_the_pair_residual(tmp_path):
     assert rep["matching_residual"] == check_matching(a, b, sh)
 
 
-@pytest.mark.parametrize("command", ["verify", "analyze"])
-def test_report_bytes_do_not_depend_on_concurrent_null_spaces(command, tmp_path):
+@pytest.mark.parametrize("command, n", [("verify", 256), ("analyze", 256), ("verify", 512)],
+                         ids=["verify", "analyze", "verify-512"])
+def test_report_bytes_do_not_depend_on_concurrent_null_spaces(command, n, tmp_path):
     # one BLAS thread on a multi-core host solves the plus and minus
-    # sections at once; unset, they are solved in turn
+    # sections at once from oracle.CONCURRENT_MIN_SIZE = 512 rows on;
+    # unset, or below that size, they are solved in turn
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"command": command, "shift": {"beta": [2.0, 0.0]},
-                                "a": "chi^-2", "b": "chi^-2", "N": 256}))
+                                "a": "chi^-2", "b": "chi^-2", "N": n}))
     blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas}
     outputs = []

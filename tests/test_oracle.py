@@ -667,6 +667,7 @@ def test_null_dims_concurrent_equals_sequential(monkeypatch, case):
         return solve(section)
 
     monkeypatch.setattr(oracle, "_right_null_space", recorded)
+    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 64)   # the sections here have 64-128 rows
     dims = {}
     for width in (1, 2):
         _set_width(monkeypatch, width)
@@ -699,6 +700,7 @@ def test_null_dims_concurrent_errors_in_sign_order(monkeypatch, first, second):
         return left(section, *solved)
 
     monkeypatch.setattr(oracle, "_left_null_space", failing_lu)
+    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 16)   # the sections here have 16 rows
     pair = {"+": sections[first], "-": sections[second]}
     raised = {}
     for width in (1, 2):
@@ -711,16 +713,115 @@ def test_null_dims_concurrent_errors_in_sign_order(monkeypatch, first, second):
     assert raised[1] == raised[2]
 
 
+_RIGHT_NULL_SPACE, _LEFT_NULL_SPACE = oracle._right_null_space, oracle._left_null_space
+
+
+def _record_threads(monkeypatch, sections, width):
+    """null_dims with both phases of every null space waiting on a barrier
+    of width parties; whether each (phase, sign) ran in the main thread."""
+    in_main = {}
+
+    def at_barrier(phase, fn):
+        barrier = threading.Barrier(width, timeout=10)
+
+        def waiting(section, *args):
+            sign = next(sign for sign, sec in sections.items() if sec is section)
+            in_main[phase, sign] = threading.current_thread() is threading.main_thread()
+            barrier.wait()
+            return fn(section, *args)
+        return waiting
+
+    monkeypatch.setattr(oracle, "_right_null_space", at_barrier("right", _RIGHT_NULL_SPACE))
+    monkeypatch.setattr(oracle, "_left_null_space", at_barrier("left", _LEFT_NULL_SPACE))
+    assert oracle.null_dims(sections, ("+", "-")) == {"+": (1, 1), "-": (2, 2)}
+    return in_main
+
+
+def _two_null_spaces(n=64):
+    return {"+": _diagonal_section(n, (0,)), "-": _diagonal_section(n, (1, 2))}
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_null_dims_overlaps_whole_null_spaces(monkeypatch, width):
+    # at width 2 both sections reach each barrier, in the first phase and in
+    # the second; at width 1 the barriers have one party and no worker runs
+    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 64)
+    _set_width(monkeypatch, width)
+    in_main = _record_threads(monkeypatch, _two_null_spaces(), width)
+    assert in_main == {(phase, sign): sign == "+" or width == 1
+                       for phase in ("right", "left") for sign in "+-"}
+
+
+def test_null_dims_solves_small_sections_in_turn(monkeypatch):
+    # below CONCURRENT_MIN_SIZE the width is 1, whatever the BLAS allows
+    assert oracle.CONCURRENT_MIN_SIZE > 64
+    _set_width(monkeypatch, 2)
+    in_main = _record_threads(monkeypatch, _two_null_spaces(), 1)
+    assert len(in_main) == 4 and all(in_main.values())
+
+
+@pytest.mark.parametrize("blocks", [6, 5, 4])
+def test_null_dims_solves_in_turn_when_six_blocks_exceed_the_cap(monkeypatch, blocks):
+    # two null spaces in flight hold six n x n blocks; where MAX_SECTION_BYTES
+    # admits fewer, null_dims solves them in turn
+    n = 64
+    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", n)
+    monkeypatch.setattr(oracle, "MAX_SECTION_BYTES", blocks * n * n * 16)
+    _set_width(monkeypatch, 2)
+    width = 2 if blocks == 6 else 1
+    in_main = _record_threads(monkeypatch, _two_null_spaces(n), width)
+    assert len(in_main) == 4 and all(in_main.values()) == (width == 1)
+
+
+def test_null_dims_many_workers_lose_no_result(monkeypatch):
+    # four sections on four CPUs: three workers and the calling thread store
+    # their null spaces in one dict, with thread switches as often as can be
+    sections = {str(k): _diagonal_section(32, range(k)) for k in range(4)}
+    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 32)
+    _two_cpus(monkeypatch, OPENBLAS_NUM_THREADS="1")
+    expected = {sign: (int(sign), int(sign)) for sign in sections}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: cpus)
+            assert oracle._concurrent_sections(4) == len(cpus)
+            for _ in range(10):
+                before = threading.active_count()
+                assert oracle.null_dims(sections, sections) == expected
+                assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
 _RSS_SCRIPT = """
+import ctypes
 import os
 os.sched_getaffinity = lambda pid: {0, 1}
 import numpy as np
 from toephankel import oracle
 from toephankel.oracle import FiniteSection, numerical_null_space
 
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = MallInfo2
+
+
+def heap_mb():   # what glibc's malloc holds from the system, over every arena
+    info = mallinfo2()
+    return (info.arena + info.hblkhd) / 2**20
+
+
 def rss_mb():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) / 1024
+
 
 n = 512
 d = np.ones(n)
@@ -731,18 +832,29 @@ np.ones((n, n), dtype=complex).sum()   # freeing an n x n block moves such block
 for sec in sections.values():
     numerical_null_space(sec)
 oracle._MALLOC_TRIM(0)
-assert oracle._concurrent_sections(2) == 2
+assert oracle._concurrent_sections(2) == 2 and n >= oracle.CONCURRENT_MIN_SIZE
+before = heap_mb()
+assert oracle.null_dims(sections, ("+", "-")) == {"+": (3, 3), "-": (0, 0)}
+heap = heap_mb() - before
 before = rss_mb()
 assert oracle.null_dims(sections, ("+", "-")) == {"+": (3, 3), "-": (0, 0)}
-print(rss_mb() - before)
+print(heap, rss_mb() - before)
 """
 
 
 def test_concurrent_null_dims_leave_no_resident_heap():
-    # the worker's solve frees an n x n copy into whichever malloc arena the
+    # the worker's solves free n x n copies into whichever malloc arena the
     # thread got; only the main arena's top is trimmed, so null_dims keeps
-    # glibc to that one arena.  A fresh interpreter, since the arena setting
-    # lasts for the process.
+    # glibc to that one arena.  So the first concurrent call must not grow
+    # the malloc heap (it grew by 8 MB without the one-arena setting).  The
+    # second OpenBLAS work buffer that call takes is mmapped by OpenBLAS,
+    # outside the heap, and kept for the life of the process: a second
+    # concurrent call must not grow the process.  A fresh interpreter, since
+    # the arena setting and the buffer last for the process.
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("needs glibc's mallinfo2")
     if not hasattr(ctypes.pythonapi, "mallopt") or not os.path.exists("/proc/self/status"):
         pytest.skip("needs glibc's mallopt and /proc")
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
@@ -750,4 +862,6 @@ def test_concurrent_null_dims_leave_no_resident_heap():
     proc = subprocess.run([sys.executable, "-c", _RSS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 1.0
+    heap, rss = map(float, proc.stdout.split())
+    assert heap < 1.0
+    assert rss < 1.0
