@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 malformed input (a malformed command line
 included), 2 "not Fredholm" verdicts, 3 internal cross-check mismatches
-(analytic pipeline vs oracle), 4 the oracle cannot certify its answer
-(no spectral gap in a section, or a coefficient window no grid
-certifies).
+(analytic pipeline vs oracle), 4 the numerics cannot certify an answer
+(no spectral gap in a section, a coefficient window no grid certifies,
+or roots too ill-conditioned for partial fractions or a winding number).
 
 Reports are deterministic: fixed key order, every float printed with 17
 significant digits, complex numbers as [re, im] pairs.
@@ -146,22 +146,19 @@ def parse_symbol(obj, shift):
 # report fragments
 
 
-def _laurent_json(lp: LaurentPolynomial) -> dict:
-    return {"lo": lp.lo, "coeffs": [[c.real, c.imag] for c in lp.coeffs]}
+def _window_json(w) -> dict:
+    """A coefficient window: a LaurentPolynomial or a TruncatedSeries."""
+    return {"lo": w.lo, "coeffs": [[c.real, c.imag] for c in w.coeffs]}
 
 
 def _rational_json(s: RationalSymbol) -> dict:
-    return {"num": _laurent_json(s.num), "den": _laurent_json(s.den)}
-
-
-def _series_json(ts) -> dict:
-    return {"lo": ts.lo, "coeffs": [[c.real, c.imag] for c in ts.coeffs]}
+    return {"num": _window_json(s.num), "den": _window_json(s.den)}
 
 
 def _basis_json(basis) -> list:
     out = []
     for f in basis.functions:
-        entry = {"tag": f.tag, "series": _series_json(f.series)}
+        entry = {"tag": f.tag, "series": _window_json(f.series)}
         if f.rational is not None:
             entry["rational"] = _rational_json(f.rational)
         out.append(entry)
@@ -388,12 +385,11 @@ def main(argv=None) -> int:
             KeyError, TypeError, ValueError) as exc:
         return _error(exc, 1, args.out)
     except (errors.NotFredholm, errors.NotFredholmPair, errors.NotMatching,
-            errors.NotInvertible, errors.DenominatorNearZero,
-            errors.IllConditionedRoots) as exc:
+            errors.NotInvertible, errors.DenominatorNearZero) as exc:
         return _error(exc, 2, args.out)
     except (errors.CrossCheckMismatch, errors.SignatureIndeterminate) as exc:
         return _error(exc, 3, args.out)
-    except (errors.NoSpectralGap, errors.GridTooSmall) as exc:
+    except (errors.NoSpectralGap, errors.GridTooSmall, errors.IllConditionedRoots) as exc:
         return _error(exc, 4, args.out)
 
 

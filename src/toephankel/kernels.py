@@ -111,10 +111,10 @@ def toeplitz_kernel_split(
 ) -> tuple[list[RationalSymbol], list[RationalSymbol]]:
     """Bases of the two flip-eigenspaces inside ker T(g), index n >= 1.
 
-    For n = 2m the families are g_plus^-1 (chi^(m-k-1) +/- sigma chi^(m+k)),
-    k < m, of dimension m each; for n = 2m+1 they are
-    g_plus^-1 (chi^(m+k) +/- sigma chi^(m-k)), k <= m, with the zero element
-    dropped, of dimensions m + (1 +/- sigma)/2.
+    The families are g_plus^-1 (chi^lo +/- sigma chi^hi) for even n and
+    g_plus^-1 (chi^hi +/- sigma chi^lo) for odd n, with lo = (n-1)//2 - k
+    and hi = n//2 + k, k < (n+1)//2, and the zero element dropped: of
+    dimensions n//2 + (n mod 2)(1 +/- sigma)/2.
     """
     fac = factorize(g)
     if fac.kappa <= 0:
@@ -128,26 +128,16 @@ def _kernel_split(fac: WHFactorization, sigma: int, shift: ShiftParams):
     gpi = fac.g_plus.invert()
     plus: list[RationalSymbol] = []
     minus: list[RationalSymbol] = []
-    if n % 2 == 0:
-        m = n // 2
-        for k in range(m):
-            lowc = chi_power(shift, m - k - 1)
-            high = chi_power(shift, m + k)
-            plus.append(gpi * (lowc + float(sigma) * high))
-            minus.append(gpi * (lowc - float(sigma) * high))
-    else:
-        m = n // 2
-        for k in range(m + 1):
-            high = chi_power(shift, m + k)
-            lowc = chi_power(shift, m - k)
-            cand_p = high + float(sigma) * lowc
-            cand_m = high - float(sigma) * lowc
-            if not cand_p.is_zero:
-                plus.append(gpi * cand_p)
-            if not cand_m.is_zero:
-                minus.append(gpi * cand_m)
-    expect_p = n // 2 + ((1 + sigma) // 2 if n % 2 else 0)
-    expect_m = n // 2 + ((1 - sigma) // 2 if n % 2 else 0)
+    for k in range((n + 1) // 2):
+        low = chi_power(shift, (n - 1) // 2 - k)
+        high = chi_power(shift, n // 2 + k)
+        first, second = (high, low) if n % 2 else (low, high)
+        for family, cand in ((plus, first + float(sigma) * second),
+                             (minus, first - float(sigma) * second)):
+            if not cand.is_zero:
+                family.append(gpi * cand)
+    expect_p = n // 2 + (n % 2) * (1 + sigma) // 2
+    expect_m = n // 2 + (n % 2) * (1 - sigma) // 2
     if (len(plus), len(minus)) != (expect_p, expect_m):
         raise CrossCheckMismatch("kernel split dimensions off the predicted count")
     return plus, minus

@@ -288,11 +288,73 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
 
     singular_values holds the values computed, descending: sigma_max's
     estimate, then the last Ritz values, of which the last dim are dropped;
-    not the full spectrum.  _right_null_space does the Lanczos steps, the
-    solves with M' and the Ritz steps, _left_null_space the rest.  No
-    n x n SVD, least-squares solve or inverse is taken.
+    not the full spectrum.  No n x n SVD, least-squares solve or inverse is
+    taken.  Besides the section, two n x n blocks are held at a time: an
+    augmented section and LAPACK's copy of it.
     """
-    return _left_null_space(section, *_right_null_space(section))
+    m = section.entries
+    n = len(m)
+    rng = np.random.default_rng(0)
+    smax = _norm_estimate(m, rng)
+    if smax == 0.0:
+        return NullSpace(n, np.eye(n, dtype=complex), np.eye(n, dtype=complex), np.zeros(1))
+    cut = SVD_TOL * smax
+    p = min(SKETCH, n)
+    while True:
+        y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
+        aug = (smax * y) @ z.conj().T
+        aug += m
+        try:
+            adj = _solve_adjoint(aug, np.hstack((z, g)))             # M'^-H [Z, G]
+            span = np.linalg.solve(aug, np.hstack((y, adj[:, :p])))  # M'^-1 [Y, M'^-H Z]
+        except np.linalg.LinAlgError:
+            adj = None
+        del aug
+        if adj is not None:
+            right, ritz = _ritz(m, span, cut)
+            k = right.shape[1]
+            growth = np.linalg.norm(adj[:, p:], axis=0) / np.linalg.norm(g, axis=0)
+            if p == n or (k <= p and np.max(growth) * cut < 1):
+                break
+        elif p == n:
+            raise NoSpectralGap("augmented section is singular")
+        p = min(2 * p, n)
+    near_left = _ritz(m.T, adj[:, :p].conj(), cut, k)[0].conj()   # M^T conj(w) = conj(M^H w)
+    s = np.concatenate(([smax], ritz))
+    del y, z, g, adj, span, growth   # freed before M'' is allocated
+    if k == n:
+        return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
+    dropped = float(np.linalg.norm(m @ right, 2))
+    if not dropped < cut:
+        raise NoSpectralGap(f"right null vectors leave residual {dropped:.3e} >= {cut:.3e}")
+    need = max(cut, SVD_GAP * dropped)
+    if not ritz[-1 - k] > need:   # ritz descending: the smallest kept Ritz value
+        raise NoSpectralGap(
+            f"a kept singular value is at most {ritz[-1 - k]:.3e}, not above {need:.3e} "
+            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
+        )
+    aug = m
+    if k:
+        aug = (smax * near_left) @ right.conj().T
+        aug += m
+    try:
+        solved = _solve_adjoint(aug, np.hstack((right, _gaussian(rng, n, PROBES))))
+        kept = _smallest_bound(solved[:, k:])
+        if not kept > need:   # one power step
+            probes = _solve_adjoint(aug, np.linalg.solve(aug, solved[:, k:]))
+            kept = _smallest_bound(probes, 3)
+    except np.linalg.LinAlgError as exc:
+        raise NoSpectralGap(f"augmented section is singular ({exc})") from None
+    if not kept > need:
+        raise NoSpectralGap(
+            f"kept singular values are only shown above {kept:.3e}, not above {need:.3e} "
+            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
+        )
+    left = _orth(solved[:, :k], k)
+    r = float(np.linalg.norm(m.T @ left.conj(), 2))   # ||M^H W||
+    if not r < cut:
+        raise NoSpectralGap(f"left null vectors leave residual {r:.3e} >= {cut:.3e}")
+    return NullSpace(k, right, left, s)
 
 
 def _gaussian(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -359,46 +421,6 @@ def _norm_estimate(m: np.ndarray, rng: np.random.Generator) -> float:
     return float(np.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]))
 
 
-def _right_null_space(
-    section: FiniteSection,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.random.Generator]:
-    """First phase of numerical_null_space: sigma_max, the Ritz values, the
-    right basis V and the left Ritz vectors W0, from the Lanczos steps and
-    two solves per value of p.  Returns the values computed (sigma_max's
-    estimate, then the Ritz values, descending), V and W0, with the random
-    generator, which the second phase goes on drawing from.  Holds two
-    n x n blocks, the augmented section and LAPACK's copy of it."""
-    m = section.entries
-    n = len(m)
-    rng = np.random.default_rng(0)
-    smax = _norm_estimate(m, rng)
-    if smax == 0.0:
-        return np.zeros(1), np.eye(n, dtype=complex), np.eye(n, dtype=complex), rng
-    cut = SVD_TOL * smax
-    p = min(SKETCH, n)
-    while True:
-        y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
-        aug = (smax * y) @ z.conj().T
-        aug += m
-        try:
-            adj = _solve_adjoint(aug, np.hstack((z, g)))             # M'^-H [Z, G]
-            span = np.linalg.solve(aug, np.hstack((y, adj[:, :p])))  # M'^-1 [Y, M'^-H Z]
-        except np.linalg.LinAlgError:
-            adj = None
-        del aug
-        if adj is not None:
-            right, ritz = _ritz(m, span, cut)
-            k = right.shape[1]
-            growth = np.linalg.norm(adj[:, p:], axis=0) / np.linalg.norm(g, axis=0)
-            if p == n or (k <= p and np.max(growth) * cut < 1):
-                break
-        elif p == n:
-            raise NoSpectralGap("augmented section is singular")
-        p = min(2 * p, n)
-    near_left, _ = _ritz(m.T, adj[:, :p].conj(), cut, k)   # M^T conj(w) = conj(M^H w)
-    return np.concatenate(([smax], ritz)), right, near_left.conj(), rng
-
-
 def _ritz(
     m: np.ndarray, span: np.ndarray, cut: float, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -410,56 +432,6 @@ def _ritz(
     if k is None:
         k = int(np.sum(ritz <= cut))
     return q @ vh[len(ritz) - k :].conj().T, ritz
-
-
-def _left_null_space(
-    section: FiniteSection,
-    s: np.ndarray,
-    right: np.ndarray,
-    near_left: np.ndarray,
-    rng: np.random.Generator,
-) -> NullSpace:
-    """Second phase of numerical_null_space: the spectral-gap certificate
-    and the left basis from one solve with M'' (three with the power step),
-    and both residual gates.  Holds two n x n blocks, M'' and LAPACK's copy
-    of it."""
-    m = section.entries
-    n, k = right.shape
-    if k == n:
-        return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
-    smax, ritz = s[0], s[:0:-1]   # ritz ascending
-    cut = SVD_TOL * smax
-    dropped = float(np.linalg.norm(m @ right, 2))
-    if not dropped < cut:
-        raise NoSpectralGap(f"right null vectors leave residual {dropped:.3e} >= {cut:.3e}")
-    need = max(cut, SVD_GAP * dropped)
-    if not ritz[k] > need:
-        raise NoSpectralGap(
-            f"a kept singular value is at most {ritz[k]:.3e}, not above {need:.3e} "
-            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
-        )
-    aug = m
-    if k:
-        aug = (smax * near_left) @ right.conj().T
-        aug += m
-    try:
-        solved = _solve_adjoint(aug, np.hstack((right, _gaussian(rng, n, PROBES))))
-        kept = _smallest_bound(solved[:, k:])
-        if not kept > need:   # one power step
-            probes = _solve_adjoint(aug, np.linalg.solve(aug, solved[:, k:]))
-            kept = _smallest_bound(probes, 3)
-    except np.linalg.LinAlgError as exc:
-        raise NoSpectralGap(f"augmented section is singular ({exc})") from None
-    if not kept > need:
-        raise NoSpectralGap(
-            f"kept singular values are only shown above {kept:.3e}, not above {need:.3e} "
-            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
-        )
-    left = _orth(solved[:, :k], k)
-    r = float(np.linalg.norm(m.T @ left.conj(), 2))   # ||M^H W||
-    if not r < cut:
-        raise NoSpectralGap(f"left null vectors leave residual {r:.3e} >= {cut:.3e}")
-    return NullSpace(k, right, left, s)
 
 
 def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:

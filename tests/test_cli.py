@@ -139,6 +139,21 @@ def test_section_without_spectral_gap_exits_four(tmp_path):
     assert set(rep) == {"error"} and rep["error"]["type"] == "NoSpectralGap"
 
 
+@pytest.mark.parametrize("command, beta, k, flags", [
+    ("analyze", 1.2, -6, ("--no-oracle",)),   # validation error 5.0e-9
+    ("basis", 1.2, -6, ()),
+    ("analyze", 2.0, 15, ()),                 # validation error 5.0e-10
+])
+def test_ill_conditioned_roots_exit_four(command, beta, k, flags, tmp_path):
+    # Fredholm pairs whose partial fractions do not validate in double
+    # precision: "cannot certify", not "not Fredholm"
+    problem = {"command": command, "shift": {"beta": [beta, 0.0]}, "a": f"chi^{k}",
+               "b": f"chi^{k}", "N": 128}
+    code, rep, _ = run_cli(problem, *flags, tmp_path=tmp_path)
+    assert code == 4
+    assert set(rep) == {"error"} and rep["error"]["type"] == "IllConditionedRoots"
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze"])
 def test_oversized_section_refused_before_allocation(command, tmp_path):
     problem = {"command": command, "shift": {"beta": [2.0, 0.0]}, "a": "chi^-2",

@@ -20,7 +20,14 @@ from toephankel import (
     transfer_U,
 )
 from toephankel.errors import NotApplicable, NotInKernel, WrongRegime
-from toephankel.kernels import SERIES_TAIL_TOL, Regime, analytic_series, operator_residual
+from toephankel.kernels import (
+    KERNEL_RESIDUAL_TOL,
+    SERIES_TAIL_TOL,
+    Regime,
+    analytic_series,
+    operator_residual,
+    toeplitz_apply,
+)
 from toephankel.oracle import block_residual_check, residual_check
 
 
@@ -43,6 +50,25 @@ def test_split_odd_cases(shift2):
     assert (len(b_plus2), len(b_minus2)) == (0, 1)
     b_plus3, b_minus3 = toeplitz_kernel_split(shift2.chi.power(-3), shift2)
     assert (len(b_plus3), len(b_minus3)) == (2, 1)
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.5 + 0.5j])
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_split_families(n, sigma, beta):
+    # g = sigma chi^-n has index n and signature sigma: the plus family has
+    # n//2 + (n mod 2)(1 + sigma)/2 members, the minus family the rest of n,
+    # and P_alpha is +1 on the one and -1 on the other
+    shift = make_shift(beta)
+    g = float(sigma) * shift.chi.power(-n)
+    b_plus, b_minus = toeplitz_kernel_split(g, shift)
+    odd_extra = (1 + sigma) // 2 if n % 2 else 0
+    assert (len(b_plus), len(b_minus)) == (n // 2 + odd_extra, n - n // 2 - odd_extra)
+    for eigenvalue, family in ((1.0, b_plus), (-1.0, b_minus)):
+        for f in family:
+            scale = max(1.0, f.sup_norm_on_circle(128))
+            assert toeplitz_apply(g, f).sup_norm_on_circle(128) < KERNEL_RESIDUAL_TOL * scale
+            assert apply_P_alpha(g, f, shift).distance_to(eigenvalue * f) < 1e-9 * scale
 
 
 def test_split_needs_positive_index(shift2):
@@ -317,7 +343,7 @@ def test_coburn_one_null_space_per_sign(shift2, monkeypatch):
     from toephankel import oracle
 
     counts = {"svd": 0, "hankel": 0}
-    svd, hankel = oracle._right_null_space, oracle._hankel_entries
+    svd, hankel = oracle.numerical_null_space, oracle._hankel_entries
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -325,7 +351,7 @@ def test_coburn_one_null_space_per_sign(shift2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(oracle, "_right_null_space", counted("svd", svd))
+    monkeypatch.setattr(oracle, "numerical_null_space", counted("svd", svd))
     monkeypatch.setattr(oracle, "_hankel_entries", counted("hankel", hankel))
     one = RationalSymbol.constant(1.0)
     matches = coburn_class(one, one, shift2, oracle_size=64)
@@ -337,7 +363,7 @@ def test_coburn_one_sign_candidates(shift2, monkeypatch):
     from toephankel import LaurentPolynomial, oracle
 
     counts = {"svd": 0, "hankel": 0}
-    svd, hankel = oracle._right_null_space, oracle._hankel_entries
+    svd, hankel = oracle.numerical_null_space, oracle._hankel_entries
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -345,7 +371,7 @@ def test_coburn_one_sign_candidates(shift2, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(oracle, "_right_null_space", counted("svd", svd))
+    monkeypatch.setattr(oracle, "numerical_null_space", counted("svd", svd))
     monkeypatch.setattr(oracle, "_hankel_entries", counted("hankel", hankel))
     a = RationalSymbol(LaurentPolynomial(0, [1.0, 0.25]))
     matches = coburn_class(a, a * shift2.chi.invert(), shift2, oracle_size=64)

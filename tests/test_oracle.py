@@ -658,7 +658,7 @@ def _sections_cases():
 @pytest.mark.parametrize("case", list(_sections_cases()), ids=lambda c: c[0])
 def test_null_dims_concurrent_equals_sequential(monkeypatch, case):
     _, sections = case
-    solve = oracle._right_null_space
+    solve = oracle.numerical_null_space
     in_main = {}
 
     def recorded(section):
@@ -666,7 +666,7 @@ def test_null_dims_concurrent_equals_sequential(monkeypatch, case):
         in_main[sign] = threading.current_thread() is threading.main_thread()
         return solve(section)
 
-    monkeypatch.setattr(oracle, "_right_null_space", recorded)
+    monkeypatch.setattr(oracle, "numerical_null_space", recorded)
     monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 64)   # the sections here have 64-128 rows
     dims = {}
     for width in (1, 2):
@@ -692,14 +692,14 @@ def _no_gap(second=3e-8):
 def test_null_dims_concurrent_errors_in_sign_order(monkeypatch, first, second):
     sections = {"healthy": _diagonal_section(16, (0,)), "no gap": _no_gap(),
                 "no gap 2": _no_gap(5e-8), "no LU": _diagonal_section(16, (0, 1))}
-    left = oracle._left_null_space
+    solve = oracle.numerical_null_space
 
-    def failing_lu(section, *solved):   # a second-phase failure for "no LU"
+    def failing_lu(section):   # an LU failure for "no LU"
         if section is sections["no LU"]:
             raise NoSpectralGap("augmented section is singular (test)")
-        return left(section, *solved)
+        return solve(section)
 
-    monkeypatch.setattr(oracle, "_left_null_space", failing_lu)
+    monkeypatch.setattr(oracle, "numerical_null_space", failing_lu)
     monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 16)   # the sections here have 16 rows
     pair = {"+": sections[first], "-": sections[second]}
     raised = {}
@@ -713,26 +713,20 @@ def test_null_dims_concurrent_errors_in_sign_order(monkeypatch, first, second):
     assert raised[1] == raised[2]
 
 
-_RIGHT_NULL_SPACE, _LEFT_NULL_SPACE = oracle._right_null_space, oracle._left_null_space
-
-
 def _record_threads(monkeypatch, sections, width):
-    """null_dims with both phases of every null space waiting on a barrier
-    of width parties; whether each (phase, sign) ran in the main thread."""
+    """null_dims with every null space waiting on a barrier of width parties
+    before it is solved; whether each sign ran in the main thread."""
     in_main = {}
+    barrier = threading.Barrier(width, timeout=10)
+    solve = oracle.numerical_null_space
 
-    def at_barrier(phase, fn):
-        barrier = threading.Barrier(width, timeout=10)
+    def waiting(section):
+        sign = next(sign for sign, sec in sections.items() if sec is section)
+        in_main[sign] = threading.current_thread() is threading.main_thread()
+        barrier.wait()
+        return solve(section)
 
-        def waiting(section, *args):
-            sign = next(sign for sign, sec in sections.items() if sec is section)
-            in_main[phase, sign] = threading.current_thread() is threading.main_thread()
-            barrier.wait()
-            return fn(section, *args)
-        return waiting
-
-    monkeypatch.setattr(oracle, "_right_null_space", at_barrier("right", _RIGHT_NULL_SPACE))
-    monkeypatch.setattr(oracle, "_left_null_space", at_barrier("left", _LEFT_NULL_SPACE))
+    monkeypatch.setattr(oracle, "numerical_null_space", waiting)
     assert oracle.null_dims(sections, ("+", "-")) == {"+": (1, 1), "-": (2, 2)}
     return in_main
 
@@ -743,13 +737,12 @@ def _two_null_spaces(n=64):
 
 @pytest.mark.parametrize("width", [1, 2])
 def test_null_dims_overlaps_whole_null_spaces(monkeypatch, width):
-    # at width 2 both sections reach each barrier, in the first phase and in
-    # the second; at width 1 the barriers have one party and no worker runs
+    # at width 2 both null spaces reach the barrier before either is solved;
+    # at width 1 the barrier has one party and no worker runs
     monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 64)
     _set_width(monkeypatch, width)
     in_main = _record_threads(monkeypatch, _two_null_spaces(), width)
-    assert in_main == {(phase, sign): sign == "+" or width == 1
-                       for phase in ("right", "left") for sign in "+-"}
+    assert in_main == {sign: sign == "+" or width == 1 for sign in "+-"}
 
 
 def test_null_dims_solves_small_sections_in_turn(monkeypatch):
@@ -757,7 +750,7 @@ def test_null_dims_solves_small_sections_in_turn(monkeypatch):
     assert oracle.CONCURRENT_MIN_SIZE > 64
     _set_width(monkeypatch, 2)
     in_main = _record_threads(monkeypatch, _two_null_spaces(), 1)
-    assert len(in_main) == 4 and all(in_main.values())
+    assert len(in_main) == 2 and all(in_main.values())
 
 
 @pytest.mark.parametrize("blocks", [6, 5, 4])
@@ -770,7 +763,7 @@ def test_null_dims_solves_in_turn_when_six_blocks_exceed_the_cap(monkeypatch, bl
     _set_width(monkeypatch, 2)
     width = 2 if blocks == 6 else 1
     in_main = _record_threads(monkeypatch, _two_null_spaces(n), width)
-    assert len(in_main) == 4 and all(in_main.values()) == (width == 1)
+    assert len(in_main) == 2 and all(in_main.values()) == (width == 1)
 
 
 def test_null_dims_many_workers_lose_no_result(monkeypatch):
