@@ -10,23 +10,27 @@ Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
 assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b).
 
-A section's null space comes from three LU solves (numerical_null_space):
-sigma_max from a few Golub-Kahan-Lanczos steps, the right basis from a
-Rayleigh-Ritz step on the range of two solves with a randomly augmented
-section, and the left basis and the spectral-gap certificate from one
-solve with the section augmented by the right basis.  The certificate
-bounds the dropped singular values above and the kept ones below, so no
-singular spectrum is computed, and both bases are checked by their
-residuals.  Localization counts the directions of the null space with
-most of their mass in the first half of the coordinates, whatever basis
-the null space is given in.  Every caller gets these dimensions from
-null_dims, which solves the null spaces at once from CONCURRENT_MIN_SIZE
-rows on where six n x n blocks fit MAX_SECTION_BYTES; errors come in sign order.
+A section's null space comes from two LU factorizations
+(numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps,
+the right basis from a Rayleigh-Ritz step on the range of two solves with
+a randomly augmented section, and the left basis and the spectral-gap
+certificate from solves with the section augmented by the right basis.
+Each augmented section is factored once, in place, by the zgetrf of the
+LAPACK numpy has loaded, and solved with on both sides (_LU); where that
+library is not found, np.linalg.solve copies and factors it per solve
+(_Solve).  The certificate bounds the dropped singular values above and
+the kept ones below, so no singular spectrum is computed, and both bases
+are checked by their residuals.  Localization counts the directions of
+the null space with most of their mass in the first half of the
+coordinates, whatever basis the null space is given in.  Every caller
+gets these dimensions from null_dims, which solves the null spaces at
+once from CONCURRENT_MIN_SIZE rows on where six n x n blocks (the
+fallback's peak) fit MAX_SECTION_BYTES; errors come in sign order.
 
 Everything here runs on numpy alone: Toeplitz sections come from
-toeplitz_matrix, a strided view, and the null space from np.linalg.
-Sections whose four n x n blocks would exceed MAX_SECTION_BYTES are
-refused before anything is allocated.
+toeplitz_matrix, a strided view, and the null space from np.linalg and
+the LAPACK numpy loads.  Sections whose four n x n blocks would exceed
+MAX_SECTION_BYTES are refused before anything is allocated.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -37,6 +41,7 @@ piecewise-continuous symbols are outside what this oracle can adjudicate.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import struct
 import threading
@@ -161,9 +166,11 @@ def _refuse_oversized(size: int) -> None:
     """InputError unless four size x size complex blocks fit MAX_SECTION_BYTES.
 
     operator_section checks this before it allocates.  Four blocks is the
-    peak of pair_sections (T(a), H(b) and the two sums) and of a caller
-    holding both sections while a null space holds its augmented section
-    and LAPACK's copy of it; null_dims runs two at once only if six fit."""
+    peak of pair_sections (T(a), H(b) and the two sums).  A caller holding
+    both sections while a null space is solved holds three, an augmented
+    section factored in place; on the np.linalg.solve fallback, four, with
+    LAPACK's copy of it.  null_dims runs two null spaces at once only if
+    six fit, the fallback's peak."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -247,7 +254,7 @@ class NullSpace:
 
 
 def numerical_null_space(section: FiniteSection) -> NullSpace:
-    """Null space from three LU solves, with a certified spectral gap.
+    """Null space from two LU factorizations, with a certified spectral gap.
 
     sigma_max is estimated (from below) by LANCZOS_STEPS steps of
     Golub-Kahan-Lanczos; singular values at or below the cut
@@ -277,9 +284,9 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     bound fell 35 times short of the smallest kept value (chi^-10 at beta
     1.5+0.5j, N = 128).  The split is certified when the bound exceeds the
     cut and SVD_GAP ||M V||_2.  If it does not but the (k+1)-th Ritz value
-    does, one power step (two more solves) sharpens it to
-    (HMT sqrt(n) max_i ||B B^H B g_i||)^(-1/3), B = M''^-H; else, or if it
-    still falls short, NoSpectralGap.  So a certified split has the k and
+    does, one power step (two more solves with M'''s factors) sharpens it
+    to (HMT sqrt(n) max_i ||B B^H B g_i||)^(-1/3), B = M''^-H; else, or if
+    it still falls short, NoSpectralGap.  So a certified split has the k and
     the gap that the full singular spectrum gives, but where the smallest
     kept value is below about (HMT sqrt(2 n))^(1/3) (5 at N = 128, 7 at
     N = 1024) times max(cut, SVD_GAP * largest dropped), NoSpectralGap may
@@ -289,8 +296,12 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     singular_values holds the values computed, descending: sigma_max's
     estimate, then the last Ritz values, of which the last dim are dropped;
     not the full spectrum.  No n x n SVD, least-squares solve or inverse is
-    taken.  Besides the section, two n x n blocks are held at a time: an
-    augmented section and LAPACK's copy of it.
+    taken: M' and M'' are each factored once (_factor), both sides solved
+    with the factors, so the power step adds no factorization.  Besides the
+    section, one n x n block is held at a time, the augmented section that
+    zgetrf overwrites with its factors (at k = 0 a copy of the section);
+    on the np.linalg.solve fallback also LAPACK's copy of it, factored
+    again for every solve.
     """
     m = section.entries
     n = len(m)
@@ -302,14 +313,13 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     p = min(SKETCH, n)
     while True:
         y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
-        aug = (smax * y) @ z.conj().T
-        aug += m
         try:
-            adj = _solve_adjoint(aug, np.hstack((z, g)))             # M'^-H [Z, G]
-            span = np.linalg.solve(aug, np.hstack((y, adj[:, :p])))  # M'^-1 [Y, M'^-H Z]
+            lu = _factor(_augmented(m, smax * y, z))         # M'
+            adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
+            span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
         except np.linalg.LinAlgError:
             adj = None
-        del aug
+        lu = None   # frees M'
         if adj is not None:
             right, ritz = _ritz(m, span, cut)
             k = right.shape[1]
@@ -333,15 +343,12 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             f"a kept singular value is at most {ritz[-1 - k]:.3e}, not above {need:.3e} "
             f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
         )
-    aug = m
-    if k:
-        aug = (smax * near_left) @ right.conj().T
-        aug += m
     try:
-        solved = _solve_adjoint(aug, np.hstack((right, _gaussian(rng, n, PROBES))))
+        lu = _factor(_augmented(m, smax * near_left, right) if k else m)   # M''
+        solved = lu.solve_adjoint(np.hstack((right, _gaussian(rng, n, PROBES))))
         kept = _smallest_bound(solved[:, k:])
         if not kept > need:   # one power step
-            probes = _solve_adjoint(aug, np.linalg.solve(aug, solved[:, k:]))
+            probes = lu.solve_adjoint(lu.solve(solved[:, k:]))
             kept = _smallest_bound(probes, 3)
     except np.linalg.LinAlgError as exc:
         raise NoSpectralGap(f"augmented section is singular ({exc})") from None
@@ -366,9 +373,120 @@ def _orth(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[0][:, :k]
 
 
-def _solve_adjoint(aug: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # aug^T conj(X) = conj(rhs) is aug^H X = rhs without an n x n conjugate copy
-    return np.linalg.solve(aug.T, rhs.conj()).conj()
+def _augmented(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """A fresh C-order block m + left right^H."""
+    aug = left @ right.conj().T
+    aug += m
+    return aug
+
+
+@functools.cache
+def _lapack():
+    """(integer type, zgetrf, zgetrs) of the scipy-openblas LAPACK that numpy
+    has loaded, or None where it is not found; bound on the first null space.
+
+    That build (the one np.__config__ names in numpy's wheels) prefixes its
+    symbols with scipy_ and suffixes them with 64_ where its integers are 64
+    bits wide (numpy's _ilp64).  np.__config__ gives the build host's paths,
+    so the library is found where this process has it mapped, by its file
+    name and symbols.  ctypes releases the GIL for the call, so null_dims'
+    threads overlap."""
+    ilp64 = getattr(np.linalg._umath_linalg, "_ilp64", None)
+    if ilp64 is None:
+        return None
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip()
+                            for line in fh if "scipy_openblas" in line})
+    except OSError:
+        return None
+    suffix = "64_" if ilp64 else ""
+    integer = ctypes.c_int64 if ilp64 else ctypes.c_int32
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            getrf, getrs = lib["scipy_zgetrf_" + suffix], lib["scipy_zgetrs_" + suffix]
+        except (OSError, AttributeError):
+            continue
+        num, ptr = ctypes.POINTER(integer), ctypes.c_void_p
+        getrf.argtypes = [num, num, ptr, num, ptr, num]
+        getrs.argtypes = [ctypes.c_char_p, num, num, ptr, num, ptr, ptr, num, num]
+        getrf.restype = getrs.restype = None
+        return integer, getrf, getrs
+    return None
+
+
+def _factor(aug: np.ndarray) -> _LU | _Solve:
+    """The solves of aug: LAPACK's LU of aug, taken once (_LU), or the
+    fallback _Solve where the LAPACK is not bound.  aug is overwritten with
+    its factors unless it is a read-only block, which is copied first."""
+    lapack = _lapack()
+    return _Solve(aug) if lapack is None else _LU(aug, lapack)
+
+
+class _LU:
+    """aug^-1 and aug^-H from one zgetrf of aug, taken in place.
+
+    aug's C-order buffer read column-major is aug^T, so zgetrf factors aug^T
+    without a copy; aug x = b is getrs('T'), and aug^H x = b is getrs('N') on
+    conj(b), conjugated back.  ctypes ignores numpy's write flag, so a block
+    that is not a writeable C-order array of its own (a section's entries)
+    is copied before it is factored.  Shapes are checked before a pointer is
+    passed, and raise ValueError as in np.linalg.solve; a singular block
+    raises LinAlgError, as there."""
+
+    def __init__(self, aug: np.ndarray, lapack):
+        self._int, getrf, self._getrs = lapack
+        self._lu = np.require(aug, complex, ["C", "O", "W"])
+        n = len(self._lu)
+        if self._lu.shape != (n, n):
+            raise ValueError(f"cannot factor a block of shape {self._lu.shape}")
+        self._n = self._int(n)
+        self._ipiv = np.empty(n, dtype=self._int)
+        info = self._int()
+        getrf(self._n, self._n, self._lu.ctypes.data, self._n, self._ipiv.ctypes.data, info)
+        _check_info("zgetrf", info.value)
+
+    def _run(self, trans: bytes, b: np.ndarray) -> np.ndarray:
+        if b.ndim != 2 or len(b) != self._n.value:
+            raise ValueError(f"right-hand sides of shape {b.shape} for {self._n.value} rows")
+        info = self._int()
+        self._getrs(trans, self._n, self._int(b.shape[1]), self._lu.ctypes.data, self._n,
+                    self._ipiv.ctypes.data, b.ctypes.data, self._n, info)
+        _check_info("zgetrs", info.value)
+        return b
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._run(b"T", np.array(rhs, dtype=complex, order="F"))
+
+    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        b = self._run(b"N", np.array(rhs.conj(), dtype=complex, order="F"))
+        return np.conj(b, out=b)
+
+
+class _Solve:
+    """The fallback of _LU: holds aug and calls np.linalg.solve per solve,
+    which copies aug and factors the copy each time."""
+
+    def __init__(self, aug: np.ndarray):
+        self._aug = aug
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self._aug, rhs)
+
+    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        # aug^T conj(X) = conj(rhs) is aug^H X = rhs without an n x n conjugate copy
+        return np.linalg.solve(self._aug.T, rhs.conj()).conj()
+
+
+def _check_info(routine: str, info: int) -> None:
+    """LAPACK's info: a zero pivot is a singular block (LinAlgError), a bad
+    argument a fault of this module (RuntimeError, not the ValueError the
+    CLI reads as malformed input)."""
+    if info > 0:
+        raise np.linalg.LinAlgError(f"Singular matrix ({routine}: U[{info}, {info}] is zero)")
+    if info < 0:
+        raise RuntimeError(f"{routine}: argument {-info} is invalid")
 
 
 def _smallest_bound(probes: np.ndarray, power: int = 1) -> float:
@@ -483,13 +601,14 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     The null spaces of the first _concurrent_sections sections are solved
     at once, all but the first in worker threads, if the sections have
     CONCURRENT_MIN_SIZE rows or more and six n x n blocks (the two
-    sections, and an augmented section and LAPACK's copy per thread) fit
-    MAX_SECTION_BYTES; the rest in turn in this thread.  The first overlap
+    sections, and per thread an augmented section and, on the
+    np.linalg.solve fallback, LAPACK's copy of it) fit MAX_SECTION_BYTES;
+    the rest in turn in this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign
     order.  glibc is held to one malloc arena, as malloc_trim does not
     shrink a thread arena's top, and the heap is trimmed after, so that
-    the freed n x n LAPACK copies do not stay resident.
+    the freed n x n augmented sections do not stay resident.
     """
     signs = list(signs)
     size = max((sections[sign].size for sign in signs), default=0)

@@ -445,35 +445,156 @@ def test_null_space_residual_matches_singular_vectors(case):
 
 
 def test_null_space_solve_budget(shift2, monkeypatch):
-    # no n x n least-squares solve, SVD or inverse: three n x n LU solves when
-    # k <= SKETCH and the first bound certifies (two more for the power step
-    # of chi^3 at beta 1.2), and thin SVDs of at most 4 max(k, SKETCH) columns
-    calls = []
+    # one LU factorization of M' and one of M'' when k <= SKETCH and the
+    # first bound certifies, and still two with the power step of chi^3 at
+    # beta 1.2; with LAPACK bound no n x n least-squares solve, SVD, inverse
+    # or np.linalg.solve; thin SVDs of at most 4 max(k, SKETCH) columns
+    calls, factored, powers = [], [], []
     for name in ("lstsq", "svd", "solve", "inv"):
         def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
+    factor = oracle._factor
+
+    def counted(aug):
+        factored.append(np.shape(aug))
+        return factor(aug)
+
+    monkeypatch.setattr(oracle, "_factor", counted)
+    bound_of = oracle._smallest_bound
+    monkeypatch.setattr(oracle, "_smallest_bound",
+                        lambda probes, power=1: powers.append(power) or bound_of(probes, power))
+    bound = oracle._lapack() is not None
     pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
     near = make_shift(1.2)
     d = np.ones(64)
     d[::8] = 0.0
     sections = [
-        (operator_section("plus", pair, shift2, 64), 2, 3),
-        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None),
-        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 3),
-        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 5),
+        (operator_section("plus", pair, shift2, 64), 2, 2, [1]),
+        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, [1]),
+        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 2, [1]),
+        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 2, [1, 3]),
     ]
-    for sec, dim, solves in sections:
+    for sec, dim, factorizations, bound_powers in sections:
         calls.clear()
+        factored.clear()
+        powers.clear()
         assert numerical_null_space(sec).dim == dim
-        square = [name for name, shape in calls if shape == (sec.size, sec.size)]
-        assert set(square) == {"solve"}
-        if solves is not None:
-            assert len(square) == solves
+        assert powers == bound_powers
+        assert set(factored) == {(sec.size, sec.size)}
+        if factorizations is not None:
+            assert len(factored) == factorizations
+        square = {name for name, shape in calls if shape == (sec.size, sec.size)}
+        assert square == (set() if bound else {"solve"})
         widths = [shape[1] for name, shape in calls if name == "svd"]
         assert widths and max(widths) <= 4 * max(dim, oracle.SKETCH)
+
+
+def _null_space_or_gap(sec):
+    try:
+        return numerical_null_space(sec)
+    except NoSpectralGap:
+        return None
+
+
+def _near_circle_cases():
+    for k, beta in itertools.product(_ALL_K, (1.2, 1.1)):
+        for n in (128, 256):
+            yield pytest.param(("chi", k, beta, n), id=f"chi^{k}-beta{beta}-N{n}")
+
+
+@pytest.mark.parametrize("case", [*_reference_cases(), *_near_circle_cases()])
+def test_null_space_fallback_matches_lapack_lu(case, monkeypatch):
+    # without the LAPACK binding every solve goes through np.linalg.solve: the
+    # same dims, localized dims and NoSpectralGap verdicts, and bases that
+    # span the same subspaces, to 1e-10 or, where the gap leaves the subspace
+    # less well determined (chi^-10 at beta 1.5+0.5j: eps smax / gap is
+    # 6.5e-10), to test_null_space_matches_full_svd's rounding bound
+    _bound_lapack()
+    sections = _reference_sections(case)
+    bound = [_null_space_or_gap(sec) for sec in sections]
+    monkeypatch.setattr(oracle, "_lapack", lambda: None)
+    for sec, ns in zip(sections, bound):
+        ref = _null_space_or_gap(sec)
+        assert (ns is None) == (ref is None)
+        if ns is None:
+            continue
+        assert ns.dim == ref.dim
+        assert localized_null_dims(ns, sec.size) == localized_null_dims(ref, sec.size)
+        if ns.dim in (0, sec.size):
+            assert ns.right.shape == ref.right.shape == ref.left.shape == ns.left.shape
+            continue
+        s = scipy.linalg.svd(sec.entries, compute_uv=False)
+        tol = max(1e-10, 1e4 * np.finfo(float).eps * s[0] / s[-1 - ns.dim])
+        for got, want in ((ns.right, ref.right), (ns.left, ref.left)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want @ (want.conj().T @ got), 2) <= tol
+
+
+def test_null_space_leaves_section_entries_unchanged(shift2):
+    # zgetrf factors its block in place, and ctypes ignores the write flag:
+    # M'' = M at k = 0 must be copied, M' and M'' at k > 0 are blocks of
+    # their own
+    pair = make_matching_pair(shift2.chi.power(-2), shift2.chi.power(-2), shift2)
+    invertible = shift2.chi + RationalSymbol.constant(3.0)
+    for sec, dim in ((operator_section("toeplitz", invertible, shift2, 64), 0),
+                     (operator_section("plus", pair, shift2, 64), 2)):
+        before = sec.entries.tobytes()
+        assert numerical_null_space(sec).dim == dim
+        assert sec.entries.tobytes() == before
+
+
+def _bound_lapack():
+    lapack = oracle._lapack()
+    if lapack is None:
+        pytest.skip("zgetrf of numpy's scipy-openblas is not bound here")
+    return lapack
+
+
+def _fake_getrf(monkeypatch, info_value):
+    integer, _, getrs = _bound_lapack()
+
+    def getrf(m, n, a, lda, ipiv, info):
+        info.value = info_value
+
+    monkeypatch.setattr(oracle, "_lapack", lambda: (integer, getrf, getrs))
+
+
+def test_lu_zero_pivot_is_a_singular_section(monkeypatch):
+    # info > 0 is LinAlgError, as from np.linalg.solve: numerical_null_space
+    # doubles its sketch and then reports the augmented section singular
+    _bound_lapack()
+    aug = np.eye(16, dtype=complex)
+    aug[3, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle._factor(aug)
+    _fake_getrf(monkeypatch, 5)
+    with pytest.raises(NoSpectralGap, match="augmented section is singular"):
+        numerical_null_space(_diagonal_section(16, (0,)))
+
+
+def test_lu_invalid_argument_is_a_runtime_error(monkeypatch):
+    # info < 0 is a fault of the call, not malformed input: the CLI maps a
+    # bare ValueError to exit 1
+    _fake_getrf(monkeypatch, -4)
+    with pytest.raises(RuntimeError, match="argument 4") as exc:
+        numerical_null_space(_diagonal_section(16, (0,)))
+    assert not isinstance(exc.value, ValueError)
+
+
+def test_lu_checks_shapes_before_lapack_sees_a_pointer():
+    # zgetrs reads n rows of every right-hand side: a short one would be
+    # read and written past its end
+    _bound_lapack()
+    lu = oracle._factor(2.0 * np.eye(8, dtype=complex))
+    assert np.allclose(lu.solve(np.ones((8, 2))), 0.5)
+    assert np.allclose(lu.solve_adjoint(np.ones((8, 2))), 0.5)
+    for call, arg in ((lu.solve, np.ones((7, 2))), (lu.solve_adjoint, np.ones(8)),
+                      (oracle._factor, np.ones((8, 7), dtype=complex))):
+        with pytest.raises(ValueError):
+            call(arg)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 5, 12, 32])
