@@ -10,17 +10,18 @@ Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
 assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b).
 
-A section's null space comes from two LU factorizations
+A section's null space comes from one LU factorization
 (numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps,
 the right basis from a Rayleigh-Ritz step on the range of two solves with
 a randomly augmented section, and the left basis and the spectral-gap
-certificate from solves with the section augmented by the right basis.
-Each augmented section is factored once, in place, by the zgetrf of the
-LAPACK numpy has loaded, and solved with on both sides (_LU); where that
-library is not found, np.linalg.solve copies and factors it per solve
-(_Solve).  The certificate bounds the dropped singular values above and
-the kept ones below, so no singular spectrum is computed, and both bases
-are checked by their residuals.  Localization counts the directions of
+certificate from solves with the section augmented by the right basis,
+a low-rank update of the first (_Woodbury).  The first augmented section
+is factored once, in place, by the zgetrf of the LAPACK numpy has loaded,
+and solved with on both sides (_LU); where that library is not found,
+np.linalg.solve copies and factors it per solve (_Solve).  The
+certificate bounds the dropped singular values above and the kept ones
+below, so no singular spectrum is computed, and both bases are checked
+by their residuals.  Localization counts the directions of
 the null space with most of their mass in the first half of the
 coordinates, whatever basis the null space is given in.  Every caller
 gets these dimensions from null_dims, which solves the null spaces at
@@ -60,6 +61,10 @@ SKETCH = 4             # rank of the first augmentation of a section (numerical_
 PROBES = 4             # extra random right-hand sides that bound a smallest singular value
 LANCZOS_STEPS = 20     # Golub-Kahan-Lanczos steps of the sigma_max estimate
 HMT = 10 * np.sqrt(2 / np.pi)   # Halko-Martinsson-Tropp's constant of a norm bound from probes
+# largest normwise backward error of a refined solve with M'' (_Woodbury): its probes
+# are then those of a block within 2e-13 sigma_max of M''; 9e-16 at most was measured
+# on chi^k sections, |k| <= 10, N = 128-512, with beta down to 1.05
+SOLVE_BACKWARD_TOL = 1e-13
 ENTRY_TAIL_TOL = 1e-10
 MAX_SECTION_BYTES = 1 << 30   # four n x n blocks of the largest section allowed
 # null_dims solves smaller sections in turn: at N = 256 the overlap saved 10 ms
@@ -167,10 +172,10 @@ def _refuse_oversized(size: int) -> None:
 
     operator_section checks this before it allocates.  Four blocks is the
     peak of pair_sections (T(a), H(b) and the two sums).  A caller holding
-    both sections while a null space is solved holds three, an augmented
-    section factored in place; on the np.linalg.solve fallback, four, with
-    LAPACK's copy of it.  null_dims runs two null spaces at once only if
-    six fit, the fallback's peak."""
+    both sections while a null space is solved holds three, the one
+    augmented section of the null space, factored in place; on the
+    np.linalg.solve fallback, four, with LAPACK's copy of it.  null_dims
+    runs two null spaces at once only if six fit, the fallback's peak."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -254,7 +259,7 @@ class NullSpace:
 
 
 def numerical_null_space(section: FiniteSection) -> NullSpace:
-    """Null space from two LU factorizations, with a certified spectral gap.
+    """Null space from one LU factorization, with a certified spectral gap.
 
     sigma_max is estimated (from below) by LANCZOS_STEPS steps of
     Golub-Kahan-Lanczos; singular values at or below the cut
@@ -284,7 +289,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     bound fell 35 times short of the smallest kept value (chi^-10 at beta
     1.5+0.5j, N = 128).  The split is certified when the bound exceeds the
     cut and SVD_GAP ||M V||_2.  If it does not but the (k+1)-th Ritz value
-    does, one power step (two more solves with M'''s factors) sharpens it
+    does, one power step (two more solves with M'') sharpens it
     to (HMT sqrt(n) max_i ||B B^H B g_i||)^(-1/3), B = M''^-H; else, or if
     it still falls short, NoSpectralGap.  So a certified split has the k and
     the gap that the full singular spectrum gives, but where the smallest
@@ -296,12 +301,16 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     singular_values holds the values computed, descending: sigma_max's
     estimate, then the last Ritz values, of which the last dim are dropped;
     not the full spectrum.  No n x n SVD, least-squares solve or inverse is
-    taken: M' and M'' are each factored once (_factor), both sides solved
-    with the factors, so the power step adds no factorization.  Besides the
-    section, one n x n block is held at a time, the augmented section that
-    zgetrf overwrites with its factors (at k = 0 a copy of the section);
-    on the np.linalg.solve fallback also LAPACK's copy of it, factored
-    again for every solve.
+    taken, and only M' is factored (_factor), once.  M'' = M' + L R^H, with
+    L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0, M'' = M), is solved
+    on both sides through M''s factors by the Woodbury identity, each solve
+    refined once against M'' and gated by its backward error (_Woodbury,
+    SOLVE_BACKWARD_TOL); so neither M'' nor the power step adds a
+    factorization, and a singular M'' (a singular C) is NoSpectralGap.
+    Besides the section, one n x n block is held: M', which zgetrf
+    overwrites with its factors, until the null space returns; on the
+    np.linalg.solve fallback also LAPACK's copy of it, factored again for
+    every solve.
     """
     m = section.entries
     n = len(m)
@@ -318,8 +327,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
         except np.linalg.LinAlgError:
-            adj = None
-        lu = None   # frees M'
+            lu = adj = None
         if adj is not None:
             right, ritz = _ritz(m, span, cut)
             k = right.shape[1]
@@ -328,10 +336,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
                 break
         elif p == n:
             raise NoSpectralGap("augmented section is singular")
+        lu = None   # frees M' before the wider sketch is factored
         p = min(2 * p, n)
     near_left = _ritz(m.T, adj[:, :p].conj(), cut, k)[0].conj()   # M^T conj(w) = conj(M^H w)
     s = np.concatenate(([smax], ritz))
-    del y, z, g, adj, span, growth   # freed before M'' is allocated
     if k == n:
         return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
     dropped = float(np.linalg.norm(m @ right, 2))
@@ -344,7 +352,8 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
         )
     try:
-        lu = _factor(_augmented(m, smax * near_left, right) if k else m)   # M''
+        lu = _Woodbury(m, smax, lu, (smax * near_left, right),
+                       (smax * y, z, smax * span[:, :p], adj[:, :p]))   # M''
         solved = lu.solve_adjoint(np.hstack((right, _gaussian(rng, n, PROBES))))
         kept = _smallest_bound(solved[:, k:])
         if not kept > need:   # one power step
@@ -430,8 +439,9 @@ class _LU:
     aug's C-order buffer read column-major is aug^T, so zgetrf factors aug^T
     without a copy; aug x = b is getrs('T'), and aug^H x = b is getrs('N') on
     conj(b), conjugated back.  ctypes ignores numpy's write flag, so a block
-    that is not a writeable C-order array of its own (a section's entries)
-    is copied before it is factored.  Shapes are checked before a pointer is
+    that is not a writeable C-order array of its own (a section's entries;
+    numerical_null_space hands over only fresh augmented blocks) is copied
+    before it is factored.  Shapes are checked before a pointer is
     passed, and raise ValueError as in np.linalg.solve; a singular block
     raises LinAlgError, as there."""
 
@@ -477,6 +487,62 @@ class _Solve:
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         # aug^T conj(X) = conj(rhs) is aug^H X = rhs without an n x n conjugate copy
         return np.linalg.solve(self._aug.T, rhs.conj()).conj()
+
+
+class _Woodbury:
+    """Solves with M'' = m + P Q^H, (P, Q) = lift, through the solves of
+    M' = m + P0 Q0^H (lu), given drop = (P0, Q0, M'^-1 P0, M'^-H Q0).
+
+    M'' = M' + L R^H with L = [P, -P0] and R = [Q, Q0], so by the Woodbury
+    identity (Hager, SIAM Review 31, 1989)
+        M''^-1 b = M'^-1 b - (M'^-1 L) C^-1 R^H M'^-1 b,   C = I + R^H M'^-1 L,
+        M''^-H b = M'^-H b - (M'^-H R) C^-H L^H M'^-H b,   C^H = I + L^H M'^-H R;
+    the lift's two solves are taken here.  Each side takes its C from its
+    own solves, as the fallback factors M' and M'^T apart.  C can be far
+    worse conditioned than M' and M'' (5e13, chi^-10 at beta 1.5+0.5j, N = 256),
+    so each solve is refined once against m x + P (Q^H x), or its adjoint,
+    and raises NoSpectralGap if a column's normwise backward error
+    ||b - M'' x|| / (scale ||x|| + ||b||), scale about ||M''||, is then
+    above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError."""
+
+    def __init__(self, m: np.ndarray, scale: float, lu, lift, drop):
+        (p, q), (p0, q0, inv_p0, adj_q0) = lift, drop
+        self._m, self._scale, self._lu, self._p, self._q = m, scale, lu, p, q
+        self._left, self._right = np.hstack((p, -p0)), np.hstack((q, q0))
+        self._inv_left = np.hstack((lu.solve(p), -inv_p0))          # M'^-1 L
+        self._adj_right = np.hstack((lu.solve_adjoint(q), adj_q0))   # M'^-H R
+        eye = np.eye(self._left.shape[1])
+        self._c = eye + self._right.conj().T @ self._inv_left
+        self._c_adj = eye + self._left.conj().T @ self._adj_right
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        def first(b):
+            x = self._lu.solve(b)
+            return x - self._inv_left @ np.linalg.solve(self._c, self._right.conj().T @ x)
+
+        return self._refined(rhs, first, lambda x: self._m @ x + self._p @ (self._q.conj().T @ x))
+
+    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        def first(b):
+            x = self._lu.solve_adjoint(b)
+            return x - self._adj_right @ np.linalg.solve(self._c_adj, self._left.conj().T @ x)
+
+        def apply(x):   # M^H x as (x^H M)^H, without a copy of M^H
+            return (x.conj().T @ self._m).conj().T + self._q @ (self._p.conj().T @ x)
+
+        return self._refined(rhs, first, apply)
+
+    def _refined(self, b, first, apply) -> np.ndarray:
+        x = first(b)
+        x += first(b - apply(x))
+        size = self._scale * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
+        worst = np.max(np.linalg.norm(b - apply(x), axis=0) / size)
+        if not worst <= SOLVE_BACKWARD_TOL:
+            raise NoSpectralGap(
+                f"a refined solve with the lifted section has backward error {worst:.3e}, "
+                f"above SOLVE_BACKWARD_TOL = {SOLVE_BACKWARD_TOL:.0e}"
+            )
+        return x
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -601,9 +667,9 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     The null spaces of the first _concurrent_sections sections are solved
     at once, all but the first in worker threads, if the sections have
     CONCURRENT_MIN_SIZE rows or more and six n x n blocks (the two
-    sections, and per thread an augmented section and, on the
-    np.linalg.solve fallback, LAPACK's copy of it) fit MAX_SECTION_BYTES;
-    the rest in turn in this thread.  The first overlap
+    sections, and per thread the null space's one augmented section and,
+    on the np.linalg.solve fallback, LAPACK's copy of it) fit
+    MAX_SECTION_BYTES; the rest in turn in this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign
     order.  glibc is held to one malloc arena, as malloc_trim does not

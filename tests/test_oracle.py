@@ -445,10 +445,10 @@ def test_null_space_residual_matches_singular_vectors(case):
 
 
 def test_null_space_solve_budget(shift2, monkeypatch):
-    # one LU factorization of M' and one of M'' when k <= SKETCH and the
-    # first bound certifies, and still two with the power step of chi^3 at
-    # beta 1.2; with LAPACK bound no n x n least-squares solve, SVD, inverse
-    # or np.linalg.solve; thin SVDs of at most 4 max(k, SKETCH) columns
+    # one LU factorization, of M', when k <= SKETCH (k = 0 too), and still
+    # one with the power step of chi^3 at beta 1.2: M'' is solved through
+    # M''s factors; with LAPACK bound no n x n least-squares solve, SVD,
+    # inverse or np.linalg.solve; thin SVDs of at most 4 max(k, SKETCH) columns
     calls, factored, powers = [], [], []
     for name in ("lstsq", "svd", "solve", "inv"):
         def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -472,10 +472,10 @@ def test_null_space_solve_budget(shift2, monkeypatch):
     d = np.ones(64)
     d[::8] = 0.0
     sections = [
-        (operator_section("plus", pair, shift2, 64), 2, 2, [1]),
+        (operator_section("plus", pair, shift2, 64), 2, 1, [1]),
         (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, [1]),
-        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 2, [1]),
-        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 2, [1, 3]),
+        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 1, [1]),
+        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 1, [1, 3]),
     ]
     for sec, dim, factorizations, bound_powers in sections:
         calls.clear()
@@ -595,6 +595,113 @@ def test_lu_checks_shapes_before_lapack_sees_a_pointer():
                       (oracle._factor, np.ones((8, 7), dtype=complex))):
         with pytest.raises(ValueError):
             call(arg)
+
+
+def _recorded_updates(monkeypatch):
+    """The (arguments, object) of every _Woodbury numerical_null_space makes."""
+    made = []
+
+    class Recorded(oracle._Woodbury):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((args, self))
+
+    monkeypatch.setattr(oracle, "_Woodbury", Recorded)
+    return made
+
+
+def _chi2_plus(sh):
+    """The plus section of chi^-2 at N = 64: k = 2."""
+    return operator_section("plus", make_matching_pair(sh.chi.power(-2), sh.chi.power(-2), sh),
+                            sh, 64)
+
+
+def _update_cases():
+    sh, near = make_shift(2.0), make_shift(1.2)
+    yield pytest.param(lambda: operator_section(
+        "toeplitz", sh.chi + RationalSymbol.constant(3.0), sh, 64), 0, id="k0")
+    yield pytest.param(lambda: _chi2_plus(sh), 2, id="k2")
+    # C = I + R^H M'^-1 L has condition 1e13 here: unrefined solves reach 4e-9
+    yield pytest.param(lambda: oracle.pair_sections(
+        (near.chi.power(-6),) * 2, near, 128)["+"], 6, id="chi^-6-beta1.2-N128")
+
+
+@pytest.mark.parametrize("build, dim", _update_cases())
+def test_woodbury_solves_match_the_lifted_section(build, dim, monkeypatch):
+    # the update's solves, and the power step's product of both, against
+    # M'' = M + sigma_max W0 V^H formed and factored explicitly (M at k = 0):
+    # relative residuals at rounding level, as the direct LU leaves them
+    made = _recorded_updates(monkeypatch)
+    sec = build()
+    assert numerical_null_space(sec).dim == dim
+    (m, _, _, lift, _), update = made[0]
+    lifted = oracle._augmented(m, *lift)
+    norm = np.linalg.norm(lifted, 2)
+    direct = oracle._factor(oracle._augmented(m, *lift))
+    b = oracle._gaussian(np.random.default_rng(1), len(m), 3)
+
+    def worst(residual, x, scale):
+        return np.max(np.linalg.norm(residual, axis=0) / (scale * np.linalg.norm(x, axis=0)))
+
+    for solver in (update, direct):
+        x, xa = solver.solve(b), solver.solve_adjoint(b)
+        xp = solver.solve_adjoint(solver.solve(b))
+        assert worst(b - lifted @ x, x, norm) <= 10 * np.finfo(float).eps
+        assert worst(b - lifted.conj().T @ xa, xa, norm) <= 10 * np.finfo(float).eps
+        assert worst(b - lifted @ (lifted.conj().T @ xp), xp, norm**2) <= 10 * np.finfo(float).eps
+
+
+def test_woodbury_singular_capacitance_is_no_spectral_gap(shift2, monkeypatch):
+    # C is singular exactly when M'' is: M' = I lifted by -e0 e0^H gives C = 0
+    # and LinAlgError on both sides, as a singular M'' gave from zgetrf
+    n = 8
+    eye, e0, none = np.eye(n, dtype=complex), np.eye(n, 1, dtype=complex), np.zeros((n, 0))
+    update = oracle._Woodbury(eye, 1.0, oracle._factor(eye.copy()), (-e0, e0), (none,) * 4)
+    for solve in (update.solve, update.solve_adjoint):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(np.ones((n, 1), dtype=complex))
+    sec = _chi2_plus(shift2)
+    woodbury = oracle._Woodbury
+
+    class Singular(woodbury):   # C = 0 exactly
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._c = self._c_adj = np.zeros_like(self._c)
+
+    def unlifted(m, scale, lu, lift, drop):   # W0 = 0: M'' = M, C singular to rounding
+        return woodbury(m, scale, lu, (0 * lift[0], lift[1]), drop)
+
+    for update in (Singular, unlifted):
+        monkeypatch.setattr(oracle, "_Woodbury", update)
+        with pytest.raises(NoSpectralGap):
+            numerical_null_space(sec)
+
+
+def test_woodbury_backward_error_gate(shift2, monkeypatch):
+    # a refined solve above SOLVE_BACKWARD_TOL certifies nothing
+    sec = _chi2_plus(shift2)
+    assert numerical_null_space(sec).dim == 2
+    monkeypatch.setattr(oracle, "SOLVE_BACKWARD_TOL", 1e-30)
+    with pytest.raises(NoSpectralGap, match="backward error"):
+        numerical_null_space(sec)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_norm_estimate_bounds_the_norm_from_below(n, monkeypatch):
+    # Golub-Kahan-Lanczos reads sigma_max from below: within 5e-3 on the
+    # reference sections (4.8e-3 on chi^-10 at beta 2, N = 256)
+    for k, beta in itertools.product((-10, -6, -2, 1, 3), (2.0, 1.5 + 0.5j)):
+        sh = make_shift(beta)
+        for sec in oracle.pair_sections((sh.chi.power(k),) * 2, sh, n).values():
+            est = oracle._norm_estimate(sec.entries, np.random.default_rng(0))
+            norm = np.linalg.norm(sec.entries, 2)
+            assert (1 - 5e-3) * norm <= est <= norm * (1 + 1e-12)
+    assert oracle._norm_estimate(np.zeros((64, 64), complex), np.random.default_rng(0)) == 0.0
+    diag = np.diag(np.linspace(0.0, 3.0, 64)).astype(complex)
+    assert 3.0 * (1 - 5e-3) <= oracle._norm_estimate(diag, np.random.default_rng(0)) <= 3.0
+    monkeypatch.setattr(oracle, "LANCZOS_STEPS", 1)
+    one = oracle._norm_estimate(np.eye(64, dtype=complex), np.random.default_rng(0))
+    assert one == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 5, 12, 32])
