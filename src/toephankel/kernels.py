@@ -19,7 +19,7 @@ against the numerical oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
@@ -35,7 +35,7 @@ from .errors import (
     WrongRegime,
 )
 from .matching import MatchingPair, adjoint_pair, alpha_signature, make_matching_pair
-from .oracle import FiniteSection, null_dims, pair_sections, residual_check
+from .oracle import FiniteSection, null_dims, pair_sections, release_freed_blocks, residual_check
 from .rational import RationalSymbol
 from .series import TruncatedSeries
 from .shift import ShiftParams, apply_J_alpha, chi_power, compose_with_shift
@@ -381,13 +381,9 @@ def all_defect_bases(pair: MatchingPair) -> dict:
 
 def _oracle_residual(section: FiniteSection, basis: KernelBasis) -> float:
     """Largest finite-section residual of the basis functions: ||M f|| for
-    kernels; for cokernels ||M^H f|| = ||M^T conj(f)||, taken on a
-    transposed view of M, so no n x n copy is made."""
-    series = [f.series for f in basis.functions]
-    if basis.kind == "coker":
-        section = replace(section, entries=section.entries.T)
-        series = [replace(f, coeffs=f.coeffs.conj()) for f in series]
-    return max((residual_check(section, f) for f in series), default=0.0)
+    kernels, ||M^H f|| for cokernels, from the section's products."""
+    adjoint = basis.kind == "coker"
+    return max((residual_check(section, f.series, adjoint) for f in basis.functions), default=0.0)
 
 
 def kernel_cokernel_bases(
@@ -408,6 +404,8 @@ def kernel_cokernel_bases(
     if basis.dim:
         section = pair_sections(pair, pair.shift, oracle_size)[sign]
         resid = _oracle_residual(section, basis)
+        del section
+        release_freed_blocks()
         if resid >= ORACLE_RESIDUAL_TOL:
             raise CrossCheckMismatch(
                 f"basis function fails the oracle residual gate ({resid:.3e})"
@@ -431,6 +429,8 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
         )
         out["agreement"][sign] = bool(ok)
     out["agreement"]["all"] = all(out["agreement"].values())
+    del sections
+    release_freed_blocks()
     return out
 
 
@@ -513,8 +513,9 @@ def coburn_class(
         pass
     if not candidates:
         return None
-    sections = pair_sections((a, b), shift, oracle_size)
-    dims = null_dims(sections, dict.fromkeys(sign for _, sign in candidates))
+    dims = null_dims(pair_sections((a, b), shift, oracle_size),
+                     dict.fromkeys(sign for _, sign in candidates))
+    release_freed_blocks()
     out = []
     for tag, sign in candidates:
         dk, dc = dims[sign]

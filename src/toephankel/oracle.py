@@ -8,7 +8,12 @@ algebra: every coefficient window comes from the certified circle FFT
 (fourier_coefficients), one FFT of a for Toeplitz and one of b for
 Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
-assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b).
+assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b),
+each with the factors of its products: the FFT of T(a)'s circulant
+embedding and H(b) = B C, of rank R (FiniteSection.product and
+adjoint_product).  Every product of a pair section's null space and
+residual gates goes through them, at O(N log N + N R) a column; its dense
+entries are read only to form the augmented section that is factored.
 
 A section's null space comes from one LU factorization
 (numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps,
@@ -29,9 +34,9 @@ once from CONCURRENT_MIN_SIZE rows on where six n x n blocks (the
 fallback's peak) fit MAX_SECTION_BYTES; errors come in sign order.
 
 Everything here runs on numpy alone: Toeplitz sections come from
-toeplitz_matrix, a strided view, and the null space from np.linalg and
-the LAPACK numpy loads.  Sections whose four n x n blocks would exceed
-MAX_SECTION_BYTES are refused before anything is allocated.
+toeplitz_matrix, a copy of a strided view, and the null space from
+np.linalg and the LAPACK numpy loads.  Sections whose four n x n blocks
+would exceed MAX_SECTION_BYTES are refused before anything is allocated.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -79,12 +84,21 @@ _M_ARENA_MAX = -8      # glibc's mallopt parameter
 
 @dataclass(frozen=True)
 class FiniteSection:
-    """N x N compression of an operator in the Fourier basis."""
+    """N x N compression of an operator in the Fourier basis.
+
+    factors, set by pair_sections, is (eig, hank, flip, sign) with entries =
+    T + sign hank @ flip: T Toeplitz, eig the eigenvalues of T's 2N x 2N
+    circulant embedding, and hank @ flip the rank-R factors of H(b)
+    (_hankel_entries).  product and adjoint_product then cost
+    O(N log N + N R) per column through them; a section without factors
+    (block, PC, loaded and hand-made ones) multiplies by entries, the
+    dense cross-check of the structured products."""
 
     size: int
     entries: np.ndarray = field(repr=False)
     kind: str = ""
     meta: dict = field(default_factory=dict)
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)
@@ -92,6 +106,31 @@ class FiniteSection:
     @property
     def margin(self) -> int:
         return int(self.meta.get("margin", 0))
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """M x, for a vector or a block of columns x."""
+        if self.factors is None:
+            return self.entries @ x
+        eig, hank, flip, sign = self.factors
+        out = _circulant(eig, x)
+        out += sign * (hank @ (flip @ x))
+        return out
+
+    def adjoint_product(self, x: np.ndarray) -> np.ndarray:
+        """M^H x, without a copy of M^H: T^H is a section of the circulant
+        with eigenvalues conj(eig), and H^H x = conj(C^T B^T conj(x))."""
+        if self.factors is None:
+            return np.conj(self.entries.T @ x.conj())
+        eig, hank, flip, sign = self.factors
+        out = _circulant(eig.conj(), x)
+        out += sign * np.conj(flip.T @ (hank.T @ x.conj()))
+        return out
+
+
+def _circulant(eig: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The first len(x) rows of circ [x; 0], circ the circulant with eigenvalues eig."""
+    scale = eig if x.ndim == 1 else eig[:, None]
+    return np.fft.ifft(scale * np.fft.fft(x, len(eig), axis=0), axis=0)[: len(x)]
 
 
 def toeplitz_matrix(col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -121,7 +160,7 @@ def _symbol_margin(s: RationalSymbol) -> int:
 
 def _hankel_entries(
     b: RationalSymbol, shift: ShiftParams, n: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
     """Column k is the analytic part of b J t^k, as the product B @ C.
 
     J t^k = lam alpha^k / (conj(beta) t - 1) = sum_{m>=1} c[m, k] t^-m, so
@@ -129,20 +168,24 @@ def _hankel_entries(
     b.analytic_pad(eps), from one certified FFT of b, and C = _flip_matrix.
     C's uncut columns have unit l2 norm (J is an isometry), so an entry
     loses at most the l2 norm of b_{R+1}, b_{R+2}, ... to the cut: the
-    returned tail.  GridTooSmall when it exceeds ENTRY_TAIL_TOL * max(1, |H|),
-    or B would outgrow both the section and FFT_CAP."""
+    returned tail.  Returns the entries, the tail and the factors (B, C),
+    n x R and R x n (R = 0 where H(b) = 0).  GridTooSmall when the tail
+    exceeds ENTRY_TAIL_TOL * max(1, |H|), or B would outgrow both the
+    section and FFT_CAP."""
     r = b.analytic_pad(np.finfo(float).eps)
     if r == 0:   # no analytic coefficient of positive index: H(b) = 0
-        return np.zeros((n, n), dtype=complex), 0.0
+        empty = np.zeros((n, 0), dtype=complex)
+        return np.zeros((n, n), dtype=complex), 0.0, (empty, empty.T)
     if n * r > max(n * n, FFT_CAP):
         raise GridTooSmall(f"hankel window R={r} is too wide for N={n}")
     co = fourier_coefficients(b, (1, n - 1 + 2 * r)).coeffs
     tail = float(np.linalg.norm(co[r:]))
-    hank = np.lib.stride_tricks.sliding_window_view(co[: n - 1 + r], r)   # B, a view
-    entries = hank @ _flip_matrix(shift, r, n)
+    hank = np.lib.stride_tricks.sliding_window_view(co[: n - 1 + r], r).copy()   # B
+    flip = _flip_matrix(shift, r, n)
+    entries = hank @ flip
     if tail > ENTRY_TAIL_TOL and tail > ENTRY_TAIL_TOL * np.max(np.abs(entries)):
         raise GridTooSmall(f"hankel window R={r} leaves a tail of {tail:.3e}")
-    return entries, tail
+    return entries, tail, (hank, flip)
 
 
 def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
@@ -170,12 +213,13 @@ def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
 def _refuse_oversized(size: int) -> None:
     """InputError unless four size x size complex blocks fit MAX_SECTION_BYTES.
 
-    operator_section checks this before it allocates.  Four blocks is the
-    peak of pair_sections (T(a), H(b) and the two sums).  A caller holding
-    both sections while a null space is solved holds three, the one
-    augmented section of the null space, factored in place; on the
-    np.linalg.solve fallback, four, with LAPACK's copy of it.  null_dims
-    runs two null spaces at once only if six fit, the fallback's peak."""
+    operator_section and pair_sections check this before they allocate.
+    pair_sections holds three blocks at its peak (T(a), H(b) and the
+    difference).  A caller holding both sections while a null space is
+    solved holds three, the one augmented section of the null space,
+    factored in place; on the np.linalg.solve fallback, four, with LAPACK's
+    copy of it.  null_dims runs two null spaces at once only if six fit,
+    the fallback's peak."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -187,16 +231,30 @@ def _refuse_oversized(size: int) -> None:
 def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSection]:
     """The sections of T(a) + H(b) and T(a) - H(b), keyed '+' and '-'.
 
-    payload is a MatchingPair or an (a, b) tuple of symbols; T(a) and H(b)
-    are assembled once and shared by both sections.
+    payload is a MatchingPair or an (a, b) tuple of rational symbols.  T(a)
+    and H(b) are assembled once: the minus section is T(a) - H(b), and the
+    plus one T(a) + H(b) in T(a)'s own buffer, so three n x n blocks are
+    held at the peak.  Both carry the factors of their products
+    (FiniteSection): the FFT of T(a)'s circulant embedding, from its first
+    column and row, and H(b)'s factors from _hankel_entries.  Null spaces
+    and residual gates multiply through these; the dense entries are read
+    only to form the augmented section M' (numerical_null_space).
     """
     a, b = (payload.a, payload.b) if isinstance(payload, MatchingPair) else payload
-    ta = operator_section("toeplitz", a, shift, n)
-    hb = operator_section("hankel", b, shift, n)
-    meta = {"tail": max(ta.meta["tail"], hb.meta["tail"]), "margin": max(ta.margin, hb.margin)}
+    if n < 8:
+        raise ValueError("section size must be at least 8")
+    _refuse_oversized(n)
+    plus, tail_a = _toeplitz_entries(a, n)
+    hankel, tail_b, (hank, flip) = _hankel_entries(b, shift, n)
+    eig = np.fft.fft(np.concatenate((plus[:, 0], [0.0], plus[0, :0:-1])))
+    minus = plus - hankel
+    plus += hankel
+    del hankel
+    meta = {"tail": max(tail_a, tail_b),
+            "margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad)}
     return {
-        "+": FiniteSection(n, ta.entries + hb.entries, "plus", dict(meta)),
-        "-": FiniteSection(n, ta.entries - hb.entries, "minus", meta),
+        "+": FiniteSection(n, plus, "plus", dict(meta), (eig, hank, flip, 1.0)),
+        "-": FiniteSection(n, minus, "minus", meta, (eig, hank, flip, -1.0)),
     }
 
 
@@ -229,7 +287,7 @@ def operator_section(
             entries, tail = _toeplitz_entries(sym, n)
             margin = _symbol_margin(sym)
         else:
-            entries, tail = _hankel_entries(sym, shift, n)
+            entries, tail, _ = _hankel_entries(sym, shift, n)
             margin = _symbol_margin(sym) + shift.pad
         return FiniteSection(n, entries, kind, {"tail": tail, "margin": margin})
     if kind in ("plus", "minus"):
@@ -298,6 +356,11 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     come where the full SVD finds the gap.  Both bases must also leave a
     residual below the cut.
 
+    Every product with M (the Lanczos steps, both Rayleigh-Ritz steps, the
+    residuals ||M V|| and ||M^H W||, the refinement of the solves with M'')
+    is the section's product or adjoint_product: structured for a pair
+    section, whose dense entries are then read only to form M'.
+
     singular_values holds the values computed, descending: sigma_max's
     estimate, then the last Ritz values, of which the last dim are dropped;
     not the full spectrum.  No n x n SVD, least-squares solve or inverse is
@@ -312,10 +375,9 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     np.linalg.solve fallback also LAPACK's copy of it, factored again for
     every solve.
     """
-    m = section.entries
-    n = len(m)
+    n = section.size
     rng = np.random.default_rng(0)
-    smax = _norm_estimate(m, rng)
+    smax = _norm_estimate(section, rng)
     if smax == 0.0:
         return NullSpace(n, np.eye(n, dtype=complex), np.eye(n, dtype=complex), np.zeros(1))
     cut = SVD_TOL * smax
@@ -323,13 +385,13 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     while True:
         y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
         try:
-            lu = _factor(_augmented(m, smax * y, z))         # M'
+            lu = _factor(_augmented(section.entries, smax * y, z))   # M'
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
         except np.linalg.LinAlgError:
             lu = adj = None
         if adj is not None:
-            right, ritz = _ritz(m, span, cut)
+            right, ritz = _ritz(section.product, span, cut)
             k = right.shape[1]
             growth = np.linalg.norm(adj[:, p:], axis=0) / np.linalg.norm(g, axis=0)
             if p == n or (k <= p and np.max(growth) * cut < 1):
@@ -338,11 +400,11 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             raise NoSpectralGap("augmented section is singular")
         lu = None   # frees M' before the wider sketch is factored
         p = min(2 * p, n)
-    near_left = _ritz(m.T, adj[:, :p].conj(), cut, k)[0].conj()   # M^T conj(w) = conj(M^H w)
+    near_left = _ritz(section.adjoint_product, adj[:, :p], cut, k)[0]
     s = np.concatenate(([smax], ritz))
     if k == n:
         return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
-    dropped = float(np.linalg.norm(m @ right, 2))
+    dropped = float(np.linalg.norm(section.product(right), 2))
     if not dropped < cut:
         raise NoSpectralGap(f"right null vectors leave residual {dropped:.3e} >= {cut:.3e}")
     need = max(cut, SVD_GAP * dropped)
@@ -352,7 +414,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
         )
     try:
-        lu = _Woodbury(m, smax, lu, (smax * near_left, right),
+        lu = _Woodbury(section, smax, lu, (smax * near_left, right),
                        (smax * y, z, smax * span[:, :p], adj[:, :p]))   # M''
         solved = lu.solve_adjoint(np.hstack((right, _gaussian(rng, n, PROBES))))
         kept = _smallest_bound(solved[:, k:])
@@ -367,7 +429,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
         )
     left = _orth(solved[:, :k], k)
-    r = float(np.linalg.norm(m.T @ left.conj(), 2))   # ||M^H W||
+    r = float(np.linalg.norm(section.adjoint_product(left), 2))
     if not r < cut:
         raise NoSpectralGap(f"left null vectors leave residual {r:.3e} >= {cut:.3e}")
     return NullSpace(k, right, left, s)
@@ -490,8 +552,8 @@ class _Solve:
 
 
 class _Woodbury:
-    """Solves with M'' = m + P Q^H, (P, Q) = lift, through the solves of
-    M' = m + P0 Q0^H (lu), given drop = (P0, Q0, M'^-1 P0, M'^-H Q0).
+    """Solves with M'' = M + P Q^H, M the section and (P, Q) = lift, through
+    the solves of M' = M + P0 Q0^H (lu), given drop = (P0, Q0, M'^-1 P0, M'^-H Q0).
 
     M'' = M' + L R^H with L = [P, -P0] and R = [Q, Q0], so by the Woodbury
     identity (Hager, SIAM Review 31, 1989)
@@ -500,14 +562,15 @@ class _Woodbury:
     the lift's two solves are taken here.  Each side takes its C from its
     own solves, as the fallback factors M' and M'^T apart.  C can be far
     worse conditioned than M' and M'' (5e13, chi^-10 at beta 1.5+0.5j, N = 256),
-    so each solve is refined once against m x + P (Q^H x), or its adjoint,
+    so each solve is refined once against M x + P (Q^H x), or its adjoint,
+    M x from section.product (structured for a pair section),
     and raises NoSpectralGap if a column's normwise backward error
     ||b - M'' x|| / (scale ||x|| + ||b||), scale about ||M''||, is then
     above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError."""
 
-    def __init__(self, m: np.ndarray, scale: float, lu, lift, drop):
+    def __init__(self, section: FiniteSection, scale: float, lu, lift, drop):
         (p, q), (p0, q0, inv_p0, adj_q0) = lift, drop
-        self._m, self._scale, self._lu, self._p, self._q = m, scale, lu, p, q
+        self._section, self._scale, self._lu, self._p, self._q = section, scale, lu, p, q
         self._left, self._right = np.hstack((p, -p0)), np.hstack((q, q0))
         self._inv_left = np.hstack((lu.solve(p), -inv_p0))          # M'^-1 L
         self._adj_right = np.hstack((lu.solve_adjoint(q), adj_q0))   # M'^-H R
@@ -520,17 +583,17 @@ class _Woodbury:
             x = self._lu.solve(b)
             return x - self._inv_left @ np.linalg.solve(self._c, self._right.conj().T @ x)
 
-        return self._refined(rhs, first, lambda x: self._m @ x + self._p @ (self._q.conj().T @ x))
+        return self._refined(
+            rhs, first, lambda x: self._section.product(x) + self._p @ (self._q.conj().T @ x))
 
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
             x = self._lu.solve_adjoint(b)
             return x - self._adj_right @ np.linalg.solve(self._c_adj, self._left.conj().T @ x)
 
-        def apply(x):   # M^H x as (x^H M)^H, without a copy of M^H
-            return (x.conj().T @ self._m).conj().T + self._q @ (self._p.conj().T @ x)
-
-        return self._refined(rhs, first, apply)
+        return self._refined(
+            rhs, first,
+            lambda x: self._section.adjoint_product(x) + self._q @ (self._p.conj().T @ x))
 
     def _refined(self, b, first, apply) -> np.ndarray:
         x = first(b)
@@ -562,14 +625,15 @@ def _smallest_bound(probes: np.ndarray, power: int = 1) -> float:
     return float(top ** (-1.0 / power))
 
 
-def _norm_estimate(m: np.ndarray, rng: np.random.Generator) -> float:
-    """sigma_max(m) from Golub-Kahan-Lanczos bidiagonalization with full
+def _norm_estimate(section: FiniteSection, rng: np.random.Generator) -> float:
+    """sigma_max of the section from Golub-Kahan-Lanczos bidiagonalization with full
     reorthogonalization: the largest singular value of the bidiagonal B,
     from the eigenvalues of B^H B.  Stops at LANCZOS_STEPS steps or when
     alpha or beta falls to rounding level relative to the largest alpha
     (an invariant subspace: the identity stops after one step, the zero
-    section before any)."""
-    n = len(m)
+    section before any).  Each step takes one product and one adjoint
+    product of the section (FiniteSection), so no copy of M^H is made."""
+    n = section.size
     steps = min(LANCZOS_STEPS, n)
     us = np.zeros((steps, n), dtype=complex)
     vs = np.zeros((steps, n), dtype=complex)
@@ -581,7 +645,7 @@ def _norm_estimate(m: np.ndarray, rng: np.random.Generator) -> float:
     beta = scale = 0.0
     for j in range(steps):
         vs[j] = v
-        u = m @ v - beta * u
+        u = section.product(v) - beta * u
         for _ in range(2):   # Gram-Schmidt twice
             u -= us[:j].T @ (us[:j].conj() @ u)
         alpha = float(np.linalg.norm(u))
@@ -591,7 +655,7 @@ def _norm_estimate(m: np.ndarray, rng: np.random.Generator) -> float:
         u /= alpha
         us[j] = u
         alphas.append(alpha)
-        w = (u.conj() @ m).conj() - alpha * v   # M^H u, without a copy of M^H
+        w = section.adjoint_product(u) - alpha * v
         for _ in range(2):
             w -= vs[: j + 1].T @ (vs[: j + 1].conj() @ w)
         beta = float(np.linalg.norm(w))
@@ -606,13 +670,14 @@ def _norm_estimate(m: np.ndarray, rng: np.random.Generator) -> float:
 
 
 def _ritz(
-    m: np.ndarray, span: np.ndarray, cut: float, k: int | None = None
+    apply, span: np.ndarray, cut: float, k: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rayleigh-Ritz for the smallest singular values of m on the range of
-    span: the Ritz vectors of the k smallest Ritz values (k: those at or
-    below cut) and all Ritz values, descending."""
+    """Rayleigh-Ritz for the smallest singular values of the operator that
+    apply multiplies by, on the range of span: the Ritz vectors of the k
+    smallest Ritz values (k: those at or below cut) and all Ritz values,
+    descending."""
     q = np.linalg.qr(span / np.linalg.norm(span, axis=0))[0]
-    _, ritz, vh = np.linalg.svd(m @ q, full_matrices=False)
+    _, ritz, vh = np.linalg.svd(apply(q), full_matrices=False)
     if k is None:
         k = int(np.sum(ritz <= cut))
     return q @ vh[len(ritz) - k :].conj().T, ritz
@@ -705,12 +770,26 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
         if isinstance(ns, Exception):
             raise ns
         dims[sign] = localized_null_dims(ns, sections[sign].size)
-    _MALLOC_TRIM(0)
+    release_freed_blocks()
     return dims
 
 
-def residual_check(section: FiniteSection, f: TruncatedSeries) -> float:
-    """|| section * coeffs(f) ||_2 / || coeffs(f) ||_2 for analytic f."""
+def release_freed_blocks() -> None:
+    """Return the freed blocks of glibc's main heap to the system (malloc_trim).
+
+    glibc trims its heap's top by itself only above a threshold that it
+    raises to twice the largest block it has unmapped, up to 64 MB, so one
+    or two freed n x n blocks of a pair (16-32 MB at N = 1024) stayed
+    resident after its sections were dropped.  null_dims calls it after
+    its null spaces, and callers that drop a pair's sections after them."""
+    _MALLOC_TRIM(0)
+
+
+def residual_check(section: FiniteSection, f: TruncatedSeries, adjoint: bool = False) -> float:
+    """|| M coeffs(f) ||_2 / || coeffs(f) ||_2 for analytic f, M the section,
+    or M^H with adjoint: one product or adjoint_product of the section,
+    structured for a pair section (FiniteSection), so no n x n block is
+    read or copied."""
     if section.kind == "block":
         raise ValueError("use block_residual_check for block sections")
     n = section.size
@@ -726,7 +805,8 @@ def residual_check(section: FiniteSection, f: TruncatedSeries) -> float:
     nrm = np.linalg.norm(vec)
     if nrm == 0:
         return 0.0
-    return float(np.linalg.norm(section.entries @ vec) / nrm)
+    apply = section.adjoint_product if adjoint else section.product
+    return float(np.linalg.norm(apply(vec)) / nrm)
 
 
 def block_residual_check(

@@ -614,8 +614,8 @@ def test_deep_lift_exponent_two(shift2, rng):
 
 
 def test_cokernel_gate_makes_no_section_copy(monkeypatch):
-    # ||M^H f|| comes from a transposed view of M: at N=512 the gate's
-    # allocations stay below one n x n complex block (4 MB)
+    # ||M^H f|| comes from the section's adjoint product: at N=512 the
+    # gate's allocations stay below one n x n complex block (4 MB)
     import tracemalloc
 
     from toephankel import kernels, make_shift
@@ -638,6 +638,75 @@ def test_cokernel_gate_makes_no_section_copy(monkeypatch):
     vec = basis.functions[0].series.to_vector(n)
     want = np.linalg.norm(sections["+"].entries.conj().T @ vec) / np.linalg.norm(vec)
     assert kernels._oracle_residual(sections["+"], basis) == pytest.approx(want, rel=1e-12)
+
+
+def _benchmark_oracle_pairs():
+    """The four pairs of perfbench's oracle_large workload (inputs.ORACLE_PAIRS)."""
+    from toephankel import LaurentPolynomial, generate_matching_function
+
+    def poly(roots, lead=1.0):
+        return LaurentPolynomial.from_roots(roots, lead)
+
+    for beta, i, j, h, rho in (
+        (2.0, -1, -1, RationalSymbol(poly([1.6 + 0.8j], 1.0 + 0.5j), poly([-0.4 + 0.3j])), None),
+        (2j, -1, 1, RationalSymbol(poly([0.3 - 0.2j], 0.8)), (poly([-1.8 + 0.9j], 1.2 - 0.3j), 1)),
+        (1.5 + 0.5j, 0, -1, RationalSymbol(poly([]), poly([2.1 - 0.7j])), None),
+        (2.0, 1, 0, RationalSymbol(poly([0.2 + 1.9j], 0.7 + 0.7j)), (poly([1.5 - 1.0j]), 0)),
+    ):
+        sh = make_shift(beta)
+        a, b = h * sh.chi.power(i), h * sh.chi.power(j)
+        if rho is not None:
+            b = b * generate_matching_function(RationalSymbol(rho[0]), rho[1], -1, sh)
+        yield make_matching_pair(a, b, sh)
+
+
+def test_cokernel_residuals_match_the_dense_adjoint():
+    # ||M^H f|| / ||f|| from the adjoint product, not from a copy of the
+    # section that would carry another operator's factors: equal to the
+    # dense value up to the rounding of the two products (1e-14 ||M||; the
+    # residuals are themselves rounding-level, about 1e-14)
+    from toephankel import kernels
+    from toephankel.oracle import pair_sections
+
+    n, dims = 256, []
+    for pair in _benchmark_oracle_pairs():
+        bases = kernels.all_defect_bases(pair)
+        for sign, sec in pair_sections(pair, pair.shift, n).items():
+            basis = bases[("coker", sign)]
+            dims.append(basis.dim)
+            m = sec.entries
+            want = max((np.linalg.norm(m.conj().T @ v) / np.linalg.norm(v)
+                        for v in (f.series.to_vector(n) for f in basis.functions)), default=0.0)
+            got = kernels._oracle_residual(sec, basis)
+            assert abs(got - want) <= 1e-14 * np.max(np.linalg.norm(m, axis=0))
+            assert got < kernels.ORACLE_RESIDUAL_TOL
+    assert dims == [0, 0, 1, 0, 0, 0, 1, 1]
+
+
+def test_dropped_pair_sections_leave_no_block_resident():
+    # glibc trims its heap's top by itself only above a threshold it raises
+    # up to 64 MB, so the blocks of a dropped pair could stay resident (one
+    # 16 MB block at N = 1024 on the third benchmark pair); the oracle block
+    # and the basis residual gate return them, leaving the heap's top
+    # below one block
+    import ctypes
+
+    class _Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("not glibc 2.33 or later")
+    mallinfo2.restype = _Mallinfo2
+    n = 1024
+    for pair in _benchmark_oracle_pairs():
+        assert defect_numbers(pair, oracle_size=n).oracle["agreement"]["all"]
+        assert mallinfo2().keepcost < 16 * n * n
+        for which in (("ker", "+"), ("coker", "+"), ("ker", "-"), ("coker", "-")):
+            kernel_cokernel_bases(pair, which, oracle_size=n)
+            assert mallinfo2().keepcost < 16 * n * n
 
 
 def _phi_four_projections(s, pair, fac_c, sign, shift):

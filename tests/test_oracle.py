@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import itertools
 import json
 import os
@@ -13,6 +14,7 @@ import scipy.linalg
 
 from toephankel import (
     FiniteSection,
+    LaurentPolynomial,
     RationalSymbol,
     TruncatedSeries,
     defect_numbers,
@@ -104,7 +106,7 @@ def test_hankel_entries_match_brute_force(beta):
         0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
     )
     n = 128
-    entries, _ = oracle._hankel_entries(b, sh, n)
+    entries, _, _ = oracle._hankel_entries(b, sh, n)
     brute = _hankel_by_definition(b, sh, n)
     assert np.max(np.abs(brute)) > 0.1
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
@@ -118,7 +120,7 @@ def test_hankel_window_counts_from_the_numerator_degree():
     assert b.analytic_pad(np.finfo(float).eps) > 80
     brute = _hankel_by_definition(b, sh, 128)
     for n in (64, 128):
-        entries, tail = oracle._hankel_entries(b, sh, n)
+        entries, tail, _ = oracle._hankel_entries(b, sh, n)
         assert tail < 1e-14
         assert np.max(np.abs(entries - brute[:n, :n])) < 1e-12 * max(1.0, np.max(np.abs(brute)))
 
@@ -139,7 +141,7 @@ def test_hankel_flip_window_cut_is_exact():
     assert np.max(np.abs(long[:r] - short)) < 1e-14
     norms = np.linalg.norm(oracle._flip_matrix(sh, 8 * n, n), axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    entries, tail = oracle._hankel_entries(b, sh, n)
+    entries, tail, _ = oracle._hankel_entries(b, sh, n)
     assert tail < 1e-14
     brute = _hankel_by_definition(b, sh, n)
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
@@ -180,7 +182,7 @@ def test_hankel_of_analytic_free_symbol_near_circle(tmp_path):
     sh = make_shift(1.0001)
     tracemalloc.start()
     try:
-        entries, tail = oracle._hankel_entries(sh.chi.invert(), sh, 64)
+        entries, tail, _ = oracle._hankel_entries(sh.chi.invert(), sh, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,7 +636,8 @@ def test_woodbury_solves_match_the_lifted_section(build, dim, monkeypatch):
     made = _recorded_updates(monkeypatch)
     sec = build()
     assert numerical_null_space(sec).dim == dim
-    (m, _, _, lift, _), update = made[0]
+    (section, _, _, lift, _), update = made[0]
+    m = section.entries
     lifted = oracle._augmented(m, *lift)
     norm = np.linalg.norm(lifted, 2)
     direct = oracle._factor(oracle._augmented(m, *lift))
@@ -656,7 +659,8 @@ def test_woodbury_singular_capacitance_is_no_spectral_gap(shift2, monkeypatch):
     # and LinAlgError on both sides, as a singular M'' gave from zgetrf
     n = 8
     eye, e0, none = np.eye(n, dtype=complex), np.eye(n, 1, dtype=complex), np.zeros((n, 0))
-    update = oracle._Woodbury(eye, 1.0, oracle._factor(eye.copy()), (-e0, e0), (none,) * 4)
+    update = oracle._Woodbury(FiniteSection(n, eye, "toeplitz", {}), 1.0, oracle._factor(eye.copy()),
+                              (-e0, e0), (none,) * 4)
     for solve in (update.solve, update.solve_adjoint):
         with pytest.raises(np.linalg.LinAlgError):
             solve(np.ones((n, 1), dtype=complex))
@@ -689,19 +693,135 @@ def test_woodbury_backward_error_gate(shift2, monkeypatch):
 @pytest.mark.parametrize("n", [128, 256])
 def test_norm_estimate_bounds_the_norm_from_below(n, monkeypatch):
     # Golub-Kahan-Lanczos reads sigma_max from below: within 5e-3 on the
-    # reference sections (4.8e-3 on chi^-10 at beta 2, N = 256)
+    # reference sections (4.8e-3 on chi^-10 at beta 2, N = 256), through the
+    # structured products and through the dense ones
     for k, beta in itertools.product((-10, -6, -2, 1, 3), (2.0, 1.5 + 0.5j)):
         sh = make_shift(beta)
         for sec in oracle.pair_sections((sh.chi.power(k),) * 2, sh, n).values():
-            est = oracle._norm_estimate(sec.entries, np.random.default_rng(0))
             norm = np.linalg.norm(sec.entries, 2)
-            assert (1 - 5e-3) * norm <= est <= norm * (1 + 1e-12)
-    assert oracle._norm_estimate(np.zeros((64, 64), complex), np.random.default_rng(0)) == 0.0
+            for path in (sec, _dense(sec)):
+                est = oracle._norm_estimate(path, np.random.default_rng(0))
+                assert (1 - 5e-3) * norm <= est <= norm * (1 + 1e-12)
+
+    def estimate(entries):
+        return oracle._norm_estimate(FiniteSection(64, entries, "toeplitz", {}),
+                                     np.random.default_rng(0))
+
+    assert estimate(np.zeros((64, 64), complex)) == 0.0
     diag = np.diag(np.linspace(0.0, 3.0, 64)).astype(complex)
-    assert 3.0 * (1 - 5e-3) <= oracle._norm_estimate(diag, np.random.default_rng(0)) <= 3.0
+    assert 3.0 * (1 - 5e-3) <= estimate(diag) <= 3.0
     monkeypatch.setattr(oracle, "LANCZOS_STEPS", 1)
-    one = oracle._norm_estimate(np.eye(64, dtype=complex), np.random.default_rng(0))
+    one = estimate(np.eye(64, dtype=complex))
     assert one == pytest.approx(1.0, abs=1e-15)
+
+
+def _dense(sec):
+    """The section with its factors stripped: every product reads entries."""
+    return dataclasses.replace(sec, factors=None)
+
+
+_PRODUCT_K = (-10, -6, -2, 1, 3)
+_PRODUCT_BETAS = (2.0, 2j, 1.5 + 0.5j, 1.2, 1.05)
+
+
+def _product_sections(n):
+    """The plus and minus sections of chi^k pairs, and of two pairs whose
+    H(b) has rank R = 0 and R comparable to n (b's pole at 1.25: R = 172)."""
+    for k, beta in itertools.product(_PRODUCT_K, _PRODUCT_BETAS):
+        sh = make_shift(beta)
+        yield from oracle.pair_sections((sh.chi.power(k),) * 2, sh, n).values()
+    sh = make_shift(2.0)
+    wide = RationalSymbol(LaurentPolynomial.constant(1.0), LaurentPolynomial.from_roots([1.25]))
+    for a, b in ((sh.chi, sh.chi.invert()), (sh.chi.power(-2), wide)):
+        yield from oracle.pair_sections((a, b), sh, n).values()
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_structured_products_match_entries(n):
+    # the FFT of T's circulant embedding and H(b) = B C against entries @ x
+    # and entries^H @ x, to 1e-14 of ||M|| (the largest column norm stands
+    # in for ||M||_2, which it bounds from below)
+    x = oracle._gaussian(np.random.default_rng(2), n, 3)
+    ranks = set()
+    for sec in _product_sections(n):
+        m = sec.entries
+        scale = np.max(np.linalg.norm(m, axis=0)) * np.linalg.norm(x, axis=0)
+        column = sec.product(x[:, 0])
+        assert column.shape == (n,)
+        for got, want in ((sec.product(x), m @ x), (sec.adjoint_product(x), m.conj().T @ x),
+                          (column[:, None], m @ x[:, :1])):
+            assert got.shape == want.shape
+            assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-14 * scale[: got.shape[1]])
+        ranks.add(sec.factors[1].shape[1])
+    assert 0 in ranks and max(ranks) == 172
+
+
+def _null_space_verdicts(n):
+    for sec in _product_sections(n):
+        yield sec, _null_space_or_gap(sec), _null_space_or_gap(_dense(sec))
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_null_space_structured_matches_dense(n):
+    # the same dims, localized dims and NoSpectralGap verdicts with the
+    # factors stripped, and bases spanning the same subspaces to the bound of
+    # test_null_space_fallback_matches_lapack_lu
+    for sec, ns, ref in _null_space_verdicts(n):
+        assert (ns is None) == (ref is None)
+        if ns is None:
+            continue
+        assert ns.dim == ref.dim
+        assert localized_null_dims(ns, sec.size) == localized_null_dims(ref, sec.size)
+        if ns.dim in (0, sec.size):
+            assert ns.right.shape == ref.right.shape == ref.left.shape == ns.left.shape
+            continue
+        s = scipy.linalg.svd(sec.entries, compute_uv=False)
+        tol = max(1e-10, 1e4 * np.finfo(float).eps * s[0] / s[-1 - ns.dim])
+        for got, want in ((ns.right, ref.right), (ns.left, ref.left)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want @ (want.conj().T @ got), 2) <= tol
+
+
+class _Watched(np.ndarray):
+    """entries that record every numpy operation they take part in."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Watched.seen.append(ufunc.__name__)
+        inputs = [np.asarray(x) if isinstance(x, _Watched) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        _Watched.seen.append(func.__name__)
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_pair_section_products_never_read_the_dense_block(monkeypatch):
+    # entries are read only to form M' (np.add in _augmented); the null space,
+    # the lifted solves and both residual gates multiply through the factors
+    sh = make_shift(2.0)
+    pair = make_matching_pair(sh.chi.power(-2), sh.chi.power(-2), sh)
+    augmented = oracle._augmented
+    formed = []
+
+    def recorded(m, left, right):
+        formed.append(len(_Watched.seen))
+        out = augmented(m, left, right)
+        _Watched.seen.append("_augmented")
+        return out
+
+    monkeypatch.setattr(oracle, "_augmented", recorded)
+    monkeypatch.setattr(_Watched, "seen", [])
+    f = TruncatedSeries(0, np.array([1.0, 0.5j, 0.25]))
+    for sec in oracle.pair_sections(pair, sh, 128).values():
+        watched = dataclasses.replace(sec, entries=sec.entries.view(_Watched))
+        assert numerical_null_space(watched).dim == 2
+        residual_check(watched, f)
+        residual_check(watched, f, adjoint=True)
+    seen = _Watched.seen
+    assert len(formed) == 2 and seen.count("_augmented") == 2
+    assert [name for name in seen if name != "_augmented"] == ["add", "add"]
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 5, 12, 32])
