@@ -5,6 +5,7 @@ included), 2 "not Fredholm" verdicts, 3 internal cross-check mismatches
 (analytic pipeline vs oracle), 4 the numerics cannot certify an answer
 (no spectral gap in a section, a coefficient window no grid certifies,
 or roots too ill-conditioned for partial fractions or a winding number).
+Each error class carries its code (errors.ToepHankelError.exit_code).
 
 Reports are deterministic: fixed key order, every float printed with 17
 significant digits, complex numbers as [re, im] pairs.
@@ -375,22 +376,16 @@ def main(argv=None) -> int:
                 problem = json.load(fh)
         else:
             problem = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a JSON or a UTF-8 decode error
         return _error(errors.InputError(str(exc)), 1, args.out)
 
     try:
         report, code = run(problem, opts)
         return _emit(report, code, args.out)
-    except (errors.InputError, errors.BetaInsideDisk, errors.WindowTooTight,
-            KeyError, TypeError, ValueError) as exc:
+    except errors.ToepHankelError as exc:
+        return _error(exc, exc.exit_code, args.out)
+    except (KeyError, TypeError, ValueError) as exc:
         return _error(exc, 1, args.out)
-    except (errors.NotFredholm, errors.NotFredholmPair, errors.NotMatching,
-            errors.NotInvertible, errors.DenominatorNearZero) as exc:
-        return _error(exc, 2, args.out)
-    except (errors.CrossCheckMismatch, errors.SignatureIndeterminate) as exc:
-        return _error(exc, 3, args.out)
-    except (errors.NoSpectralGap, errors.GridTooSmall, errors.IllConditionedRoots) as exc:
-        return _error(exc, 4, args.out)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,18 @@
 
 Every failure mode that callers are expected to handle has its own class;
 all of them derive from ToepHankelError so a bare `except ToepHankelError`
-catches anything produced deliberately by this package.
+catches anything produced deliberately by this package.  Each class
+carries the CLI's exit code for it (cli's docstring), 1 unless it sets one.
 """
 
 
 class ToepHankelError(Exception):
-    pass
+    exit_code = 1
 
 
 class DenominatorNearZero(ToepHankelError):
     """Symbol evaluation hit (or nearly hit) a zero of the denominator."""
+    exit_code = 2
 
 
 class NotInvertibleOnCircle(ToepHankelError):
@@ -21,10 +23,12 @@ class NotInvertibleOnCircle(ToepHankelError):
 class IllConditionedRoots(ToepHankelError):
     """A zero or pole sits inside the exclusion annulus around the circle;
     winding numbers cannot be certified."""
+    exit_code = 4
 
 
 class GridTooSmall(ToepHankelError):
     """FFT/tail requirements exceed the hard grid cap."""
+    exit_code = 4
 
 
 class BetaInsideDisk(ToepHankelError):
@@ -37,6 +41,7 @@ class PoleHit(ToepHankelError):
 
 class NotFredholm(ToepHankelError):
     """Factorization requested for a symbol with zeros/poles on the circle."""
+    exit_code = 2
 
 
 class WrongSide(ToepHankelError):
@@ -45,18 +50,22 @@ class WrongSide(ToepHankelError):
 
 class NotInvertible(ToepHankelError):
     """A generating function vanishes on the circle."""
+    exit_code = 2
 
 
 class NotMatching(ToepHankelError):
     """The matching condition fails beyond tolerance."""
+    exit_code = 2
 
 
 class SignatureIndeterminate(ToepHankelError):
     """The factorization signature did not snap to +1 or -1."""
+    exit_code = 3
 
 
 class CrossCheckMismatch(ToepHankelError):
     """Two independent computation paths disagree."""
+    exit_code = 3
 
 
 class BadPlusFactor(ToepHankelError):
@@ -77,10 +86,12 @@ class WrongRegime(ToepHankelError):
 
 class NotFredholmPair(ToepHankelError):
     """One of the subordinated functions does not factorize."""
+    exit_code = 2
 
 
 class NoSpectralGap(ToepHankelError):
     """A section's zero/nonzero singular value split cannot be certified."""
+    exit_code = 4
 
 
 class WindowTooTight(ToepHankelError):

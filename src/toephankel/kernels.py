@@ -35,7 +35,7 @@ from .errors import (
     WrongRegime,
 )
 from .matching import MatchingPair, adjoint_pair, alpha_signature, make_matching_pair
-from .oracle import FiniteSection, null_dims, pair_sections, release_freed_blocks, residual_check
+from .oracle import FiniteSection, null_dims, pair_sections, residual_check
 from .rational import RationalSymbol
 from .series import TruncatedSeries
 from .shift import ShiftParams, apply_J_alpha, chi_power, compose_with_shift
@@ -402,10 +402,7 @@ def kernel_cokernel_bases(
     plus, minus = _defect_functions(pair, kind)
     basis = _assemble_basis(kind, +1, plus) if sign == "+" else _assemble_basis(kind, -1, minus)
     if basis.dim:
-        section = pair_sections(pair, pair.shift, oracle_size)[sign]
-        resid = _oracle_residual(section, basis)
-        del section
-        release_freed_blocks()
+        resid = _oracle_residual(pair_sections(pair, pair.shift, oracle_size)[sign], basis)
         if resid >= ORACLE_RESIDUAL_TOL:
             raise CrossCheckMismatch(
                 f"basis function fails the oracle residual gate ({resid:.3e})"
@@ -429,8 +426,6 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
         )
         out["agreement"][sign] = bool(ok)
     out["agreement"]["all"] = all(out["agreement"].values())
-    del sections
-    release_freed_blocks()
     return out
 
 
@@ -515,7 +510,6 @@ def coburn_class(
         return None
     dims = null_dims(pair_sections((a, b), shift, oracle_size),
                      dict.fromkeys(sign for _, sign in candidates))
-    release_freed_blocks()
     out = []
     for tag, sign in candidates:
         dk, dc = dims[sign]

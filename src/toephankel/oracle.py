@@ -21,8 +21,8 @@ the right basis from a Rayleigh-Ritz step on the range of two solves with
 a randomly augmented section, and the left basis and the spectral-gap
 certificate from solves with the section augmented by the right basis,
 a low-rank update of the first (_Woodbury).  The first augmented section
-is factored once, in place, by the zgetrf of the LAPACK numpy has loaded,
-and solved with on both sides (_LU); where that library is not found,
+is factored once, in place, by the zgetrf of the LAPACK numpy calls
+(_lapack), and solved with on both sides (_LU); where that is not found,
 np.linalg.solve copies and factors it per solve (_Solve).  The
 certificate bounds the dropped singular values above and the kept ones
 below, so no singular spectrum is computed, and both bases are checked
@@ -30,13 +30,16 @@ by their residuals.  Localization counts the directions of
 the null space with most of their mass in the first half of the
 coordinates, whatever basis the null space is given in.  Every caller
 gets these dimensions from null_dims, which solves the null spaces at
-once from CONCURRENT_MIN_SIZE rows on where six n x n blocks (the
-fallback's peak) fit MAX_SECTION_BYTES; errors come in sign order.
+once where the CPUs hold the threads OpenBLAS reports per call, from
+CONCURRENT_MIN_SIZE rows on where six n x n blocks (the fallback's peak)
+fit MAX_SECTION_BYTES; errors come in sign order.
 
 Everything here runs on numpy alone: Toeplitz sections come from
 toeplitz_matrix, a copy of a strided view, and the null space from
-np.linalg and the LAPACK numpy loads.  Sections whose four n x n blocks
+np.linalg and the LAPACK numpy calls.  Sections whose four n x n blocks
 would exceed MAX_SECTION_BYTES are refused before anything is allocated.
+glibc maps every n x n block from N = 256 on by itself, and unmaps it when
+it is freed, as the mmap threshold is fixed at 1 MiB on import.
 
 All computations use the coefficient l2 geometry.  Rational symbols are
 Fredholm with the same defect numbers on every Hardy space of the admitted
@@ -79,7 +82,9 @@ DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
 _MALLOC_TRIM = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)   # glibc's
 _MALLOPT = getattr(ctypes.pythonapi, "mallopt", lambda param, value: 0)   # glibc's
-_M_ARENA_MAX = -8      # glibc's mallopt parameter
+# M_MMAP_THRESHOLD: blocks of 1 MiB or more are unmapped when freed, in any arena; fixed,
+# it does not rise to the largest block freed and move blocks of that size into the heap
+_MALLOPT(-3, 1 << 20)
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,8 @@ def _refuse_oversized(size: int) -> None:
     solved holds three, the one augmented section of the null space,
     factored in place; on the np.linalg.solve fallback, four, with LAPACK's
     copy of it.  null_dims runs two null spaces at once only if six fit,
-    the fallback's peak."""
+    the fallback's peak.  Blocks are unmapped when freed (the mmap
+    threshold), so these counts are what stays resident."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -234,7 +240,8 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     payload is a MatchingPair or an (a, b) tuple of rational symbols.  T(a)
     and H(b) are assembled once: the minus section is T(a) - H(b), and the
     plus one T(a) + H(b) in T(a)'s own buffer, so three n x n blocks are
-    held at the peak.  Both carry the factors of their products
+    held at the peak; H(b)'s is unmapped before the return, and the
+    sections' when the caller drops them.  Both carry the factors of their products
     (FiniteSection): the FFT of T(a)'s circulant embedding, from its first
     column and row, and H(b)'s factors from _hankel_entries.  Null spaces
     and residual gates multiply through these; the dense entries are read
@@ -451,40 +458,53 @@ def _augmented(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray
     return aug
 
 
-@functools.cache
-def _lapack():
-    """(integer type, zgetrf, zgetrs) of the scipy-openblas LAPACK that numpy
-    has loaded, or None where it is not found; bound on the first null space.
-
-    That build (the one np.__config__ names in numpy's wheels) prefixes its
-    symbols with scipy_ and suffixes them with 64_ where its integers are 64
-    bits wide (numpy's _ilp64).  np.__config__ gives the build host's paths,
-    so the library is found where this process has it mapped, by its file
-    name and symbols.  ctypes releases the GIL for the call, so null_dims'
-    threads overlap."""
+def _linalg() -> tuple[ctypes.CDLL, str] | None:
+    """numpy's linalg extension opened by ctypes, whose dlsym also searches
+    the libraries it links (the BLAS and LAPACK numpy calls), and the suffix
+    of their scipy-openblas symbols: 64_ where numpy's LAPACK integers are 64
+    bits wide (_ilp64).  None where numpy does not say."""
     ilp64 = getattr(np.linalg._umath_linalg, "_ilp64", None)
     if ilp64 is None:
         return None
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[5].strip()
-                            for line in fh if "scipy_openblas" in line})
-    except OSError:
+    return ctypes.CDLL(np.linalg._umath_linalg.__file__), "64_" if ilp64 else ""
+
+
+@functools.cache
+def _lapack():
+    """(integer type, zgetrf, zgetrs) of the scipy-openblas LAPACK that numpy
+    calls (_linalg), or None where it is not found; bound on the first null
+    space.  ctypes releases the GIL for the call, so null_dims' threads overlap."""
+    linalg = _linalg()
+    if linalg is None:
         return None
-    suffix = "64_" if ilp64 else ""
-    integer = ctypes.c_int64 if ilp64 else ctypes.c_int32
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-            getrf, getrs = lib["scipy_zgetrf_" + suffix], lib["scipy_zgetrs_" + suffix]
-        except (OSError, AttributeError):
-            continue
-        num, ptr = ctypes.POINTER(integer), ctypes.c_void_p
-        getrf.argtypes = [num, num, ptr, num, ptr, num]
-        getrs.argtypes = [ctypes.c_char_p, num, num, ptr, num, ptr, ptr, num, num]
-        getrf.restype = getrs.restype = None
-        return integer, getrf, getrs
-    return None
+    lib, suffix = linalg
+    try:
+        getrf, getrs = lib["scipy_zgetrf_" + suffix], lib["scipy_zgetrs_" + suffix]
+    except AttributeError:
+        return None
+    integer = ctypes.c_int64 if suffix else ctypes.c_int32
+    num, ptr = ctypes.POINTER(integer), ctypes.c_void_p
+    getrf.argtypes = [num, num, ptr, num, ptr, num]
+    getrs.argtypes = [ctypes.c_char_p, num, num, ptr, num, ptr, ptr, num, num]
+    getrf.restype = getrs.restype = None
+    return integer, getrf, getrs
+
+
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's own getter of the threads it gives each call (_linalg):
+    scipy_openblas_get_num_threads with its suffix, else the plain OpenBLAS
+    openblas_get_num_threads (untried: numpy's wheels ship scipy-openblas);
+    None where neither is found (Accelerate, MKL)."""
+    linalg = _linalg()
+    if linalg is None:
+        return None
+    lib, suffix = linalg
+    getter = (getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+              or getattr(lib, "openblas_get_num_threads", None))
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
 
 
 def _factor(aug: np.ndarray) -> _LU | _Solve:
@@ -705,25 +725,14 @@ def localized_null_dims(ns: NullSpace, size: int) -> tuple[int, int]:
 
 
 def _concurrent_sections(count: int) -> int:
-    """How many of count sections null_dims may solve at once.
-
-    The width is the usable CPUs divided by the BLAS threads per call,
-    read as OpenBLAS reads them (OPENBLAS_NUM_THREADS, else
-    GOTO_NUM_THREADS, else OMP_NUM_THREADS, the first that is positive),
-    and 1 when the BLAS is not OpenBLAS or none of them is set.
-    """
-    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
-    if "openblas" not in str(blas.get("name", "")).lower():
-        return 1
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        threads = int(value) if value.isdigit() else 0
-        if threads > 0:
-            break
-    else:
+    """How many of count sections null_dims may solve at once: the usable
+    CPUs divided by the threads OpenBLAS gives each call, as its own getter
+    reports them (_blas_threads), and 1 where that getter is not found."""
+    threads = _blas_threads()
+    if threads is None:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(count, (cpus or 1) // threads))
+    return max(1, min(count, (cpus or 1) // threads()))
 
 
 def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int, int]]:
@@ -737,9 +746,9 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     MAX_SECTION_BYTES; the rest in turn in this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign
-    order.  glibc is held to one malloc arena, as malloc_trim does not
-    shrink a thread arena's top, and the heap is trimmed after, so that
-    the freed n x n augmented sections do not stay resident.
+    order.  The n x n blocks are unmapped when freed (the mmap threshold
+    set on import); the heap is trimmed after, so that the smaller blocks
+    freed inside it do not keep its pages resident.
     """
     signs = list(signs)
     size = max((sections[sign].size for sign in signs), default=0)
@@ -756,7 +765,6 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
 
     workers = [threading.Thread(target=solve, args=(sign,)) for sign in signs[1:width]]
     if workers:
-        _MALLOPT(_M_ARENA_MAX, 1)
         for worker in workers:
             worker.start()
         try:
@@ -770,19 +778,8 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
         if isinstance(ns, Exception):
             raise ns
         dims[sign] = localized_null_dims(ns, sections[sign].size)
-    release_freed_blocks()
-    return dims
-
-
-def release_freed_blocks() -> None:
-    """Return the freed blocks of glibc's main heap to the system (malloc_trim).
-
-    glibc trims its heap's top by itself only above a threshold that it
-    raises to twice the largest block it has unmapped, up to 64 MB, so one
-    or two freed n x n blocks of a pair (16-32 MB at N = 1024) stayed
-    resident after its sections were dropped.  null_dims calls it after
-    its null spaces, and callers that drop a pair's sections after them."""
     _MALLOC_TRIM(0)
+    return dims
 
 
 def residual_check(section: FiniteSection, f: TruncatedSeries, adjoint: bool = False) -> float:

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from toephankel.cli import emit_json, main, parse_symbol
-from toephankel import make_shift
+from toephankel import cli, errors, make_shift
 from toephankel.errors import InputError
 from toephankel.rational import RationalSymbol
 
@@ -284,6 +284,44 @@ def test_malformed_json_exits_one(tmp_path):
     code = main(["--spec", str(spec), "--out", str(out)])
     assert code == 1
     assert "error" in json.loads(out.read_text())
+
+
+def test_spec_not_utf8_exits_one(tmp_path, capsys):
+    # a UTF-16 byte-order mark: json.load fails with a UnicodeDecodeError,
+    # which must leave a JSON error, not a traceback
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main(["--spec", str(spec)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InputError"
+
+
+# the exit code of every error class, written out here rather than read
+# from the classes; a class not named exits 1
+_EXIT_CODES = {
+    "NotFredholm": 2, "NotFredholmPair": 2, "NotMatching": 2, "NotInvertible": 2,
+    "DenominatorNearZero": 2, "CrossCheckMismatch": 3, "SignatureIndeterminate": 3,
+    "NoSpectralGap": 4, "GridTooSmall": 4, "IllConditionedRoots": 4,
+}
+
+
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.ToepHankelError)
+], ids=lambda cls: cls.__name__)
+def test_every_error_class_leaves_one_json_error(cls, monkeypatch, tmp_path, capsys):
+    def failing(problem, opts):
+        raise cls("raised by the test")
+
+    monkeypatch.setattr(cli, "run", failing)
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    assert main(["--spec", str(spec)]) == _EXIT_CODES.get(cls.__name__, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": {"type": cls.__name__,
+                                              "message": "raised by the test"}}
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import builtins
 import ctypes
 import dataclasses
 import itertools
@@ -586,6 +587,28 @@ def test_lu_invalid_argument_is_a_runtime_error(monkeypatch):
     assert not isinstance(exc.value, ValueError)
 
 
+def test_lapack_binds_without_reading_proc(monkeypatch):
+    # zgetrf and zgetrs are resolved through numpy's linalg extension, not
+    # looked up by path in /proc/self/maps: they bind where /proc cannot be read
+    _bound_lapack()
+    real_open = builtins.open
+
+    def no_proc(file, *args, **kwargs):
+        if str(file).startswith("/proc"):
+            raise PermissionError(f"{file} cannot be read (test)")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_proc)
+    oracle._lapack.cache_clear()
+    try:
+        lapack = oracle._lapack()
+        assert lapack is not None
+        lu = oracle._LU(2.0 * np.eye(8, dtype=complex), lapack)
+        assert np.allclose(lu.solve(np.ones((8, 1))), 0.5)
+    finally:
+        oracle._lapack.cache_clear()
+
+
 def test_lu_checks_shapes_before_lapack_sees_a_pointer():
     # zgetrs reads n rows of every right-hand side: a short one would be
     # read and written past its end
@@ -956,32 +979,84 @@ def test_toeplitz_sections_share_one_helper(shift2, monkeypatch):
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _two_cpus(monkeypatch, blas="scipy-openblas", **env):
-    for var in _BLAS_THREADS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+def _two_cpus(monkeypatch, threads):
+    """Two usable CPUs, and an OpenBLAS getter that reports threads per call
+    (None: no getter, as under Accelerate or MKL)."""
     monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": {"blas": {"name": blas}}})
+    monkeypatch.setattr(oracle, "_blas_threads",
+                        lambda: None if threads is None else lambda: threads)
 
 
 def _set_width(monkeypatch, width):
     """Two usable CPUs and 2 // width OpenBLAS threads: width sections at once."""
-    _two_cpus(monkeypatch, OPENBLAS_NUM_THREADS=str(2 // width))
+    _two_cpus(monkeypatch, 2 // width)
     assert oracle._concurrent_sections(2) == width
 
 
-@pytest.mark.parametrize("env, blas, width", [
-    ({}, "scipy-openblas", 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, "scipy-openblas", 2),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, "scipy-openblas", 1),
-    ({"OMP_NUM_THREADS": "1"}, "openblas", 2),
-    ({"OPENBLAS_NUM_THREADS": "1"}, "accelerate", 1),
-])
-def test_concurrent_sections_width(monkeypatch, env, blas, width):
-    _two_cpus(monkeypatch, blas, **env)
+@pytest.mark.parametrize("threads, width", [(2, 1), (1, 2), (None, 1)])
+def test_concurrent_sections_width(monkeypatch, threads, width):
+    _two_cpus(monkeypatch, threads)
     assert oracle._concurrent_sections(2) == width
     assert oracle._concurrent_sections(1) == 1
+
+
+class _Library:
+    """A stand-in for numpy's linalg extension that exports names."""
+
+    def __init__(self, *names):
+        self._names = names
+
+    def __getattr__(self, name):
+        if name not in self._names:
+            raise AttributeError(name)
+        return lambda: name
+
+
+@pytest.mark.parametrize("names, found", [
+    (("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"),
+     "scipy_openblas_get_num_threads64_"),
+    (("openblas_get_num_threads",), "openblas_get_num_threads"),
+    (("scipy_openblas_get_num_threads",), None),   # the 32-bit name, where 64_ is asked for
+    ((), None),
+])
+def test_blas_threads_getter_names(monkeypatch, names, found):
+    # scipy-openblas's getter first, then the plain OpenBLAS one; neither
+    # (Accelerate, MKL) leaves width 1
+    monkeypatch.setattr(oracle, "_linalg", lambda: (_Library(*names), "64_"))
+    oracle._blas_threads.cache_clear()
+    try:
+        getter = oracle._blas_threads()
+        assert (getter and getter()) == found
+    finally:
+        oracle._blas_threads.cache_clear()
+
+
+_WIDTH_SCRIPT = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from toephankel import oracle
+print(oracle._concurrent_sections(2))
+"""
+
+
+@pytest.mark.parametrize("env, width", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+])
+def test_concurrent_sections_width_from_openblas(env, width):
+    # the width from OpenBLAS's own thread getter, which reads the environment
+    # as OpenBLAS does (OPENBLAS_NUM_THREADS before OMP_NUM_THREADS); OpenBLAS
+    # reads it when it loads, hence a fresh interpreter, and caps it at the
+    # CPUs it finds, hence two of them
+    if oracle._blas_threads() is None:
+        pytest.skip("OpenBLAS's thread getter is not bound here")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs two usable CPUs")
+    base = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", _WIDTH_SCRIPT], env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == width
 
 
 def _diagonal_section(n, zeros):
@@ -1115,7 +1190,7 @@ def test_null_dims_many_workers_lose_no_result(monkeypatch):
     # their null spaces in one dict, with thread switches as often as can be
     sections = {str(k): _diagonal_section(32, range(k)) for k in range(4)}
     monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 32)
-    _two_cpus(monkeypatch, OPENBLAS_NUM_THREADS="1")
+    _two_cpus(monkeypatch, 1)
     expected = {sign: (int(sign), int(sign)) for sign in sections}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1180,14 +1255,14 @@ print(heap, rss_mb() - before)
 
 
 def test_concurrent_null_dims_leave_no_resident_heap():
-    # the worker's solves free n x n copies into whichever malloc arena the
-    # thread got; only the main arena's top is trimmed, so null_dims keeps
-    # glibc to that one arena.  So the first concurrent call must not grow
-    # the malloc heap (it grew by 8 MB without the one-arena setting).  The
-    # second OpenBLAS work buffer that call takes is mmapped by OpenBLAS,
-    # outside the heap, and kept for the life of the process: a second
-    # concurrent call must not grow the process.  A fresh interpreter, since
-    # the arena setting and the buffer last for the process.
+    # the worker's solves free n x n blocks into whichever malloc arena the
+    # thread got; the oracle's fixed mmap threshold maps each such block on
+    # its own and unmaps it when freed, in any arena.  So the first
+    # concurrent call must not grow the malloc heap.  The second OpenBLAS
+    # work buffer that call takes is mmapped by OpenBLAS, outside the heap,
+    # and kept for the life of the process: a second concurrent call must
+    # not grow the process.  A fresh interpreter, since the worker's arena
+    # and the buffer last for the process.
     try:
         ctypes.CDLL(None).mallinfo2
     except (AttributeError, OSError, TypeError):
