@@ -993,23 +993,40 @@ def _set_width(monkeypatch, width):
     assert oracle._concurrent_sections(2) == width
 
 
-@pytest.mark.parametrize("threads, width", [(2, 1), (1, 2), (None, 1)])
-def test_concurrent_sections_width(monkeypatch, threads, width):
-    _two_cpus(monkeypatch, threads)
-    assert oracle._concurrent_sections(2) == width
-    assert oracle._concurrent_sections(1) == 1
-
-
 class _Library:
-    """A stand-in for numpy's linalg extension that exports names."""
+    """A stand-in for numpy's linalg extension that exports getters, each
+    returning its value."""
 
-    def __init__(self, *names):
-        self._names = names
+    def __init__(self, **getters):
+        self._getters = getters
 
     def __getattr__(self, name):
-        if name not in self._names:
+        if name.startswith("__") or name not in self._getters:
             raise AttributeError(name)
-        return lambda: name
+        return lambda: self._getters[name]
+
+
+@pytest.mark.parametrize("threads, width", [
+    (2, 1), (1, 2), (None, 1),
+    # the whole path through numpy's linalg extension, which exports
+    # scipy-openblas's or a plain OpenBLAS's getter reporting one thread (as
+    # OPENBLAS_NUM_THREADS=1, env1, or OMP_NUM_THREADS=1, env3, makes it)
+    pytest.param(_Library(scipy_openblas_get_num_threads64_=1), 2, id="env1-scipy-openblas-2"),
+    pytest.param(_Library(openblas_get_num_threads=1), 2, id="env3-openblas-2"),
+])
+def test_concurrent_sections_width(monkeypatch, threads, width):
+    blas_threads = oracle._blas_threads
+    if isinstance(threads, _Library):
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(oracle, "_linalg", lambda: (threads, "64_"))
+        blas_threads.cache_clear()
+    else:
+        _two_cpus(monkeypatch, threads)
+    try:
+        assert oracle._concurrent_sections(2) == width
+        assert oracle._concurrent_sections(1) == 1
+    finally:
+        blas_threads.cache_clear()
 
 
 @pytest.mark.parametrize("names, found", [
@@ -1022,7 +1039,7 @@ class _Library:
 def test_blas_threads_getter_names(monkeypatch, names, found):
     # scipy-openblas's getter first, then the plain OpenBLAS one; neither
     # (Accelerate, MKL) leaves width 1
-    monkeypatch.setattr(oracle, "_linalg", lambda: (_Library(*names), "64_"))
+    monkeypatch.setattr(oracle, "_linalg", lambda: (_Library(**{n: n for n in names}), "64_"))
     oracle._blas_threads.cache_clear()
     try:
         getter = oracle._blas_threads()
