@@ -8,12 +8,11 @@ algebra: every coefficient window comes from the certified circle FFT
 (fourier_coefficients), one FFT of a for Toeplitz and one of b for
 Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
-assembles T(a) and H(b) once and returns both T(a) + H(b) and T(a) - H(b),
-each with the factors of its products: the FFT of T(a)'s circulant
-embedding and H(b) = B C, of rank R (FiniteSection.product and
-adjoint_product).  Every product of a pair section's null space and
-residual gates goes through them, at O(N log N + N R) a column; its dense
-entries are read only to form the augmented section that is factored.
+assembles T(a) and H(b) once, as the factors of T(a) + H(b) and
+T(a) - H(b), and writes no n x n block: T(a)'s window of 2N - 1
+coefficients, the FFT of its circulant embedding, and H(b) = B C, of
+rank R.  Products go through them at O(N log N + N R) a column, and each
+null space writes its augmented section once (FiniteSection).
 
 A section's null space comes from one LU factorization
 (numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps,
@@ -31,13 +30,13 @@ the null space with most of their mass in the first half of the
 coordinates, whatever basis the null space is given in.  Every caller
 gets these dimensions from null_dims, which solves the null spaces at
 once where the CPUs hold the threads OpenBLAS reports per call, from
-CONCURRENT_MIN_SIZE rows on where six n x n blocks (the fallback's peak)
-fit MAX_SECTION_BYTES; errors come in sign order.
+CONCURRENT_MIN_SIZE rows on where the threads' n x n blocks (one M' each,
+two on the fallback) fit MAX_SECTION_BYTES; errors come in sign order.
 
-Everything here runs on numpy alone: Toeplitz sections come from
-toeplitz_matrix, a copy of a strided view, and the null space from
-np.linalg and the LAPACK numpy calls.  Sections whose four n x n blocks
-would exceed MAX_SECTION_BYTES are refused before anything is allocated.
+Everything here runs on numpy alone: Toeplitz sections are strided views
+of a window (_toeplitz_window), and the null space comes from np.linalg
+and the LAPACK numpy calls.  Sections whose four n x n blocks would
+exceed MAX_SECTION_BYTES are refused before anything is allocated.
 glibc maps every n x n block from N = 256 on by itself, and unmaps it when
 it is freed, as the mmap threshold is fixed at 1 MiB on import.
 
@@ -91,22 +90,37 @@ _MALLOPT(-3, 1 << 20)
 class FiniteSection:
     """N x N compression of an operator in the Fourier basis.
 
-    factors, set by pair_sections, is (eig, hank, flip, sign) with entries =
-    T + sign hank @ flip: T Toeplitz, eig the eigenvalues of T's 2N x 2N
-    circulant embedding, and hank @ flip the rank-R factors of H(b)
-    (_hankel_entries).  product and adjoint_product then cost
-    O(N log N + N R) per column through them; a section without factors
-    (block, PC, loaded and hand-made ones) multiplies by entries, the
-    dense cross-check of the structured products."""
+    A pair section (pair_sections) holds no n x n block: its factors are
+    (eig, hank, flip, sign, window), M = T + sign hank @ flip, T the
+    Toeplitz matrix of window's 2N - 1 coefficients (_toeplitz_window), eig
+    the eigenvalues of T's 2N x 2N circulant embedding, hank @ flip the
+    rank-R factors of H(b) (_hankel_entries).  product, adjoint_product and
+    augmented go through them, and its read-only entries are formed on
+    their first read only (dump_section, tests), and kept.  A section
+    without factors (block, PC, loaded and hand-made ones) is given its
+    entries: the dense cross-check of the structured paths."""
 
     size: int
-    entries: np.ndarray = field(repr=False)
+    entries: np.ndarray | None = field(repr=False)   # None for a pair section
     kind: str = ""
     meta: dict = field(default_factory=dict)
     factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        if self.entries is None:   # reads of entries then reach __getattr__
+            object.__delattr__(self, "entries")
+        else:
+            self.entries.setflags(write=False)
+
+    def __getattr__(self, name):
+        # reached only for the entries of a pair section, before their first read
+        if name != "entries" or self.factors is None:
+            raise AttributeError(name)
+        none = np.zeros((self.size, 0), dtype=complex)
+        entries = self.augmented(none, none)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     @property
     def margin(self) -> int:
@@ -116,7 +130,7 @@ class FiniteSection:
         """M x, for a vector or a block of columns x."""
         if self.factors is None:
             return self.entries @ x
-        eig, hank, flip, sign = self.factors
+        eig, hank, flip, sign, _ = self.factors
         out = _circulant(eig, x)
         out += sign * (hank @ (flip @ x))
         return out
@@ -126,10 +140,23 @@ class FiniteSection:
         with eigenvalues conj(eig), and H^H x = conj(C^T B^T conj(x))."""
         if self.factors is None:
             return np.conj(self.entries.T @ x.conj())
-        eig, hank, flip, sign = self.factors
+        eig, hank, flip, sign, _ = self.factors
         out = _circulant(eig.conj(), x)
         out += sign * np.conj(flip.T @ (hank.T @ x.conj()))
         return out
+
+    def augmented(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """A fresh C-order block M + left right^H (M' of numerical_null_space):
+        for a pair section the one product [sign hank, left] @ [flip; right^H]
+        of rank R + p, into which T is added from its window's strided view."""
+        if self.factors is None:
+            aug = left @ right.conj().T
+            aug += self.entries
+            return aug
+        _, hank, flip, sign, window = self.factors
+        aug = np.hstack((sign * hank, left)) @ np.vstack((flip, right.conj().T))
+        aug += _toeplitz_window(window, self.size)
+        return aug
 
 
 def _circulant(eig: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -139,22 +166,24 @@ def _circulant(eig: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_matrix(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The matrix with first column col and first row row (row[0] is ignored).
+    """The matrix with first column col and first row row (row[0] is ignored),
+    a C-order copy of _toeplitz_window; equal to scipy.linalg.toeplitz(col, row)."""
+    return _toeplitz_window(np.concatenate((row[:0:-1], col)), len(row)).copy()
 
-    Entry (j, k) is vals[len(col) - 1 - j + k] of vals = (col reversed, row[1:]),
-    so row j is a window of vals; equal to scipy.linalg.toeplitz(col, row).
-    """
-    vals = np.concatenate((col[::-1], row[1:]))
-    return np.lib.stride_tricks.sliding_window_view(vals, len(row))[::-1].copy()
+
+def _toeplitz_window(window: np.ndarray, width: int) -> np.ndarray:
+    """The Toeplitz matrix with entry (j, k) = window[width - 1 + j - k], as a
+    strided view of window: rows are its windows of width values, reversed."""
+    return np.lib.stride_tricks.sliding_window_view(window, width)[:, ::-1]
 
 
 def _toeplitz_entries(a: RationalSymbol, n: int) -> tuple[np.ndarray, float]:
-    """T(a)'s n x n section from one certified FFT of a, and its tail bound
-    (GridTooSmall when a's poles hug the circle too closely for FFT_CAP)."""
+    """T(a)'s n x n section as its window of 2n - 1 coefficients a_(1-n) ..
+    a_(n-1) (_toeplitz_window), from one certified FFT of a, and its tail
+    bound (GridTooSmall when a's poles hug the circle too closely for
+    FFT_CAP)."""
     co = fourier_coefficients(a, (-(n - 1), n - 1))
-    col = co.coeffs[n - 1 :]
-    row = co.coeffs[: n][::-1]
-    return toeplitz_matrix(col, row), float(co.tail or 0.0)
+    return co.coeffs, float(co.tail or 0.0)
 
 
 def _symbol_margin(s: RationalSymbol) -> int:
@@ -165,32 +194,32 @@ def _symbol_margin(s: RationalSymbol) -> int:
 
 def _hankel_entries(
     b: RationalSymbol, shift: ShiftParams, n: int
-) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
-    """Column k is the analytic part of b J t^k, as the product B @ C.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """H(b)'s n x n section as the product B @ C: column k is the analytic
+    part of b J t^k.
 
     J t^k = lam alpha^k / (conj(beta) t - 1) = sum_{m>=1} c[m, k] t^-m, so
     H[j, k] = sum_m b_{j+m} c[m, k]; B[j, m-1] = b_{j+m} for m <= R =
     b.analytic_pad(eps), from one certified FFT of b, and C = _flip_matrix.
     C's uncut columns have unit l2 norm (J is an isometry), so an entry
     loses at most the l2 norm of b_{R+1}, b_{R+2}, ... to the cut: the
-    returned tail.  Returns the entries, the tail and the factors (B, C),
-    n x R and R x n (R = 0 where H(b) = 0).  GridTooSmall when the tail
-    exceeds ENTRY_TAIL_TOL * max(1, |H|), or B would outgrow both the
-    section and FFT_CAP."""
+    returned tail.  Returns (B, C, tail), B n x R and C R x n (R = 0 where
+    H(b) = 0).  GridTooSmall when the tail exceeds ENTRY_TAIL_TOL *
+    max(1, |H|), or B would outgrow both the section and FFT_CAP; B @ C is
+    formed only for a tail above ENTRY_TAIL_TOL."""
     r = b.analytic_pad(np.finfo(float).eps)
     if r == 0:   # no analytic coefficient of positive index: H(b) = 0
         empty = np.zeros((n, 0), dtype=complex)
-        return np.zeros((n, n), dtype=complex), 0.0, (empty, empty.T)
+        return empty, empty.T, 0.0
     if n * r > max(n * n, FFT_CAP):
         raise GridTooSmall(f"hankel window R={r} is too wide for N={n}")
     co = fourier_coefficients(b, (1, n - 1 + 2 * r)).coeffs
     tail = float(np.linalg.norm(co[r:]))
     hank = np.lib.stride_tricks.sliding_window_view(co[: n - 1 + r], r).copy()   # B
     flip = _flip_matrix(shift, r, n)
-    entries = hank @ flip
-    if tail > ENTRY_TAIL_TOL and tail > ENTRY_TAIL_TOL * np.max(np.abs(entries)):
+    if tail > ENTRY_TAIL_TOL and tail > ENTRY_TAIL_TOL * np.max(np.abs(hank @ flip)):
         raise GridTooSmall(f"hankel window R={r} leaves a tail of {tail:.3e}")
-    return entries, tail, (hank, flip)
+    return hank, flip, tail
 
 
 def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
@@ -218,14 +247,11 @@ def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
 def _refuse_oversized(size: int) -> None:
     """InputError unless four size x size complex blocks fit MAX_SECTION_BYTES.
 
-    operator_section and pair_sections check this before they allocate.
-    pair_sections holds three blocks at its peak (T(a), H(b) and the
-    difference).  A caller holding both sections while a null space is
-    solved holds three, the one augmented section of the null space,
-    factored in place; on the np.linalg.solve fallback, four, with LAPACK's
-    copy of it.  null_dims runs two null spaces at once only if six fit,
-    the fallback's peak.  Blocks are unmapped when freed (the mmap
-    threshold), so these counts are what stays resident."""
+    operator_section and pair_sections check this before they allocate.  A
+    pair section holds no n x n block, and a null space one, M', factored
+    in place (two on the np.linalg.solve fallback, with LAPACK's copy), so
+    two null spaces at once hold four at most.  Blocks are unmapped when
+    freed (the mmap threshold), so these counts are what stays resident."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -238,30 +264,23 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     """The sections of T(a) + H(b) and T(a) - H(b), keyed '+' and '-'.
 
     payload is a MatchingPair or an (a, b) tuple of rational symbols.  T(a)
-    and H(b) are assembled once: the minus section is T(a) - H(b), and the
-    plus one T(a) + H(b) in T(a)'s own buffer, so three n x n blocks are
-    held at the peak; H(b)'s is unmapped before the return, and the
-    sections' when the caller drops them.  Both carry the factors of their products
-    (FiniteSection): the FFT of T(a)'s circulant embedding, from its first
-    column and row, and H(b)'s factors from _hankel_entries.  Null spaces
-    and residual gates multiply through these; the dense entries are read
-    only to form the augmented section M' (numerical_null_space).
+    and H(b) are assembled once, as the factors both sections share
+    (FiniteSection): T(a)'s window and the FFT of its circulant embedding,
+    and B and C from _hankel_entries.  No n x n block is written.
     """
     a, b = (payload.a, payload.b) if isinstance(payload, MatchingPair) else payload
     if n < 8:
         raise ValueError("section size must be at least 8")
     _refuse_oversized(n)
-    plus, tail_a = _toeplitz_entries(a, n)
-    hankel, tail_b, (hank, flip) = _hankel_entries(b, shift, n)
-    eig = np.fft.fft(np.concatenate((plus[:, 0], [0.0], plus[0, :0:-1])))
-    minus = plus - hankel
-    plus += hankel
-    del hankel
+    window, tail_a = _toeplitz_entries(a, n)
+    hank, flip, tail_b = _hankel_entries(b, shift, n)
+    # T's first column a_0 .. a_(n-1), then its first row's a_(1-n) .. a_(-1)
+    eig = np.fft.fft(np.concatenate((window[n - 1 :], [0.0], window[: n - 1])))
     meta = {"tail": max(tail_a, tail_b),
             "margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad)}
     return {
-        "+": FiniteSection(n, plus, "plus", dict(meta), (eig, hank, flip, 1.0)),
-        "-": FiniteSection(n, minus, "minus", meta, (eig, hank, flip, -1.0)),
+        "+": FiniteSection(n, None, "plus", dict(meta), (eig, hank, flip, 1.0, window)),
+        "-": FiniteSection(n, None, "minus", meta, (eig, hank, flip, -1.0, window)),
     }
 
 
@@ -291,10 +310,12 @@ def operator_section(
             entries, tail = pc_toeplitz_entries(sym, shift, n)
             return FiniteSection(n, entries, kind, {"tail": tail, "margin": n // 2})
         if kind == "toeplitz":
-            entries, tail = _toeplitz_entries(sym, n)
+            window, tail = _toeplitz_entries(sym, n)
+            entries = _toeplitz_window(window, n).copy()
             margin = _symbol_margin(sym)
         else:
-            entries, tail, _ = _hankel_entries(sym, shift, n)
+            hank, flip, tail = _hankel_entries(sym, shift, n)
+            entries = hank @ flip
             margin = _symbol_margin(sym) + shift.pad
         return FiniteSection(n, entries, kind, {"tail": tail, "margin": margin})
     if kind in ("plus", "minus"):
@@ -304,9 +325,8 @@ def operator_section(
             pair = payload
         else:
             pair = make_matching_pair(*payload, shift)
-        tc, _ = _toeplitz_entries(pair.c, n)
-        td, _ = _toeplitz_entries(pair.d, n)
-        taai, _ = _toeplitz_entries(pair.a_alpha_inv, n)
+        tc, td, taai = (_toeplitz_window(_toeplitz_entries(s, n)[0], n)
+                        for s in (pair.c, pair.d, pair.a_alpha_inv))
         z = np.zeros((n, n), dtype=complex)
         entries = np.block([[z, td], [-tc, taai]])
         margin = max(_symbol_margin(pair.c), _symbol_margin(pair.d),
@@ -365,8 +385,9 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
 
     Every product with M (the Lanczos steps, both Rayleigh-Ritz steps, the
     residuals ||M V|| and ||M^H W||, the refinement of the solves with M'')
-    is the section's product or adjoint_product: structured for a pair
-    section, whose dense entries are then read only to form M'.
+    is the section's product or adjoint_product, and M' is the section's
+    augmented: for a pair section all three go through its factors, and no
+    dense entries are read.
 
     singular_values holds the values computed, descending: sigma_max's
     estimate, then the last Ritz values, of which the last dim are dropped;
@@ -380,7 +401,8 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     Besides the section, one n x n block is held: M', which zgetrf
     overwrites with its factors, until the null space returns; on the
     np.linalg.solve fallback also LAPACK's copy of it, factored again for
-    every solve.
+    every solve.  The rest is O(n (R + p + k)): the factors' products, the
+    solves' columns and the LANCZOS_STEPS Lanczos vectors.
     """
     n = section.size
     rng = np.random.default_rng(0)
@@ -392,7 +414,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     while True:
         y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
         try:
-            lu = _factor(_augmented(section.entries, smax * y, z))   # M'
+            lu = _factor(section.augmented(smax * y, z))   # M'
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
         except np.linalg.LinAlgError:
@@ -449,13 +471,6 @@ def _gaussian(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
 
 def _orth(a: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.svd(a, full_matrices=False)[0][:, :k]
-
-
-def _augmented(m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """A fresh C-order block m + left right^H."""
-    aug = left @ right.conj().T
-    aug += m
-    return aug
 
 
 def _linalg() -> tuple[ctypes.CDLL, str] | None:
@@ -579,7 +594,8 @@ class _Woodbury:
     identity (Hager, SIAM Review 31, 1989)
         M''^-1 b = M'^-1 b - (M'^-1 L) C^-1 R^H M'^-1 b,   C = I + R^H M'^-1 L,
         M''^-H b = M'^-H b - (M'^-H R) C^-H L^H M'^-H b,   C^H = I + L^H M'^-H R;
-    the lift's two solves are taken here.  Each side takes its C from its
+    the lift's two solves are taken here, M'^-H Q in the getrs pass of the
+    first adjoint solve (_adjoint_stage).  Each side takes its C from its
     own solves, as the fallback factors M' and M'^T apart.  C can be far
     worse conditioned than M' and M'' (5e13, chi^-10 at beta 1.5+0.5j, N = 256),
     so each solve is refined once against M x + P (Q^H x), or its adjoint,
@@ -589,14 +605,25 @@ class _Woodbury:
     above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError."""
 
     def __init__(self, section: FiniteSection, scale: float, lu, lift, drop):
-        (p, q), (p0, q0, inv_p0, adj_q0) = lift, drop
+        (p, q), (p0, q0, inv_p0, self._adj_q0) = lift, drop
         self._section, self._scale, self._lu, self._p, self._q = section, scale, lu, p, q
         self._left, self._right = np.hstack((p, -p0)), np.hstack((q, q0))
         self._inv_left = np.hstack((lu.solve(p), -inv_p0))          # M'^-1 L
-        self._adj_right = np.hstack((lu.solve_adjoint(q), adj_q0))   # M'^-H R
-        eye = np.eye(self._left.shape[1])
-        self._c = eye + self._right.conj().T @ self._inv_left
-        self._c_adj = eye + self._left.conj().T @ self._adj_right
+        self._c = np.eye(self._left.shape[1]) + self._right.conj().T @ self._inv_left
+        self._adj_right = self._c_adj = None   # set by the first adjoint solve
+
+    def _adjoint_stage(self, b: np.ndarray) -> np.ndarray:
+        """M'^-H b.  The first call also sets M'^-H R and C^H, taking M'^-H Q
+        from the same getrs pass: from b's own solution where b begins with
+        Q (numerical_null_space's [V, G]), else from Q solved alongside b."""
+        if self._c_adj is not None:
+            return self._lu.solve_adjoint(b)
+        k = self._q.shape[1]
+        lead = np.array_equal(b[:, :k], self._q)
+        x = self._lu.solve_adjoint(b if lead else np.hstack((self._q, b)))
+        self._adj_right = np.hstack((x[:, :k], self._adj_q0))   # M'^-H R
+        self._c_adj = np.eye(self._left.shape[1]) + self._left.conj().T @ self._adj_right
+        return x if lead else x[:, k:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
@@ -608,7 +635,7 @@ class _Woodbury:
 
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
-            x = self._lu.solve_adjoint(b)
+            x = self._adjoint_stage(b)
             return x - self._adj_right @ np.linalg.solve(self._c_adj, self._left.conj().T @ x)
 
         return self._refined(
@@ -740,10 +767,10 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
 
     The null spaces of the first _concurrent_sections sections are solved
     at once, all but the first in worker threads, if the sections have
-    CONCURRENT_MIN_SIZE rows or more and six n x n blocks (the two
-    sections, and per thread the null space's one augmented section and,
-    on the np.linalg.solve fallback, LAPACK's copy of it) fit
-    MAX_SECTION_BYTES; the rest in turn in this thread.  The first overlap
+    CONCURRENT_MIN_SIZE rows or more and the threads' n x n blocks fit
+    MAX_SECTION_BYTES (one M' each, two on the np.linalg.solve fallback:
+    always, for two sections within _refuse_oversized's cap); the rest in
+    turn in this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign
     order.  The n x n blocks are unmapped when freed (the mmap threshold
@@ -753,7 +780,8 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     signs = list(signs)
     size = max((sections[sign].size for sign in signs), default=0)
     width = _concurrent_sections(len(signs))
-    if size < CONCURRENT_MIN_SIZE or (2 + 2 * width) * 16 * size**2 > MAX_SECTION_BYTES:
+    blocks = width * (1 if _lapack() is not None else 2)
+    if size < CONCURRENT_MIN_SIZE or blocks * 16 * size**2 > MAX_SECTION_BYTES:
         width = 1
     spaces = {}
 

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from toephankel import LaurentPolynomial, RationalSymbol
+from toephankel import (
+    LaurentPolynomial,
+    RationalSymbol,
+    generate_matching_function,
+    make_matching_pair,
+    make_shift,
+)
 
 
 def random_roots(rng, count, inside):
@@ -73,3 +79,22 @@ def random_laurent(rng, deg=8):
     width = int(rng.integers(1, deg + 2))
     coeffs = rng.normal(size=width) + 1j * rng.normal(size=width)
     return LaurentPolynomial(lo, coeffs)
+
+
+def benchmark_oracle_pairs():
+    """The four pairs of perfbench's oracle_large workload (inputs.ORACLE_PAIRS)."""
+
+    def poly(roots, lead=1.0):
+        return LaurentPolynomial.from_roots(roots, lead)
+
+    for beta, i, j, h, rho in (
+        (2.0, -1, -1, RationalSymbol(poly([1.6 + 0.8j], 1.0 + 0.5j), poly([-0.4 + 0.3j])), None),
+        (2j, -1, 1, RationalSymbol(poly([0.3 - 0.2j], 0.8)), (poly([-1.8 + 0.9j], 1.2 - 0.3j), 1)),
+        (1.5 + 0.5j, 0, -1, RationalSymbol(poly([]), poly([2.1 - 0.7j])), None),
+        (2.0, 1, 0, RationalSymbol(poly([0.2 + 1.9j], 0.7 + 0.7j)), (poly([1.5 - 1.0j]), 0)),
+    ):
+        sh = make_shift(beta)
+        a, b = h * sh.chi.power(i), h * sh.chi.power(j)
+        if rho is not None:
+            b = b * generate_matching_function(RationalSymbol(rho[0]), rho[1], -1, sh)
+        yield make_matching_pair(a, b, sh)

@@ -30,6 +30,8 @@ from toephankel.kernels import (
 )
 from toephankel.oracle import block_residual_check, residual_check
 
+from helpers import benchmark_oracle_pairs
+
 
 def test_split_chi_minus_four(shift2):
     b_plus, b_minus = toeplitz_kernel_split(shift2.chi.power(-4), shift2)
@@ -640,26 +642,6 @@ def test_cokernel_gate_makes_no_section_copy(monkeypatch):
     assert kernels._oracle_residual(sections["+"], basis) == pytest.approx(want, rel=1e-12)
 
 
-def _benchmark_oracle_pairs():
-    """The four pairs of perfbench's oracle_large workload (inputs.ORACLE_PAIRS)."""
-    from toephankel import LaurentPolynomial, generate_matching_function
-
-    def poly(roots, lead=1.0):
-        return LaurentPolynomial.from_roots(roots, lead)
-
-    for beta, i, j, h, rho in (
-        (2.0, -1, -1, RationalSymbol(poly([1.6 + 0.8j], 1.0 + 0.5j), poly([-0.4 + 0.3j])), None),
-        (2j, -1, 1, RationalSymbol(poly([0.3 - 0.2j], 0.8)), (poly([-1.8 + 0.9j], 1.2 - 0.3j), 1)),
-        (1.5 + 0.5j, 0, -1, RationalSymbol(poly([]), poly([2.1 - 0.7j])), None),
-        (2.0, 1, 0, RationalSymbol(poly([0.2 + 1.9j], 0.7 + 0.7j)), (poly([1.5 - 1.0j]), 0)),
-    ):
-        sh = make_shift(beta)
-        a, b = h * sh.chi.power(i), h * sh.chi.power(j)
-        if rho is not None:
-            b = b * generate_matching_function(RationalSymbol(rho[0]), rho[1], -1, sh)
-        yield make_matching_pair(a, b, sh)
-
-
 def test_cokernel_residuals_match_the_dense_adjoint():
     # ||M^H f|| / ||f|| from the adjoint product, not from a copy of the
     # section that would carry another operator's factors: equal to the
@@ -669,7 +651,7 @@ def test_cokernel_residuals_match_the_dense_adjoint():
     from toephankel.oracle import pair_sections
 
     n, dims = 256, []
-    for pair in _benchmark_oracle_pairs():
+    for pair in benchmark_oracle_pairs():
         bases = kernels.all_defect_bases(pair)
         for sign, sec in pair_sections(pair, pair.shift, n).items():
             basis = bases[("coker", sign)]
@@ -701,7 +683,7 @@ def test_dropped_pair_sections_leave_no_block_resident():
         pytest.skip("not glibc 2.33 or later")
     mallinfo2.restype = _Mallinfo2
     n = 1024
-    for pair in _benchmark_oracle_pairs():
+    for pair in benchmark_oracle_pairs():
         assert defect_numbers(pair, oracle_size=n).oracle["agreement"]["all"]
         assert mallinfo2().keepcost < 16 * n * n
         for which in (("ker", "+"), ("coker", "+"), ("ker", "-"), ("coker", "-")):

@@ -35,6 +35,8 @@ from toephankel.errors import NoSpectralGap, WindowTooTight
 from toephankel.kernels import analytic_series
 from toephankel.shift import eval_alpha
 
+from helpers import benchmark_oracle_pairs
+
 
 def test_toeplitz_identity(shift2):
     sec = operator_section("toeplitz", RationalSymbol.constant(1.0), shift2, 16)
@@ -107,7 +109,8 @@ def test_hankel_entries_match_brute_force(beta):
         0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
     )
     n = 128
-    entries, _, _ = oracle._hankel_entries(b, sh, n)
+    hank, flip, _ = oracle._hankel_entries(b, sh, n)
+    entries = hank @ flip
     brute = _hankel_by_definition(b, sh, n)
     assert np.max(np.abs(brute)) > 0.1
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
@@ -121,7 +124,8 @@ def test_hankel_window_counts_from_the_numerator_degree():
     assert b.analytic_pad(np.finfo(float).eps) > 80
     brute = _hankel_by_definition(b, sh, 128)
     for n in (64, 128):
-        entries, tail, _ = oracle._hankel_entries(b, sh, n)
+        hank, flip, tail = oracle._hankel_entries(b, sh, n)
+        entries = hank @ flip
         assert tail < 1e-14
         assert np.max(np.abs(entries - brute[:n, :n])) < 1e-12 * max(1.0, np.max(np.abs(brute)))
 
@@ -142,7 +146,8 @@ def test_hankel_flip_window_cut_is_exact():
     assert np.max(np.abs(long[:r] - short)) < 1e-14
     norms = np.linalg.norm(oracle._flip_matrix(sh, 8 * n, n), axis=0)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
-    entries, tail, _ = oracle._hankel_entries(b, sh, n)
+    hank, flip, tail = oracle._hankel_entries(b, sh, n)
+    entries = hank @ flip
     assert tail < 1e-14
     brute = _hankel_by_definition(b, sh, n)
     assert np.max(np.abs(entries - brute)) < 1e-12 * max(1.0, np.max(np.abs(brute)))
@@ -183,11 +188,11 @@ def test_hankel_of_analytic_free_symbol_near_circle(tmp_path):
     sh = make_shift(1.0001)
     tracemalloc.start()
     try:
-        entries, tail, _ = oracle._hankel_entries(sh.chi.invert(), sh, 64)
+        hank, flip, tail = oracle._hankel_entries(sh.chi.invert(), sh, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not np.any(entries) and tail == 0.0
+    assert not np.any(hank @ flip) and tail == 0.0
     assert peak < 1e6
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"command": "verify", "shift": {"beta": [1.0001, 0.0]},
@@ -219,6 +224,32 @@ def test_hankel_built_once_per_pair(shift2, monkeypatch, tmp_path):
                                 "a": "chi^-2", "b": "chi^-2", "N": 64}))
     assert main(["--spec", str(spec), "--out", str(tmp_path / "report.json")]) == 0
     assert calls == [64, 64, 64, 64]
+
+
+def test_pair_sections_and_their_null_spaces_hold_one_block_at_most():
+    # at N = 1024 on the four benchmark pairs (R = 1, 3, 50, 3): pair_sections
+    # allocates less than one n x n block, and a null space solved on its own
+    # (width 1) peaks at one block, M', plus O(n (R + p)): the factors'
+    # products, the solves' columns and the Lanczos vectors (at most 152
+    # columns of n here)
+    n = 1024
+    block = 16 * n * n
+    for pair in benchmark_oracle_pairs():
+        tracemalloc.start()
+        try:
+            sections = oracle.pair_sections(pair, pair.shift, n)
+            built = tracemalloc.get_traced_memory()[1]
+            peaks = []
+            for sec in sections.values():
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                numerical_null_space(sec)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        rank = sections["+"].factors[1].shape[1]
+        assert built < block
+        assert all(block <= peak < block + 16 * n * (rank + 256) for peak in peaks)
 
 
 _PAIR_DIMS = {   # (a, b): ((ker, coker) of T(a) + H(b) and of T(a) - H(b)), block null dim
@@ -451,8 +482,10 @@ def test_null_space_solve_budget(shift2, monkeypatch):
     # one LU factorization, of M', when k <= SKETCH (k = 0 too), and still
     # one with the power step of chi^3 at beta 1.2: M'' is solved through
     # M''s factors; with LAPACK bound no n x n least-squares solve, SVD,
-    # inverse or np.linalg.solve; thin SVDs of at most 4 max(k, SKETCH) columns
-    calls, factored, powers = [], [], []
+    # inverse or np.linalg.solve; thin SVDs of at most 4 max(k, SKETCH) columns.
+    # Adjoint solves with M': one per sketch width, then two per adjoint
+    # solve with M'' (refined), M'^-H V taken from the first of them
+    calls, factored, powers, adjoint = [], [], [], []
     for name in ("lstsq", "svd", "solve", "inv"):
         def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls.append((_name, np.shape(a)))
@@ -466,6 +499,9 @@ def test_null_space_solve_budget(shift2, monkeypatch):
         return factor(aug)
 
     monkeypatch.setattr(oracle, "_factor", counted)
+    for solver in (oracle._LU, oracle._Solve):
+        monkeypatch.setattr(solver, "solve_adjoint", lambda self, rhs, _fn=solver.solve_adjoint:
+                            adjoint.append(rhs.shape) or _fn(self, rhs))
     bound_of = oracle._smallest_bound
     monkeypatch.setattr(oracle, "_smallest_bound",
                         lambda probes, power=1: powers.append(power) or bound_of(probes, power))
@@ -475,17 +511,19 @@ def test_null_space_solve_budget(shift2, monkeypatch):
     d = np.ones(64)
     d[::8] = 0.0
     sections = [
-        (operator_section("plus", pair, shift2, 64), 2, 1, [1]),
-        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, [1]),
-        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 1, [1]),
-        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 1, [1, 3]),
+        (operator_section("plus", pair, shift2, 64), 2, 1, [1], 3),
+        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, [1], 4),
+        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 1, [1], 3),
+        (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, 1, [1, 3], 5),
     ]
-    for sec, dim, factorizations, bound_powers in sections:
+    for sec, dim, factorizations, bound_powers, adjoint_solves in sections:
         calls.clear()
         factored.clear()
         powers.clear()
+        adjoint.clear()
         assert numerical_null_space(sec).dim == dim
         assert powers == bound_powers
+        assert len(adjoint) == adjoint_solves
         assert set(factored) == {(sec.size, sec.size)}
         if factorizations is not None:
             assert len(factored) == factorizations
@@ -661,9 +699,9 @@ def test_woodbury_solves_match_the_lifted_section(build, dim, monkeypatch):
     assert numerical_null_space(sec).dim == dim
     (section, _, _, lift, _), update = made[0]
     m = section.entries
-    lifted = oracle._augmented(m, *lift)
+    lifted = lift[0] @ lift[1].conj().T + m
     norm = np.linalg.norm(lifted, 2)
-    direct = oracle._factor(oracle._augmented(m, *lift))
+    direct = oracle._factor(lift[0] @ lift[1].conj().T + m)
     b = oracle._gaussian(np.random.default_rng(1), len(m), 3)
 
     def worst(residual, x, scale):
@@ -779,6 +817,30 @@ def test_structured_products_match_entries(n):
     assert 0 in ranks and max(ranks) == 172
 
 
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_augmented_section_matches_entries(n):
+    # M' of a pair section, one product of rank R + p into which T(a)'s
+    # window is added, against entries + L R^H, to 1e-14 of the largest
+    # column norm, on both signs of test_structured_products_match_entries'
+    # pairs; the entries formed on first read are T +/- B C
+    rng = np.random.default_rng(3)
+    y, z = oracle._gaussian(rng, n, oracle.SKETCH), oracle._gaussian(rng, n, oracle.SKETCH)
+    ranks = set()
+    for sec in _product_sections(n):
+        _, hank, flip, sign, window = sec.factors
+        m = sec.entries
+        assert np.array_equal(m, scipy.linalg.toeplitz(window[n - 1 :], window[n - 1 :: -1])
+                              + sign * (hank @ flip))
+        scale = np.max(np.linalg.norm(m, axis=0))
+        aug = sec.augmented(scale * y, z)
+        assert aug.flags.c_contiguous and aug.flags.writeable
+        aug -= scale * y @ z.conj().T
+        aug -= m
+        assert np.max(np.linalg.norm(aug, axis=0)) <= 1e-14 * scale
+        ranks.add(hank.shape[1])
+    assert 0 in ranks and max(ranks) == 172
+
+
 @pytest.mark.parametrize("n", [16, 64, 256])
 def test_null_space_structured_matches_dense(n):
     # the same dims, localized dims and NoSpectralGap verdicts with the
@@ -801,46 +863,40 @@ def test_null_space_structured_matches_dense(n):
             assert np.linalg.norm(got - want @ (want.conj().T @ got), 2) <= tol
 
 
-class _Watched(np.ndarray):
-    """entries that record every numpy operation they take part in."""
-
-    seen: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        _Watched.seen.append(ufunc.__name__)
-        inputs = [np.asarray(x) if isinstance(x, _Watched) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def __array_function__(self, func, types, args, kwargs):
-        _Watched.seen.append(func.__name__)
-        return super().__array_function__(func, types, args, kwargs)
-
-
 def test_pair_section_products_never_read_the_dense_block(monkeypatch):
-    # entries are read only to form M' (np.add in _augmented); the null space,
-    # the lifted solves and both residual gates multiply through the factors
+    # the dense block of a pair section is never formed: not by its null
+    # space (M' comes from its factors), lifted solves or residual gates, nor
+    # by defect_numbers, kernel_cokernel_bases and coburn_class, which take
+    # their sections from pair_sections.  A first read of entries forms them
+    # and keeps them in the section, so none may be kept after these runs
+    from toephankel import coburn_class, kernel_cokernel_bases, kernels
+
     sh = make_shift(2.0)
     pair = make_matching_pair(sh.chi.power(-2), sh.chi.power(-2), sh)
-    augmented = oracle._augmented
-    formed = []
+    build, made = oracle.pair_sections, []
 
-    def recorded(m, left, right):
-        formed.append(len(_Watched.seen))
-        out = augmented(m, left, right)
-        _Watched.seen.append("_augmented")
-        return out
+    def recorded(*args):
+        sections = build(*args)
+        made.extend(sections.values())
+        return sections
 
-    monkeypatch.setattr(oracle, "_augmented", recorded)
-    monkeypatch.setattr(_Watched, "seen", [])
+    monkeypatch.setattr(kernels, "pair_sections", recorded)
     f = TruncatedSeries(0, np.array([1.0, 0.5j, 0.25]))
-    for sec in oracle.pair_sections(pair, sh, 128).values():
-        watched = dataclasses.replace(sec, entries=sec.entries.view(_Watched))
-        assert numerical_null_space(watched).dim == 2
-        residual_check(watched, f)
-        residual_check(watched, f, adjoint=True)
-    seen = _Watched.seen
-    assert len(formed) == 2 and seen.count("_augmented") == 2
-    assert [name for name in seen if name != "_augmented"] == ["add", "add"]
+    for sec in recorded(pair, sh, 128).values():
+        assert numerical_null_space(sec).dim == 2
+        residual_check(sec, f)
+        residual_check(sec, f, adjoint=True)
+    assert defect_numbers(pair, oracle_size=128).oracle["agreement"]["all"]
+    for which in itertools.product(("ker", "coker"), "+-"):
+        kernel_cokernel_bases(pair, which, oracle_size=128)
+    one = RationalSymbol.constant(1.0)
+    assert coburn_class(one, one, sh, oracle_size=64)
+    # 2 sections each: the loop above, defect_numbers, the two kernel bases
+    # (the cokernels are empty, so their gate builds none) and coburn_class
+    assert len(made) == 10
+    assert not any("entries" in vars(sec) for sec in made)
+    sec = made[0]
+    assert sec.entries is sec.entries and "entries" in vars(sec)
 
 
 @pytest.mark.parametrize("k", [0, 1, 4, 5, 12, 32])
@@ -956,17 +1012,16 @@ def test_toeplitz_matrix_equals_scipy(n):
 def test_toeplitz_sections_share_one_helper(shift2, monkeypatch):
     from toephankel import PCSymbol, pc
 
-    helper = oracle.toeplitz_matrix
-    assert pc.toeplitz_matrix is helper
+    helper = oracle._toeplitz_window
+    assert pc.toeplitz_matrix is oracle.toeplitz_matrix
     calls = []
 
-    def recorded(col, row):
-        calls.append(len(row))
-        return helper(col, row)
+    def recorded(window, width):
+        calls.append(width)
+        return helper(window, width)
 
-    monkeypatch.setattr(oracle, "toeplitz_matrix", recorded)
-    monkeypatch.setattr(pc, "toeplitz_matrix", recorded)
-    entries, _ = oracle._toeplitz_entries(shift2.chi, 16)
+    monkeypatch.setattr(oracle, "_toeplitz_window", recorded)
+    entries = operator_section("toeplitz", shift2.chi, shift2, 16).entries
     assert calls == [16]
     pc_entries, _ = pc.pc_toeplitz_entries(PCSymbol(shift2.chi, ()), shift2, 16)
     assert calls == [16, 16]
@@ -1189,15 +1244,23 @@ def test_null_dims_solves_small_sections_in_turn(monkeypatch):
     assert len(in_main) == 2 and all(in_main.values())
 
 
-@pytest.mark.parametrize("blocks", [6, 5, 4])
-def test_null_dims_solves_in_turn_when_six_blocks_exceed_the_cap(monkeypatch, blocks):
-    # two null spaces in flight hold six n x n blocks; where MAX_SECTION_BYTES
-    # admits fewer, null_dims solves them in turn
+@pytest.mark.parametrize("fallback, blocks", [
+    pytest.param(False, 2, id="lapack-2"), pytest.param(False, 1, id="lapack-1"),
+    pytest.param(True, 4, id="fallback-4"), pytest.param(True, 3, id="fallback-3"),
+])
+def test_null_dims_solves_in_turn_when_their_blocks_exceed_the_cap(monkeypatch, fallback, blocks):
+    # two null spaces in flight hold one n x n block each, M', and two each on
+    # the np.linalg.solve fallback; where MAX_SECTION_BYTES admits fewer,
+    # null_dims solves them in turn
     n = 64
+    if fallback:
+        monkeypatch.setattr(oracle, "_lapack", lambda: None)
+    else:
+        _bound_lapack()
     monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", n)
     monkeypatch.setattr(oracle, "MAX_SECTION_BYTES", blocks * n * n * 16)
     _set_width(monkeypatch, 2)
-    width = 2 if blocks == 6 else 1
+    width = 2 if blocks == (4 if fallback else 2) else 1
     in_main = _record_threads(monkeypatch, _two_null_spaces(n), width)
     assert len(in_main) == 2 and all(in_main.values()) == (width == 1)
 
