@@ -11,18 +11,22 @@ coefficients of the flip images (_hankel_entries).  pair_sections
 assembles T(a) and H(b) once, as the factors of T(a) + H(b) and
 T(a) - H(b), and writes no n x n block: T(a)'s window of 2N - 1
 coefficients, the FFT of its circulant embedding, and H(b) = B C, of
-rank R.  Products go through them at O(N log N + N R) a column, and each
-null space writes its augmented section once (FiniteSection).
+rank R.  Products go through them at O(N log N + N R) a column
+(FiniteSection).
 
-A section's null space comes from one LU factorization
+A section's null space comes from the solves of one augmented section
 (numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps,
 the right basis from a Rayleigh-Ritz step on the range of two solves with
-a randomly augmented section, and the left basis and the spectral-gap
+a randomly augmented section M', and the left basis and the spectral-gap
 certificate from solves with the section augmented by the right basis,
-a low-rank update of the first (_Woodbury).  The first augmented section
-is factored once, in place, by the zgetrf of the LAPACK numpy calls
-(_lapack), and solved with on both sides (_LU); where that is not found,
-np.linalg.solve copies and factors it per solve (_Solve).  The
+a low-rank update of the first (_Woodbury).  M' is solved with on both
+sides (_augmented_solves).  A pair section, where that costs less than
+an LU, does so through its structure, and no n x n block is written: T
+is a circulant, one FFT pair a solve, plus two corners of low numerical
+rank, and all the rest of M' is low rank, so _Woodbury solves it through
+the circulant.  Otherwise M' is formed and factored once, in place, by
+the zgetrf of the LAPACK numpy calls (_lapack, _LU); where that is not
+found, np.linalg.solve copies and factors it per solve (_Solve).  The
 certificate bounds the dropped singular values above and the kept ones
 below, so no singular spectrum is computed, and both bases are checked
 by their residuals.  Localization counts the directions of
@@ -30,12 +34,13 @@ the null space with most of their mass in the first half of the
 coordinates, whatever basis the null space is given in.  Every caller
 gets these dimensions from null_dims, which solves the null spaces at
 once where the CPUs hold the threads OpenBLAS reports per call, from
-CONCURRENT_MIN_SIZE rows on where the threads' n x n blocks (one M' each,
-two on the fallback) fit MAX_SECTION_BYTES; errors come in sign order.
+CONCURRENT_MIN_SIZE rows on where the threads' n x n blocks on the dense
+path (one M' each, two on the np.linalg.solve fallback) fit
+MAX_SECTION_BYTES; errors come in sign order.
 
 Everything here runs on numpy alone: Toeplitz sections are strided views
-of a window (_toeplitz_window), and the null space comes from np.linalg
-and the LAPACK numpy calls.  Sections whose four n x n blocks would
+of a window (_toeplitz_window), and the null space comes from np.fft,
+np.linalg and the LAPACK numpy calls.  Sections whose four n x n blocks would
 exceed MAX_SECTION_BYTES are refused before anything is allocated.
 glibc maps every n x n block from N = 256 on by itself, and unmaps it when
 it is freed, as the mmap threshold is fixed at 1 MiB on import.
@@ -95,10 +100,12 @@ class FiniteSection:
     Toeplitz matrix of window's 2N - 1 coefficients (_toeplitz_window), eig
     the eigenvalues of T's 2N x 2N circulant embedding, hank @ flip the
     rank-R factors of H(b) (_hankel_entries).  product, adjoint_product and
-    augmented go through them, and its read-only entries are formed on
-    their first read only (dump_section, tests), and kept.  A section
-    without factors (block, PC, loaded and hand-made ones) is given its
-    entries: the dense cross-check of the structured paths."""
+    augmented go through them, and so do the solves of its null space's M'
+    (_augmented_solves), which form no block where that costs less than an
+    LU.  Its read-only entries are formed on their first read only
+    (dump_section, tests), and kept.  A section without factors (block, PC,
+    loaded and hand-made ones) is given its entries: the dense cross-check
+    of the structured paths."""
 
     size: int
     entries: np.ndarray | None = field(repr=False)   # None for a pair section
@@ -248,10 +255,12 @@ def _refuse_oversized(size: int) -> None:
     """InputError unless four size x size complex blocks fit MAX_SECTION_BYTES.
 
     operator_section and pair_sections check this before they allocate.  A
-    pair section holds no n x n block, and a null space one, M', factored
-    in place (two on the np.linalg.solve fallback, with LAPACK's copy), so
-    two null spaces at once hold four at most.  Blocks are unmapped when
-    freed (the mmap threshold), so these counts are what stays resident."""
+    pair section holds no n x n block.  A null space holds none on the
+    structured path (_augmented_solves), and one on the dense path, M',
+    factored in place (two on the np.linalg.solve fallback, with LAPACK's
+    copy), so two null spaces at once hold four at most.  Blocks are
+    unmapped when freed (the mmap threshold), so these counts are what
+    stays resident."""
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -344,7 +353,8 @@ class NullSpace:
 
 
 def numerical_null_space(section: FiniteSection) -> NullSpace:
-    """Null space from one LU factorization, with a certified spectral gap.
+    """Null space from the solves of one augmented section, with a certified
+    spectral gap.
 
     sigma_max is estimated (from below) by LANCZOS_STEPS steps of
     Golub-Kahan-Lanczos; singular values at or below the cut
@@ -384,25 +394,29 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     residual below the cut.
 
     Every product with M (the Lanczos steps, both Rayleigh-Ritz steps, the
-    residuals ||M V|| and ||M^H W||, the refinement of the solves with M'')
-    is the section's product or adjoint_product, and M' is the section's
-    augmented: for a pair section all three go through its factors, and no
-    dense entries are read.
+    residuals ||M V|| and ||M^H W||, the refinement of the solves with M'
+    and M'') is the section's product or adjoint_product: for a pair
+    section they go through its factors, and no dense entries are read.
 
     singular_values holds the values computed, descending: sigma_max's
     estimate, then the last Ritz values, of which the last dim are dropped;
     not the full spectrum.  No n x n SVD, least-squares solve or inverse is
-    taken, and only M' is factored (_factor), once.  M'' = M' + L R^H, with
+    taken.  M''s solves come from _augmented_solves, once per sketch width:
+    for a pair section, where that costs less than an LU, through its
+    circulant-plus-low-rank structure (each solve refined once and gated by
+    SOLVE_BACKWARD_TOL, a failed gate turning that M' to the LU), else from
+    one factorization of the formed M' (_factor).  M'' = M' + L R^H, with
     L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0, M'' = M), is solved
-    on both sides through M''s factors by the Woodbury identity, each solve
+    on both sides through M''s solves by the Woodbury identity, each solve
     refined once against M'' and gated by its backward error (_Woodbury,
     SOLVE_BACKWARD_TOL); so neither M'' nor the power step adds a
     factorization, and a singular M'' (a singular C) is NoSpectralGap.
-    Besides the section, one n x n block is held: M', which zgetrf
-    overwrites with its factors, until the null space returns; on the
-    np.linalg.solve fallback also LAPACK's copy of it, factored again for
-    every solve.  The rest is O(n (R + p + k)): the factors' products, the
-    solves' columns and the LANCZOS_STEPS Lanczos vectors.
+    Besides the section, on the structured path no n x n block is held; on
+    the dense path one: M', which zgetrf overwrites with its factors, until
+    the null space returns (on the np.linalg.solve fallback also LAPACK's
+    copy of it, factored again for every solve).  The rest is
+    O(n (R + rank(E) + p + k)): the factors' products, the solves' columns
+    and the LANCZOS_STEPS Lanczos vectors.
     """
     n = section.size
     rng = np.random.default_rng(0)
@@ -411,10 +425,11 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
         return NullSpace(n, np.eye(n, dtype=complex), np.eye(n, dtype=complex), np.zeros(1))
     cut = SVD_TOL * smax
     p = min(SKETCH, n)
+    augmented = _augmented_solves(section, smax)
     while True:
         y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
         try:
-            lu = _factor(section.augmented(smax * y, z))   # M'
+            lu = augmented(smax * y, z)   # M'
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
         except np.linalg.LinAlgError:
@@ -522,6 +537,137 @@ def _blas_threads():
     return getter
 
 
+def _augmented_solves(section: FiniteSection, scale: float):
+    """The solves of numerical_null_space's M' = M + left right^H, as a
+    function of (left, right); scale is about ||M||.  The one place that
+    chooses between the dense and the structured path (_Structured only
+    turns an M' to the dense one when a solve fails its gate).
+
+    Dense path: LAPACK's LU of the block section.augmented forms (_factor).
+    It serves sections without factors, the cross-check of the other path,
+    and pair sections where the structured path costs more (_cheaper) or S
+    is singular to eps scale.
+
+    Structured path, for a pair section: M' is never formed.  T = S + E, S
+    the Strang circulant of T's own window (a_0 .. a_(h-1), then a_(h-n) ..
+    a_-1, h = n // 2), solved by one FFT pair (_Circulant), and E = T - S
+    its two Toeplitz corner triangles, cut to their entries above eps scale
+    and compressed to their singular values above that (_corner).  So S =
+    M + P0 Q0^H to about 4 eps scale, P0 = -[E's left factors, sign B] and
+    Q0 = [E's right factors, C^H], and M' = S + [left, -P0] [right, Q0]^H
+    is solved by _Woodbury through S: a capacitance of R + rank(E) + p
+    columns (7-55 on the four benchmark pairs at N = 1024), each solve
+    refined once against the exact M' and gated by SOLVE_BACKWARD_TOL.
+    S^-1 P0 and S^-H Q0 are taken once per null space, so a wider sketch
+    costs a new capacitance, not a new factorization.  A solve that fails
+    the gate, or a singular capacitance, turns that M' to the dense path
+    (_Structured).  Held: O(n (R + rank(E) + p)), no n x n block."""
+
+    def dense(left, right):
+        return _factor(section.augmented(left, right))
+
+    if section.factors is None:
+        return dense
+    n = section.size
+    _, hank, flip, sign, window = section.factors
+    h = n // 2
+    eig = np.fft.fft(np.concatenate((window[n - 1 : n - 1 + h], window[h - 1 : n - 1])))
+    tol = np.finfo(float).eps * scale
+    neg, pos = window[n - 2 :: -1], window[n:]   # a_-1 .. a_(1-n) and a_1 .. a_(n-1)
+    # E's diagonals from its corners on: a_(n-s) - a_-s lower left, a_(s-n) - a_s upper right
+    tips = [(pos[::-1] - neg)[: n - h], (neg[::-1] - pos)[: h - 1]]
+    extents = [_extent(tip, tol) for tip in tips]
+    if not (np.min(np.abs(eig)) > tol and _cheaper(n, extents, 0)):
+        return dense
+    (p_l, q_l), (p_u, q_u) = (_corner(tip, m, n, tol) for tip, m in zip(tips, extents))
+    # the upper-right triangle is the lower-left one of its diagonals, rows and columns reversed
+    p0 = -np.hstack((p_l, p_u[::-1], sign * hank))
+    q0 = np.hstack((q_l, q_u[::-1], flip.conj().T))
+    circulant = _Circulant(1.0 / eig)
+    drop = (p0, q0, circulant.solve(p0), circulant.solve_adjoint(q0))
+
+    def solves(left, right):
+        if not _cheaper(n, extents, q0.shape[1] + right.shape[1]):
+            return dense(left, right)
+        return _Structured(_Woodbury(section, scale, circulant, (left, right), drop),
+                           lambda: dense(left, right))
+
+    return solves
+
+
+def _extent(tip: np.ndarray, tol: float) -> int:
+    """How many leading entries of tip reach its last one above tol."""
+    big = np.flatnonzero(np.abs(tip) > tol)
+    return int(big[-1]) + 1 if len(big) else 0
+
+
+def _corner(tip: np.ndarray, m: int, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-row factors (P, Q), block ~ P Q^H, of the lower-left m x m block of
+    the Toeplitz triangle whose diagonals from the corner on are tip: its
+    rows reversed, the block is the Hankel matrix H[i, k] = tip[i + k] (zero
+    past tip's end), cut to its singular values above tol."""
+    if m == 0:
+        return np.zeros((n, 0), dtype=complex), np.zeros((n, 0), dtype=complex)
+    padded = np.concatenate((tip, np.zeros(m, dtype=complex)))[: 2 * m - 1]
+    u, s, vh = np.linalg.svd(np.lib.stride_tricks.sliding_window_view(padded, m))
+    r = int(np.sum(s > tol))
+    p, q = np.zeros((n, r), dtype=complex), np.zeros((n, r), dtype=complex)
+    p[n - m :] = u[::-1, :r] * s[:r]
+    q[:m] = vh[:r].conj().T
+    return p, q
+
+
+def _cheaper(n: int, extents, rank: int) -> bool:
+    """Whether the structured path (_augmented_solves) costs less than the
+    dense one for a section of n rows, corners of the given extents and a
+    capacitance of rank columns.
+
+    Costs in units of one n^3 term of zgetrf, fitted to the time each path
+    adds to a null space, one BLAS thread on a 2-core x86 host: dense 0.8,
+    4.9, 16 and 82 ms at n = 128, 256, 512 and 1024 (the LU, 81 ms of it at
+    1024: 7.6e-8 ms a unit); structured about n (5.5e-3 + 4.7e-4 r) ms
+    (9, 20, 41 and 92 ms at n = 1024 and r = 7, 44, 89 and 179) and the
+    corners' SVDs, 2e-6 to 4e-6 ms an m^3.  So the structured path wins
+    from about n = 270 on, up to r = 157 at n = 1024."""
+    return 50 * sum(m**3 for m in extents) + n * (72000 + 6200 * rank) < n**3
+
+
+class _Circulant:
+    """The solves of the circulant with eigenvalues 1 / inv: one FFT pair each."""
+
+    def __init__(self, inv: np.ndarray):
+        self._inv = inv
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return _circulant(self._inv, rhs)
+
+    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        return _circulant(self._inv.conj(), rhs)
+
+
+class _Structured:
+    """M''s solves through S (_Woodbury), until one fails its gate or meets a
+    singular capacitance: then, and from then on, the LU of the formed M'
+    (dense), whose own LinAlgError is numerical_null_space's."""
+
+    def __init__(self, solves: _Woodbury, dense):
+        self._solves, self._dense = solves, dense
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._run(lambda solves: solves.solve(rhs))
+
+    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
+        return self._run(lambda solves: solves.solve_adjoint(rhs))
+
+    def _run(self, call):
+        if self._dense is not None:
+            try:
+                return call(self._solves)
+            except (NoSpectralGap, np.linalg.LinAlgError):
+                self._solves, self._dense = self._dense(), None
+        return call(self._solves)
+
+
 def _factor(aug: np.ndarray) -> _LU | _Solve:
     """The solves of aug: LAPACK's LU of aug, taken once (_LU), or the
     fallback _Solve where the LAPACK is not bound.  aug is overwritten with
@@ -602,14 +748,19 @@ class _Woodbury:
     M x from section.product (structured for a pair section),
     and raises NoSpectralGap if a column's normwise backward error
     ||b - M'' x|| / (scale ||x|| + ||b||), scale about ||M''||, is then
-    above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError."""
+    above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError.
+
+    It serves twice: M'' through M' (numerical_null_space), and a pair
+    section's M' through the Strang circulant S (_augmented_solves), for
+    which M + P0 Q0^H = S holds to the cut of T's corners, a difference
+    the refinement takes out."""
 
     def __init__(self, section: FiniteSection, scale: float, lu, lift, drop):
         (p, q), (p0, q0, inv_p0, self._adj_q0) = lift, drop
         self._section, self._scale, self._lu, self._p, self._q = section, scale, lu, p, q
-        self._left, self._right = np.hstack((p, -p0)), np.hstack((q, q0))
+        self._left_h, self._right_h = np.hstack((p, -p0)).conj().T, np.hstack((q, q0)).conj().T
         self._inv_left = np.hstack((lu.solve(p), -inv_p0))          # M'^-1 L
-        self._c = np.eye(self._left.shape[1]) + self._right.conj().T @ self._inv_left
+        self._c = np.eye(len(self._left_h)) + self._right_h @ self._inv_left
         self._adj_right = self._c_adj = None   # set by the first adjoint solve
 
     def _adjoint_stage(self, b: np.ndarray) -> np.ndarray:
@@ -622,13 +773,13 @@ class _Woodbury:
         lead = np.array_equal(b[:, :k], self._q)
         x = self._lu.solve_adjoint(b if lead else np.hstack((self._q, b)))
         self._adj_right = np.hstack((x[:, :k], self._adj_q0))   # M'^-H R
-        self._c_adj = np.eye(self._left.shape[1]) + self._left.conj().T @ self._adj_right
+        self._c_adj = np.eye(len(self._left_h)) + self._left_h @ self._adj_right
         return x if lead else x[:, k:]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
             x = self._lu.solve(b)
-            return x - self._inv_left @ np.linalg.solve(self._c, self._right.conj().T @ x)
+            return x - self._inv_left @ np.linalg.solve(self._c, self._right_h @ x)
 
         return self._refined(
             rhs, first, lambda x: self._section.product(x) + self._p @ (self._q.conj().T @ x))
@@ -636,7 +787,7 @@ class _Woodbury:
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
             x = self._adjoint_stage(b)
-            return x - self._adj_right @ np.linalg.solve(self._c_adj, self._left.conj().T @ x)
+            return x - self._adj_right @ np.linalg.solve(self._c_adj, self._left_h @ x)
 
         return self._refined(
             rhs, first,
@@ -646,7 +797,7 @@ class _Woodbury:
         x = first(b)
         x += first(b - apply(x))
         size = self._scale * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
-        worst = np.max(np.linalg.norm(b - apply(x), axis=0) / size)
+        worst = np.max(np.linalg.norm(b - apply(x), axis=0) / size, initial=0.0)
         if not worst <= SOLVE_BACKWARD_TOL:
             raise NoSpectralGap(
                 f"a refined solve with the lifted section has backward error {worst:.3e}, "
@@ -768,9 +919,11 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     The null spaces of the first _concurrent_sections sections are solved
     at once, all but the first in worker threads, if the sections have
     CONCURRENT_MIN_SIZE rows or more and the threads' n x n blocks fit
-    MAX_SECTION_BYTES (one M' each, two on the np.linalg.solve fallback:
-    always, for two sections within _refuse_oversized's cap); the rest in
-    turn in this thread.  The first overlap
+    MAX_SECTION_BYTES, counted as on the dense path (one M' each, two on
+    the np.linalg.solve fallback: always, for two sections within
+    _refuse_oversized's cap), which any M' may fall back to; on the
+    structured path a thread holds none.  The rest are solved in turn in
+    this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign
     order.  The n x n blocks are unmapped when freed (the mmap threshold

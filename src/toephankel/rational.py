@@ -464,16 +464,17 @@ class RationalSymbol:
     def _pad(self, poles: np.ndarray, tol: float, order: int) -> int:
         """The pad of the given poles.  Poles of order p scale a tail by
         C(i+p-1, p-1) < (i+p)^(p-1), so tol is divided by that factor at
-        the pad of order 1."""
+        the pad of order 1, in logs: the factor overflows a float from p
+        about 130 on."""
         z = self.roots[poles]
         rate = float(np.max(np.where(_side(z) < 0, np.abs(z), 1.0 / np.abs(z)), initial=0.0))
         if rate == 0.0:
             return 0
-        scale = max(self.sup_norm_on_circle(64), 1.0)
-        pad = int(np.ceil(np.log(tol / scale) / np.log(rate))) + 4
+        log_tol = np.log(tol / max(self.sup_norm_on_circle(64), 1.0))
+        pad = int(np.ceil(log_tol / np.log(rate))) + 4
         if order > 1:
-            tol /= (pad + order) ** (order - 1)
-            pad = int(np.ceil(np.log(tol / scale) / np.log(rate))) + 4
+            log_tol -= (order - 1) * np.log(pad + order)
+            pad = int(np.ceil(log_tol / np.log(rate))) + 4
         return pad
 
     def __repr__(self) -> str:

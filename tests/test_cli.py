@@ -324,6 +324,19 @@ def test_every_error_class_leaves_one_json_error(cls, monkeypatch, tmp_path, cap
                                               "message": "raised by the test"}}
 
 
+def test_pole_of_order_130_leaves_one_json_object(tmp_path, capsys):
+    # the pad of a pole of order 130 once overflowed a float: a traceback,
+    # exit 1 and no JSON
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": "verify", "shift": {"beta": [2.0, 0.0]},
+                                "a": "chi^-130", "b": "chi^-130", "N": 64}))
+    code = main(["--spec", str(spec)])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    rep = json.loads(lines[0])
+    assert set(rep) == {"error"} if code else "dims" in rep
+
+
 @pytest.mark.parametrize(
     "argv", [["--bogus"], ["--oracle-size", "abc"], ["--tol", "1e-8"]]
 )
