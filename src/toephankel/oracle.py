@@ -577,7 +577,8 @@ def _augmented_solves(section: FiniteSection, scale: float):
     # E's diagonals from its corners on: a_(n-s) - a_-s lower left, a_(s-n) - a_s upper right
     tips = [(pos[::-1] - neg)[: n - h], (neg[::-1] - pos)[: h - 1]]
     extents = [_extent(tip, tol) for tip in tips]
-    if not (np.min(np.abs(eig)) > tol and _cheaper(n, extents, 0)):
+    # the narrowest capacitance, E's rank aside: R + the first sketch width
+    if not (np.min(np.abs(eig)) > tol and _cheaper(n, extents, hank.shape[1] + min(SKETCH, n))):
         return dense
     (p_l, q_l), (p_u, q_u) = (_corner(tip, m, n, tol) for tip, m in zip(tips, extents))
     # the upper-right triangle is the lower-left one of its diagonals, rows and columns reversed
@@ -622,14 +623,22 @@ def _cheaper(n: int, extents, rank: int) -> bool:
     dense one for a section of n rows, corners of the given extents and a
     capacitance of rank columns.
 
-    Costs in units of one n^3 term of zgetrf, fitted to the time each path
-    adds to a null space, one BLAS thread on a 2-core x86 host: dense 0.8,
-    4.9, 16 and 82 ms at n = 128, 256, 512 and 1024 (the LU, 81 ms of it at
-    1024: 7.6e-8 ms a unit); structured about n (5.5e-3 + 4.7e-4 r) ms
-    (9, 20, 41 and 92 ms at n = 1024 and r = 7, 44, 89 and 179) and the
-    corners' SVDs, 2e-6 to 4e-6 ms an m^3.  So the structured path wins
-    from about n = 270 on, up to r = 157 at n = 1024."""
-    return 50 * sum(m**3 for m in extents) + n * (72000 + 6200 * rank) < n**3
+    Each cost is a fit, in microseconds, to the time one path adds to a null
+    space of one sketch width (the solver's build and its solves), measured
+    with the other path's on the same 112 pair sections: both signs of the
+    four benchmark pairs, chi^k pairs at beta 2, 2j and 1.5+0.5j, and chi^-2
+    against poles at 3, 1.6 and 1.25 (R = 37, 82, 172), at n = 64, 128,
+    192, 256, 384, 512 and 1024, one BLAS thread on a 2-core x86 host.
+    Dense: 0.29, 0.78, 1.8, 3.5, 9.6, 22 and 87 ms (medians), the fit within
+    0.71-1.27 of each.  Structured: 1.3-4.3 ms at rank 4-10 up to n = 256,
+    6.7-12 ms at n = 1024; 6.0, 11 and 30 ms at n = 256 and rank 44, 89 and
+    179, 21, 51 and 109 ms at n = 1024; the fit within 0.46-1.42 of each.
+    It picks the faster path on all 112 and takes the structured one from
+    n = 224 on: up to rank 8 there, 19 at 256, 72 at 512 and 151 at 1024,
+    less with wide corners."""
+    corners = sum(m**3 for m in extents)
+    structured = 875 + 6.3 * n + n * rank * (0.15 + 2.8e-3 * rank) + 3.3e-3 * corners
+    return structured < 110 + 0.038 * n**2 + 5.25e-5 * n**3
 
 
 class _Circulant:

@@ -868,7 +868,7 @@ def test_null_space_structured_matches_dense(n, monkeypatch):
     # factors stripped, and bases spanning the same subspaces to the bound of
     # test_null_space_fallback_matches_lapack_lu; M' on the structured path
     # wherever its capacitance is narrower than the section (the dispatch
-    # takes it only from about N = 270 on, _cheaper)
+    # takes it only from N = 224 on, _cheaper)
     monkeypatch.setattr(oracle, "_cheaper", lambda n, extents, rank: rank < n)
     for sec in _product_sections(n):
         ns, ref = _null_space_or_gap(sec), _null_space_or_gap(_dense(sec))
@@ -897,12 +897,12 @@ def _backward_error(m, left, right, b, x, scale):
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])
 def test_structured_solves_match_lu(n, monkeypatch):
     # M' = M + sigma Y Z^H on both signs of the _product_sections pairs,
-    # solved on both sides through S (_augmented_solves) and by the LU of the
-    # formed block (_factor): normwise backward errors within
-    # SOLVE_BACKWARD_TOL of M' either way.  Below N = 1024 the structured
-    # path is forced; at N = 1024 the dispatch chooses (44 of the 54 M').
-    # A solve that fails its gate turns to the LU: with k > p, M' is singular
-    # to about the cut and its capacitance to rounding (chi^-10 at beta
+    # solved on both sides through S (_augmented_solves): normwise backward
+    # errors within SOLVE_BACKWARD_TOL of M', as the LU of the formed block
+    # (_factor) gives below N = 1024.  Below N = 1024 the structured path is
+    # forced; at N = 1024 the dispatch chooses (44 of the 54 M').  A solve
+    # that fails its gate turns to the LU: with k > p, M' is singular to
+    # about the cut and its capacitance to rounding (chi^-10 at beta
     # 1.5+0.5j: 1.7e-13), so most M' stay structured, not all: 41-54 of
     # the 54 at each N
     if n < 1024:
@@ -918,8 +918,8 @@ def test_structured_solves_match_lu(n, monkeypatch):
         if not isinstance(solves, oracle._Structured):
             continue
         m = sec.entries
-        lu = oracle._factor(left @ right.conj().T + m)
-        for solver in (solves, lu):
+        solvers = [solves] if n == 1024 else [solves, oracle._factor(left @ right.conj().T + m)]
+        for solver in solvers:
             for x, op in ((solver.solve(b), m), (solver.solve_adjoint(b), m.conj().T)):
                 lifted = (left, right) if op is m else (right, left)
                 assert _backward_error(op, *lifted, b, x, scale) <= oracle.SOLVE_BACKWARD_TOL
