@@ -14,19 +14,21 @@ coefficients, the FFT of its circulant embedding, and H(b) = B C, of
 rank R.  Products go through them at O(N log N + N R) a column
 (FiniteSection).
 
-A section's null space comes from the solves of one augmented section
-(numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps,
-the right basis from a Rayleigh-Ritz step on the range of two solves with
-a randomly augmented section M', and the left basis and the spectral-gap
-certificate from solves with the section augmented by the right basis,
-a low-rank update of the first (_Woodbury).  M' is solved with on both
-sides (_augmented_solves).  A pair section, where that costs less than
-an LU, does so through its structure, and no n x n block is written: T
-is a circulant, one FFT pair a solve, plus two corners of low numerical
-rank, and all the rest of M' is low rank, so _Woodbury solves it through
-the circulant.  Otherwise M' is formed and factored once, in place, by
-the zgetrf of the LAPACK numpy calls (_lapack, _LU); where that is not
-found, np.linalg.solve copies and factors it per solve (_Solve).  The
+A section's null space comes from the solves of two augmented sections
+(numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps
+(for a pair section started at the Fourier mode where |a| peaks), the
+right basis from a Rayleigh-Ritz step on the range of two solves with a
+randomly augmented section M', and the left basis and the spectral-gap
+certificate from solves with M'', the section augmented by the right
+basis.  Both are solved with on both sides (_augmented_solves).  A pair
+section, where that costs less than an LU, does so through its
+structure, and no n x n block is written: T is a circulant, one FFT pair
+a solve, plus two corners of low numerical rank, and all the rest of M'
+and of M'' is low rank, so _Woodbury solves each through the circulant.
+Otherwise M' is formed and factored once, in place, by the zgetrf of the
+LAPACK numpy calls (_lapack, _LU), and M'' is a low-rank update of it
+(_Woodbury); where that LAPACK is not found, np.linalg.solve copies and
+factors M' per solve (_Solve).  The
 certificate bounds the dropped singular values above and the kept ones
 below, so no singular spectrum is computed, and both bases are checked
 by their residuals.  Localization counts the directions of
@@ -71,7 +73,14 @@ SVD_TOL = 1e-8
 SVD_GAP = 100.0
 SKETCH = 4             # rank of the first augmentation of a section (numerical_null_space)
 PROBES = 4             # extra random right-hand sides that bound a smallest singular value
-LANCZOS_STEPS = 20     # Golub-Kahan-Lanczos steps of the sigma_max estimate
+LANCZOS_STEPS = 20     # Golub-Kahan-Lanczos steps of the sigma_max estimate from a random start
+# and from a pair section's start at the peak of |a| (_norm_estimate).  Worst shortfall below
+# ||M||_2 (random start, 20 steps / this start, 8 steps / this start, 10 steps): 8.1e-4 / 2.6e-4
+# / 7.9e-5 on the ORACLE_PAIRS sections at N = 1024; 9.9e-4 / 3.4e-4 / 2.3e-4 and 4.8e-3 / 3.7e-4
+# / 2.3e-4 on the chi^k sections of test_norm_estimate_bounds_the_norm_from_below at N = 128 and
+# 256; 9.1e-4 / 2.2e-4 / 1.6e-4 on chi^-2 and chi^3 at beta 1.2 and 1.05, N = 256; 1.0e-3 /
+# 2.7e-4 / 2.0e-4 with H dominant (a = 0.01 chi^-1, b = 5 chi^-3, beta 2, N = 256)
+PEAK_LANCZOS_STEPS = 10
 HMT = 10 * np.sqrt(2 / np.pi)   # Halko-Martinsson-Tropp's constant of a norm bound from probes
 # largest normwise backward error of a refined solve with M'' (_Woodbury): its probes
 # are then those of a block within 2e-13 sigma_max of M''; 9e-16 at most was measured
@@ -356,8 +365,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     """Null space from the solves of one augmented section, with a certified
     spectral gap.
 
-    sigma_max is estimated (from below) by LANCZOS_STEPS steps of
-    Golub-Kahan-Lanczos; singular values at or below the cut
+    sigma_max is estimated (from below) by Golub-Kahan-Lanczos
+    (_norm_estimate): PEAK_LANCZOS_STEPS steps from the Fourier mode at the
+    peak of |a| for a pair section, LANCZOS_STEPS from a random start for
+    any other; singular values at or below the cut
     SVD_TOL * sigma_max count as zero, and only the zero section has an
     estimate of 0 and a null space of everything.
 
@@ -368,9 +379,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     a step of inverse iteration for dropped values that are not zero.  The
     thin SVD of M Q, Q an orthonormal basis of that range, gives Ritz
     values (upper bounds on the smallest singular values) and V, the Ritz
-    vectors of those at or below the cut.  p doubles while M' is singular,
-    more than p Ritz values are under the cut, or PROBES extra right-hand
-    sides show sigma_min(M') <= cut (as k > p forces).
+    vectors of those at or below the cut.  p doubles while M' is singular
+    (or a solve with a structured M' fails its gate), more than p Ritz
+    values are under the cut, or PROBES extra right-hand sides show
+    sigma_min(M') <= cut (as k > p forces).
 
     Left basis and certificate.  One solve with M'' = M + sigma_max W0 V^H,
     W0 the matching left Ritz vectors from M'^-H Z, gives W = M''^-H V,
@@ -404,19 +416,22 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     taken.  M''s solves come from _augmented_solves, once per sketch width:
     for a pair section, where that costs less than an LU, through its
     circulant-plus-low-rank structure (each solve refined once and gated by
-    SOLVE_BACKWARD_TOL, a failed gate turning that M' to the LU), else from
-    one factorization of the formed M' (_factor).  M'' = M' + L R^H, with
-    L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0, M'' = M), is solved
-    on both sides through M''s solves by the Woodbury identity, each solve
-    refined once against M'' and gated by its backward error (_Woodbury,
-    SOLVE_BACKWARD_TOL); so neither M'' nor the power step adds a
-    factorization, and a singular M'' (a singular C) is NoSpectralGap.
-    Besides the section, on the structured path no n x n block is held; on
-    the dense path one: M', which zgetrf overwrites with its factors, until
-    the null space returns (on the np.linalg.solve fallback also LAPACK's
-    copy of it, factored again for every solve).  The rest is
-    O(n (R + rank(E) + p + k)): the factors' products, the solves' columns
-    and the LANCZOS_STEPS Lanczos vectors.
+    SOLVE_BACKWARD_TOL; a failed gate widens the sketch, and turns M' to
+    the LU only at p = n), else from one factorization of the formed M'
+    (_factor).  Where M' took the structured path, M'' comes from the same
+    builder: solved through S with a capacitance of R + rank(E) + k
+    columns, a failed gate turning it to the LU of the formed M''.  Else
+    M'' = M' + L R^H, with L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0,
+    M'' = M), is solved on both sides through M''s solves by the Woodbury
+    identity, each solve refined once against M'' and gated by its backward
+    error (_Woodbury, SOLVE_BACKWARD_TOL), so neither M'' nor the power
+    step adds a factorization.  A singular M'' (a singular capacitance) is
+    NoSpectralGap.  Besides the section, on the structured path no n x n
+    block is held but a fallback's LU; on the dense path one: M', which
+    zgetrf overwrites with its factors, until the null space returns (on
+    the np.linalg.solve fallback also LAPACK's copy of it, factored again
+    for every solve).  The rest is O(n (R + rank(E) + p + k)): the
+    factors' products, the solves' columns and the Lanczos vectors.
     """
     n = section.size
     rng = np.random.default_rng(0)
@@ -429,10 +444,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     while True:
         y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
         try:
-            lu = augmented(smax * y, z)   # M'
+            lu = augmented(smax * y, z, p == n)   # M'
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, NoSpectralGap):   # singular, or a structured gate failed
             lu = adj = None
         if adj is not None:
             right, ritz = _ritz(section.product, span, cut)
@@ -457,9 +472,12 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             f"a kept singular value is at most {ritz[-1 - k]:.3e}, not above {need:.3e} "
             f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
         )
-    try:
-        lu = _Woodbury(section, smax, lu, (smax * near_left, right),
-                       (smax * y, z, smax * span[:, :p], adj[:, :p]))   # M''
+    try:   # M''
+        if isinstance(lu, _Structured):
+            lu = augmented(smax * near_left, right)
+        else:
+            lu = _Woodbury(section, smax, lu, (smax * near_left, right),
+                           (smax * y, z, smax * span[:, :p], adj[:, :p]))
         solved = lu.solve_adjoint(np.hstack((right, _gaussian(rng, n, PROBES))))
         kept = _smallest_bound(solved[:, k:])
         if not kept > need:   # one power step
@@ -538,10 +556,11 @@ def _blas_threads():
 
 
 def _augmented_solves(section: FiniteSection, scale: float):
-    """The solves of numerical_null_space's M' = M + left right^H, as a
-    function of (left, right); scale is about ||M||.  The one place that
-    chooses between the dense and the structured path (_Structured only
-    turns an M' to the dense one when a solve fails its gate).
+    """The solves of numerical_null_space's M' (and M'') = M + left right^H,
+    as a function of (left, right, fallback); scale is about ||M||.  The one
+    place that chooses between the dense and the structured path
+    (_Structured only turns a block to the dense one when a solve fails its
+    gate, and only with fallback; without it the failure is raised).
 
     Dense path: LAPACK's LU of the block section.augmented forms (_factor).
     It serves sections without factors, the cross-check of the other path,
@@ -558,12 +577,13 @@ def _augmented_solves(section: FiniteSection, scale: float):
     is solved by _Woodbury through S: a capacitance of R + rank(E) + p
     columns (7-55 on the four benchmark pairs at N = 1024), each solve
     refined once against the exact M' and gated by SOLVE_BACKWARD_TOL.
-    S^-1 P0 and S^-H Q0 are taken once per null space, so a wider sketch
-    costs a new capacitance, not a new factorization.  A solve that fails
-    the gate, or a singular capacitance, turns that M' to the dense path
+    S^-1 P0 and S^-H Q0 are taken once per null space, so a wider sketch,
+    and M'' with left = sigma_max W0 and right = V, cost a new capacitance,
+    not a new factorization.  With fallback, a solve that fails the gate,
+    or a singular capacitance, turns that block to the dense path
     (_Structured).  Held: O(n (R + rank(E) + p)), no n x n block."""
 
-    def dense(left, right):
+    def dense(left, right, fallback=True):   # fallback: moot for an LU
         return _factor(section.augmented(left, right))
 
     if section.factors is None:
@@ -587,11 +607,11 @@ def _augmented_solves(section: FiniteSection, scale: float):
     circulant = _Circulant(1.0 / eig)
     drop = (p0, q0, circulant.solve(p0), circulant.solve_adjoint(q0))
 
-    def solves(left, right):
+    def solves(left, right, fallback=True):
         if not _cheaper(n, extents, q0.shape[1] + right.shape[1]):
             return dense(left, right)
         return _Structured(_Woodbury(section, scale, circulant, (left, right), drop),
-                           lambda: dense(left, right))
+                           (lambda: dense(left, right)) if fallback else None)
 
     return solves
 
@@ -655,9 +675,11 @@ class _Circulant:
 
 
 class _Structured:
-    """M''s solves through S (_Woodbury), until one fails its gate or meets a
-    singular capacitance: then, and from then on, the LU of the formed M'
-    (dense), whose own LinAlgError is numerical_null_space's."""
+    """The solves of an M' or M'' through S (_Woodbury), until one fails its
+    gate or meets a singular capacitance: then, and from then on, the LU of
+    the formed block (dense), whose own LinAlgError is numerical_null_space's.
+    Without dense (an M' narrower than the section) that failure is raised,
+    and numerical_null_space widens the sketch instead."""
 
     def __init__(self, solves: _Woodbury, dense):
         self._solves, self._dense = solves, dense
@@ -669,11 +691,12 @@ class _Structured:
         return self._run(lambda solves: solves.solve_adjoint(rhs))
 
     def _run(self, call):
-        if self._dense is not None:
-            try:
-                return call(self._solves)
-            except (NoSpectralGap, np.linalg.LinAlgError):
-                self._solves, self._dense = self._dense(), None
+        try:
+            return call(self._solves)
+        except (NoSpectralGap, np.linalg.LinAlgError):
+            if self._dense is None:
+                raise
+            self._solves, self._dense = self._dense(), None
         return call(self._solves)
 
 
@@ -759,10 +782,10 @@ class _Woodbury:
     ||b - M'' x|| / (scale ||x|| + ||b||), scale about ||M''||, is then
     above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError.
 
-    It serves twice: M'' through M' (numerical_null_space), and a pair
-    section's M' through the Strang circulant S (_augmented_solves), for
-    which M + P0 Q0^H = S holds to the cut of T's corners, a difference
-    the refinement takes out."""
+    It serves twice: M'' through the LU of M' (numerical_null_space, on the
+    dense path), and a pair section's M' and M'' through the Strang
+    circulant S (_augmented_solves), for which M + P0 Q0^H = S holds to the
+    cut of T's corners, a difference the refinement takes out."""
 
     def __init__(self, section: FiniteSection, scale: float, lu, lift, drop):
         (p, q), (p0, q0, inv_p0, self._adj_q0) = lift, drop
@@ -835,19 +858,31 @@ def _smallest_bound(probes: np.ndarray, power: int = 1) -> float:
 def _norm_estimate(section: FiniteSection, rng: np.random.Generator) -> float:
     """sigma_max of the section from Golub-Kahan-Lanczos bidiagonalization with full
     reorthogonalization: the largest singular value of the bidiagonal B,
-    from the eigenvalues of B^H B.  Stops at LANCZOS_STEPS steps or when
-    alpha or beta falls to rounding level relative to the largest alpha
-    (an invariant subspace: the identity stops after one step, the zero
-    section before any).  Each step takes one product and one adjoint
+    from the eigenvalues of B^H B.  The start is rng's first unit vector g.
+    For a pair section it is exp(i theta j) / sqrt(n) + 0.3 g, normalized,
+    theta = 2 pi m / len(eig) where |eig| (a's samples on T's circulant)
+    peaks at m: T(a) + H(b) is T(a) plus a compact part, so its largest
+    singular values lie near max |a| with vectors near that Fourier mode,
+    and g keeps every other direction in reach.  Stops at
+    PEAK_LANCZOS_STEPS steps from that start, LANCZOS_STEPS from g alone,
+    or when alpha or beta falls to rounding level relative to the largest
+    alpha (an invariant subspace: the identity stops after one step, the
+    zero section before any).  Each step takes one product and one adjoint
     product of the section (FiniteSection), so no copy of M^H is made."""
     n = section.size
+    v = _gaussian(rng, n, 1)[:, 0]
+    v /= np.linalg.norm(v)
     steps = min(LANCZOS_STEPS, n)
+    if section.factors is not None:
+        eig = section.factors[0]
+        theta = 2 * np.pi * np.argmax(np.abs(eig)) / len(eig)
+        v = np.exp(1j * theta * np.arange(n)) / np.sqrt(n) + 0.3 * v
+        v /= np.linalg.norm(v)
+        steps = min(PEAK_LANCZOS_STEPS, n)
     us = np.zeros((steps, n), dtype=complex)
     vs = np.zeros((steps, n), dtype=complex)
     alphas, betas = [], []
     floor = n * np.finfo(float).eps
-    v = _gaussian(rng, n, 1)[:, 0]
-    v /= np.linalg.norm(v)
     u = np.zeros(n, dtype=complex)
     beta = scale = 0.0
     for j in range(steps):
@@ -930,8 +965,8 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     CONCURRENT_MIN_SIZE rows or more and the threads' n x n blocks fit
     MAX_SECTION_BYTES, counted as on the dense path (one M' each, two on
     the np.linalg.solve fallback: always, for two sections within
-    _refuse_oversized's cap), which any M' may fall back to; on the
-    structured path a thread holds none.  The rest are solved in turn in
+    _refuse_oversized's cap), which a structured M'' may fall back to; on
+    the structured path a thread holds none.  The rest are solved in turn in
     this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign

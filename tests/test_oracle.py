@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -479,16 +480,18 @@ def test_null_space_residual_matches_singular_vectors(case):
 
 def test_null_space_solve_budget(shift2, monkeypatch):
     # one M' per sketch width when k <= SKETCH (k = 0 too), and still one
-    # with the power step of chi^3 at beta 1.2: M'' is solved through M''s
-    # solves.  A section without factors (the pair sections' factorless
-    # copies here) factors M' once (_factor); a pair section on the
-    # structured path (forced: at N = 128 the dispatch takes the dense one)
-    # builds its solves once (_Structured) and factors nothing.  With LAPACK
-    # bound no n x n least-squares solve, SVD, inverse or np.linalg.solve,
-    # and none on the structured path at all; Ritz SVDs of at most
-    # 4 max(k, SKETCH) columns, the SVDs of E's corners (_corner) apart.
-    # Adjoint solves with M': one per sketch width, then two per adjoint
-    # solve with M'' (refined), M'^-H V taken from the first of them
+    # with the power step of chi^3 at beta 1.2.  A section without factors
+    # (the pair sections' factorless copies here) factors M' once (_factor)
+    # and solves M'' through M''s solves; a pair section on the structured
+    # path (forced: at N = 128 the dispatch takes the dense one) builds the
+    # solves of M' and of M'' through S (_Structured, twice) and factors
+    # nothing.  With LAPACK bound no n x n least-squares solve, SVD, inverse
+    # or np.linalg.solve, and none on the structured path at all; Ritz SVDs
+    # of at most 4 max(k, SKETCH) columns, the SVDs of E's corners (_corner)
+    # apart.  Adjoint solves: one with M' per sketch width, then on the
+    # dense path two with M' per adjoint solve with M'' (refined), M'^-H V
+    # taken from the first of them, and on the structured path one per
+    # adjoint solve with M''
     calls, factored, built, powers, adjoint, corner = [], [], [], [], [], []
     for name in ("lstsq", "svd", "solve", "inv"):
         def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -523,17 +526,18 @@ def test_null_space_solve_budget(shift2, monkeypatch):
                         lambda probes, power=1: powers.append(power) or bound_of(probes, power))
     bound = oracle._lapack() is not None
     near = make_shift(1.2)
-    pairs = [(oracle.pair_sections((shift2.chi.power(-2),) * 2, shift2, 128)["+"], 2, [1], 3),
-             (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, [1, 3], 5)]
+    pairs = [(oracle.pair_sections((shift2.chi.power(-2),) * 2, shift2, 128)["+"], 2, [1], 3, 2),
+             (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, [1, 3], 5, 3)]
     d = np.ones(64)
     d[::8] = 0.0
     sections = [(_dense(sec), dim, 1, 0, bound_powers, solves)
-                for sec, dim, bound_powers, solves in pairs]
+                for sec, dim, bound_powers, solves, _ in pairs]
     sections += [
         (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, 0, [1], 4),
         (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 1, 0, [1], 3),
     ]
-    sections += [(sec, dim, 0, 1, bound_powers, solves) for sec, dim, bound_powers, solves in pairs]
+    sections += [(sec, dim, 0, 2, bound_powers, solves)
+                 for sec, dim, bound_powers, _, solves in pairs]
     for sec, dim, factorizations, builds, bound_powers, adjoint_solves in sections:
         calls.clear()
         factored.clear()
@@ -797,6 +801,63 @@ def test_norm_estimate_bounds_the_norm_from_below(n, monkeypatch):
     assert one == pytest.approx(1.0, abs=1e-15)
 
 
+def _peak_start_sets():
+    """The sections on which the start at |a|'s peak was measured (the
+    comment of oracle.LANCZOS_STEPS), as functions that build them."""
+
+    def chi(ks, betas, n):
+        return lambda: [sec for k, beta in itertools.product(ks, betas) for sec in
+                        oracle.pair_sections((make_shift(beta).chi.power(k),) * 2,
+                                             make_shift(beta), n).values()]
+
+    yield pytest.param(lambda: [sec for pair in benchmark_oracle_pairs() for sec in
+                                oracle.pair_sections(pair, pair.shift, 1024).values()],
+                       id="ORACLE_PAIRS-N1024")
+    for n in (128, 256):
+        yield pytest.param(chi((-10, -6, -2, 1, 3), (2.0, 1.5 + 0.5j), n), id=f"chi^k-N{n}")
+    yield pytest.param(chi((-2, 3), (1.2, 1.05), 256), id="near-circle-N256")
+    sh = make_shift(2.0)
+    a = sh.chi.power(-1) * RationalSymbol.constant(0.01)
+    b = sh.chi.power(-3) * RationalSymbol.constant(5.0)
+    yield pytest.param(lambda: list(oracle.pair_sections((a, b), sh, 256).values()),
+                       id="H-dominated-N256")
+
+
+@pytest.mark.parametrize("build", _peak_start_sets())
+def test_norm_estimate_from_the_peak_of_a(build):
+    # a pair section's PEAK_LANCZOS_STEPS steps from the Fourier mode at
+    # |a|'s peak read sigma_max within 5e-4 below (7.9e-5 to 2.3e-4 was
+    # measured), where 20 steps from a random start read up to 4.8e-3 below
+    for sec in build():
+        norm = np.linalg.norm(sec.entries, 2)
+        est = oracle._norm_estimate(sec, np.random.default_rng(0))
+        assert (1 - 5e-4) * norm <= est <= norm * (1 + 1e-12)
+
+
+def test_norm_estimate_steps_and_invariant_starts(shift2, monkeypatch):
+    # a pair section takes PEAK_LANCZOS_STEPS products, its factorless copy
+    # LANCZOS_STEPS from a random start; the zero pair section (a = b = 0)
+    # reads 0.0 and the identity (a = 1, b = 0) 1.0, each after one product,
+    # and neither warns
+    zero, one = RationalSymbol.constant(0.0), RationalSymbol.constant(1.0)
+    steps = []
+    product = FiniteSection.product
+    monkeypatch.setattr(FiniteSection, "product",
+                        lambda self, x: steps.append(True) or product(self, x))
+    sec = _chi2_plus(shift2)
+    for path, count in ((sec, oracle.PEAK_LANCZOS_STEPS), (_dense(sec), oracle.LANCZOS_STEPS)):
+        steps.clear()
+        oracle._norm_estimate(path, np.random.default_rng(0))
+        assert len(steps) == count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pair, norm in (((zero, zero), 0.0), ((one, zero), 1.0)):
+            for sec in oracle.pair_sections(pair, shift2, 64).values():
+                steps.clear()
+                est = oracle._norm_estimate(sec, np.random.default_rng(0))
+                assert est == pytest.approx(norm, abs=1e-15) and len(steps) == 1
+
+
 def _dense(sec):
     """The section with its factors stripped: every product reads entries."""
     return dataclasses.replace(sec, factors=None)
@@ -806,10 +867,13 @@ _PRODUCT_K = (-10, -6, -2, 1, 3)
 _PRODUCT_BETAS = (2.0, 2j, 1.5 + 0.5j, 1.2, 1.05)
 
 
-def _product_sections(n):
-    """The plus and minus sections of chi^k pairs, and of two pairs whose
-    H(b) has rank R = 0 and R comparable to n (b's pole at 1.25: R = 172)."""
+def _product_sections(n, leave_out=()):
+    """The plus and minus sections of chi^k pairs, but the (k, beta) in
+    leave_out, and of two pairs whose H(b) has rank R = 0 and R comparable
+    to n (b's pole at 1.25: R = 172)."""
     for k, beta in itertools.product(_PRODUCT_K, _PRODUCT_BETAS):
+        if (k, beta) in leave_out:
+            continue
         sh = make_shift(beta)
         yield from oracle.pair_sections((sh.chi.power(k),) * 2, sh, n).values()
     sh = make_shift(2.0)
@@ -925,6 +989,101 @@ def test_structured_solves_match_lu(n, monkeypatch):
                 assert _backward_error(op, *lifted, b, x, scale) <= oracle.SOLVE_BACKWARD_TOL
         kept += solves._dense is not None   # still on the structured path
     assert kept >= 40
+
+
+# (k, beta) of _product_sections whose sketch widens to p = n on the dense
+# path and ends in NoSpectralGap: about 10 s a section at N = 1024
+_WIDENING = {(-10, 1.2), (-10, 1.05), (-6, 1.05)}
+
+
+def _recorded_structured(monkeypatch):
+    """Every _Structured numerical_null_space builds; those of an M'' (built
+    with their fallback) record each solve as (adjoint, rhs, x, whether
+    still on the structured path)."""
+    made = []
+
+    class Recorded(oracle._Structured):
+        def __init__(self, solves, dense):
+            super().__init__(solves, dense)
+            self.lifted = dense is not None   # an M' has its fallback only at p = n
+            self.lift, self.scale, self.solved = (solves._p, solves._q), solves._scale, []
+            made.append(self)
+
+        def solve(self, rhs):
+            x = super().solve(rhs)
+            self.solved.append((False, rhs, x, self._dense is not None))
+            return x
+
+        def solve_adjoint(self, rhs):
+            x = super().solve_adjoint(rhs)
+            self.solved.append((True, rhs, x, self._dense is not None))
+            return x
+
+    monkeypatch.setattr(oracle, "_Structured", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_structured_lifted_solves_and_dims(n, monkeypatch):
+    # where M' takes the structured path, M'' = M + sigma_max W0 V^H is
+    # solved through S too: every solve that stays structured has a normwise
+    # backward error within SOLVE_BACKWARD_TOL of M'' formed from the
+    # entries, and numerical_null_space gives the dims, localized dims and
+    # NoSpectralGap verdicts of each section's factorless copy.  At
+    # N = 1024 (the _WIDENING sections left out) a null space with a
+    # structured M' factors nothing: a width whose structured solve fails
+    # its gate (p < k, chi^-10 and chi^-6 at beta 1.5+0.5j, which paid an
+    # LU each before p doubled) goes straight to the wider sketch
+    made, factored = _recorded_structured(monkeypatch), []
+    factor = oracle._factor
+    monkeypatch.setattr(oracle, "_factor", lambda aug: factored.append(aug.shape) or factor(aug))
+    structured = lifted = 0
+    for sec in _product_sections(n, _WIDENING if n == 1024 else ()):
+        made.clear()
+        factored.clear()
+        ns = _null_space_or_gap(sec)
+        if n == 1024 and made:
+            structured += 1
+            assert factored == []
+        m = sec.entries
+        for solver in (s for s in made if s.lifted):
+            p, q = solver.lift
+            lifted += all(kept for *_, kept in solver.solved)
+            for adjoint, b, x, kept in solver.solved:
+                op, lift = (m.conj().T, (q, p)) if adjoint else (m, (p, q))
+                assert not kept or _backward_error(op, *lift, b, x, solver.scale) \
+                    <= oracle.SOLVE_BACKWARD_TOL
+        ref = _null_space_or_gap(_dense(sec))
+        assert (ns is None) == (ref is None)
+        if ns is not None:
+            assert ns.dim == ref.dim
+            assert localized_null_dims(ns, n) == localized_null_dims(ref, n)
+    # 24 and 44 M'' kept structured at N = 256 and 1024, where 44 null spaces took it
+    assert lifted >= {256: 20, 1024: 40}[n]
+    assert n < 1024 or structured >= 40
+
+
+def test_structured_lifted_gate_failure_takes_the_lu(shift2, monkeypatch):
+    # a structured M'' whose solves fail their gate turns to the LU of the
+    # formed M'' (_Structured's fallback: one n x n _factor) and keeps the dim
+    sec = oracle.pair_sections((shift2.chi.power(-2),) * 2, shift2, 256)["+"]
+    made, factored = _recorded_structured(monkeypatch), []
+    assert numerical_null_space(sec).dim == 2
+    assert [s.lifted for s in made] == [False, True] and made[1].solved[0][3]
+    factor, woodbury = oracle._factor, oracle._Woodbury
+    monkeypatch.setattr(oracle, "_factor", lambda aug: factored.append(aug.shape) or factor(aug))
+
+    class Failing(woodbury):
+        def _refined(self, b, first, apply):
+            if self._q.shape[1] == 2:   # V: the solves of M''
+                raise NoSpectralGap("forced gate failure")
+            return super()._refined(b, first, apply)
+
+    monkeypatch.setattr(oracle, "_Woodbury", Failing)
+    made.clear()
+    assert numerical_null_space(sec).dim == 2
+    assert factored == [(256, 256)]
+    assert [s.lifted for s in made] == [False, True] and not made[1].solved[0][3]
 
 
 def test_pair_sections_at_1024_factor_no_block(monkeypatch):
