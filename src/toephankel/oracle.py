@@ -416,9 +416,8 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     taken.  M''s solves come from _augmented_solves, once per sketch width:
     for a pair section, where that costs less than an LU, through its
     circulant-plus-low-rank structure (each solve refined once and gated by
-    SOLVE_BACKWARD_TOL; a failed gate widens the sketch, and turns M' to
-    the LU only at p = n), else from one factorization of the formed M'
-    (_factor).  Where M' took the structured path, M'' comes from the same
+    SOLVE_BACKWARD_TOL; a failed gate widens the sketch), else from one
+    factorization of the formed M' (_factor).  Where M' took the structured path, M'' comes from the same
     builder: solved through S with a capacitance of R + rank(E) + k
     columns, a failed gate turning it to the LU of the formed M''.  Else
     M'' = M' + L R^H, with L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0,
@@ -444,7 +443,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     while True:
         y, z, g = _gaussian(rng, n, p), _gaussian(rng, n, p), _gaussian(rng, n, PROBES)
         try:
-            lu = augmented(smax * y, z, p == n)   # M'
+            lu = augmented(smax * y, z)   # M'
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
         except (np.linalg.LinAlgError, NoSpectralGap):   # singular, or a structured gate failed
@@ -474,7 +473,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
         )
     try:   # M''
         if isinstance(lu, _Structured):
-            lu = augmented(smax * near_left, right)
+            lu = augmented(smax * near_left, right, True)
         else:
             lu = _Woodbury(section, smax, lu, (smax * near_left, right),
                            (smax * y, z, smax * span[:, :p], adj[:, :p]))
@@ -560,7 +559,8 @@ def _augmented_solves(section: FiniteSection, scale: float):
     as a function of (left, right, fallback); scale is about ||M||.  The one
     place that chooses between the dense and the structured path
     (_Structured only turns a block to the dense one when a solve fails its
-    gate, and only with fallback; without it the failure is raised).
+    gate, and only with fallback, which M'' alone sets; without it the
+    failure is raised).
 
     Dense path: LAPACK's LU of the block section.augmented forms (_factor).
     It serves sections without factors, the cross-check of the other path,
@@ -583,7 +583,7 @@ def _augmented_solves(section: FiniteSection, scale: float):
     or a singular capacitance, turns that block to the dense path
     (_Structured).  Held: O(n (R + rank(E) + p)), no n x n block."""
 
-    def dense(left, right, fallback=True):   # fallback: moot for an LU
+    def dense(left, right, fallback=False):   # fallback: moot for an LU
         return _factor(section.augmented(left, right))
 
     if section.factors is None:
@@ -607,7 +607,7 @@ def _augmented_solves(section: FiniteSection, scale: float):
     circulant = _Circulant(1.0 / eig)
     drop = (p0, q0, circulant.solve(p0), circulant.solve_adjoint(q0))
 
-    def solves(left, right, fallback=True):
+    def solves(left, right, fallback=False):
         if not _cheaper(n, extents, q0.shape[1] + right.shape[1]):
             return dense(left, right)
         return _Structured(_Woodbury(section, scale, circulant, (left, right), drop),
@@ -678,8 +678,8 @@ class _Structured:
     """The solves of an M' or M'' through S (_Woodbury), until one fails its
     gate or meets a singular capacitance: then, and from then on, the LU of
     the formed block (dense), whose own LinAlgError is numerical_null_space's.
-    Without dense (an M' narrower than the section) that failure is raised,
-    and numerical_null_space widens the sketch instead."""
+    Without dense (an M': only M'' is built with it) that failure is
+    raised, and numerical_null_space widens the sketch instead."""
 
     def __init__(self, solves: _Woodbury, dense):
         self._solves, self._dense = solves, dense
