@@ -130,6 +130,8 @@ def parse_symbol(obj, shift):
         if "rational" in obj:
             num = _parse_laurent(obj["rational"]["num"])
             den = _parse_laurent(obj["rational"]["den"])
+            if den.is_zero:
+                raise errors.InputError("zero denominator")
             return RationalSymbol(num, den)
         if "base" in obj:
             base = parse_symbol(obj["base"], shift)

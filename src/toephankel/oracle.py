@@ -21,7 +21,8 @@ right basis from a Rayleigh-Ritz step on the range of two solves with a
 randomly augmented section M', and the left basis and the spectral-gap
 certificate from solves with M'', the section augmented by the right
 basis.  Both are solved with on both sides (_augmented_solves).  A pair
-section, where that costs less than an LU, does so through its
+section of N >= 224 rows, whose low-rank rest has at most N/8 columns and
+whose corners reach at most 2N/7 rows (_cheaper), does so through its
 structure, and no n x n block is written: T is a circulant, one FFT pair
 a solve, plus two corners of low numerical rank, and all the rest of M'
 and of M'' is low rank, so _Woodbury solves each through the circulant.
@@ -88,8 +89,8 @@ HMT = 10 * np.sqrt(2 / np.pi)   # Halko-Martinsson-Tropp's constant of a norm bo
 SOLVE_BACKWARD_TOL = 1e-13
 ENTRY_TAIL_TOL = 1e-10
 MAX_SECTION_BYTES = 1 << 30   # four n x n blocks of the largest section allowed
-# null_dims solves smaller sections in turn: at N = 256 the overlap saved 10 ms
-# of a 200 ms cold CLI request and raised its peak RSS by 5.7%
+# null_dims solves smaller sections in turn: at N = 256 two threads made a cold analyze's or
+# verify's null_dims take 22-34 ms, not 15-29 ms, and peak RSS 1.0-1.2 MB more (2-core host)
 CONCURRENT_MIN_SIZE = 512
 DUMP_MAGIC = b"TPHK"
 DUMP_VERSION = 1
@@ -110,8 +111,8 @@ class FiniteSection:
     the eigenvalues of T's 2N x 2N circulant embedding, hank @ flip the
     rank-R factors of H(b) (_hankel_entries).  product, adjoint_product and
     augmented go through them, and so do the solves of its null space's M'
-    (_augmented_solves), which form no block where that costs less than an
-    LU.  Its read-only entries are formed on their first read only
+    (_augmented_solves), which form no block on the structured path
+    (_cheaper).  Its read-only entries are formed on their first read only
     (dump_section, tests), and kept.  A section without factors (block, PC,
     loaded and hand-made ones) is given its entries: the dense cross-check
     of the structured paths."""
@@ -414,7 +415,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     estimate, then the last Ritz values, of which the last dim are dropped;
     not the full spectrum.  No n x n SVD, least-squares solve or inverse is
     taken.  M''s solves come from _augmented_solves, once per sketch width:
-    for a pair section, where that costs less than an LU, through its
+    for a pair section that _cheaper passes, through its
     circulant-plus-low-rank structure (each solve refined once and gated by
     SOLVE_BACKWARD_TOL; a failed gate widens the sketch), else from one
     factorization of the formed M' (_factor).  Where M' took the structured path, M'' comes from the same
@@ -460,8 +461,6 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
         p = min(2 * p, n)
     near_left = _ritz(section.adjoint_product, adj[:, :p], cut, k)[0]
     s = np.concatenate(([smax], ritz))
-    if k == n:
-        return NullSpace(k, right, np.eye(n, k, dtype=complex), s)
     dropped = float(np.linalg.norm(section.product(right), 2))
     if not dropped < cut:
         raise NoSpectralGap(f"right null vectors leave residual {dropped:.3e} >= {cut:.3e}")
@@ -564,8 +563,8 @@ def _augmented_solves(section: FiniteSection, scale: float):
 
     Dense path: LAPACK's LU of the block section.augmented forms (_factor).
     It serves sections without factors, the cross-check of the other path,
-    and pair sections where the structured path costs more (_cheaper) or S
-    is singular to eps scale.
+    and pair sections of n < 224, a capacitance over n/8 columns or corners
+    past 2n/7 rows (_cheaper), or whose S is singular to eps scale.
 
     Structured path, for a pair section: M' is never formed.  T = S + E, S
     the Strang circulant of T's own window (a_0 .. a_(h-1), then a_(h-n) ..
@@ -639,26 +638,14 @@ def _corner(tip: np.ndarray, m: int, n: int, tol: float) -> tuple[np.ndarray, np
 
 
 def _cheaper(n: int, extents, rank: int) -> bool:
-    """Whether the structured path (_augmented_solves) costs less than the
-    dense one for a section of n rows, corners of the given extents and a
-    capacitance of rank columns.
-
-    Each cost is a fit, in microseconds, to the time one path adds to a null
-    space of one sketch width (the solver's build and its solves), measured
-    with the other path's on the same 112 pair sections: both signs of the
-    four benchmark pairs, chi^k pairs at beta 2, 2j and 1.5+0.5j, and chi^-2
-    against poles at 3, 1.6 and 1.25 (R = 37, 82, 172), at n = 64, 128,
-    192, 256, 384, 512 and 1024, one BLAS thread on a 2-core x86 host.
-    Dense: 0.29, 0.78, 1.8, 3.5, 9.6, 22 and 87 ms (medians), the fit within
-    0.71-1.27 of each.  Structured: 1.3-4.3 ms at rank 4-10 up to n = 256,
-    6.7-12 ms at n = 1024; 6.0, 11 and 30 ms at n = 256 and rank 44, 89 and
-    179, 21, 51 and 109 ms at n = 1024; the fit within 0.46-1.42 of each.
-    It picks the faster path on all 112 and takes the structured one from
-    n = 224 on: up to rank 8 there, 19 at 256, 72 at 512 and 151 at 1024,
-    less with wide corners."""
-    corners = sum(m**3 for m in extents)
-    structured = 875 + 6.3 * n + n * rank * (0.15 + 2.8e-3 * rank) + 3.3e-3 * corners
-    return structured < 110 + 0.038 * n**2 + 5.25e-5 * n**3
+    """Whether the structured path (_augmented_solves) beats the LU for a
+    section of n rows, corners of the given extents and a capacitance of
+    rank columns.  Each comparison marks where one of its costs outgrows the
+    LU's: the fixed cost, about 0.9 ms + 6.3 n us, below n = 224; a
+    capacitance wider than n/8 columns; corners past 2n/7 rows, whose m x m
+    SVDs then cost more.  It picked the faster path on all 112 pair sections
+    timed both ways (n = 64-1024, R <= 172, one BLAS thread, 2-core host)."""
+    return n >= 224 and 8 * rank <= n and 7 * max(extents) <= 2 * n
 
 
 class _Circulant:

@@ -297,6 +297,21 @@ def test_spec_not_utf8_exits_one(tmp_path, capsys):
     assert json.loads(lines[0])["error"]["type"] == "InputError"
 
 
+def test_zero_denominator_exits_one(tmp_path, capsys):
+    # RationalSymbol raises ZeroDivisionError on a zero denominator, which
+    # main does not catch, so parse_symbol must turn it into an InputError
+    zero = {"rational": {"num": {"coeffs": [1]}, "den": {"coeffs": [0]}}}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": "analyze", "shift": {"beta": [2.0, 0.0]},
+                                "a": zero, "b": 1}))
+    assert main(["--spec", str(spec)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InputError"
+    assert captured.err == ""
+
+
 # the exit code of every error class, written out here rather than read
 # from the classes; a class not named exits 1
 _EXIT_CODES = {

@@ -951,6 +951,26 @@ def test_null_space_structured_matches_dense(n, monkeypatch):
             assert np.linalg.norm(got - want @ (want.conj().T @ got), 2) <= tol
 
 
+@pytest.mark.parametrize("n, extents, rank, structured", [
+    (192, [53, 0], 7, False),
+    (256, [53, 0], 7, True),
+    (256, [86, 0], 7, False),
+    (256, [92, 0], 17, False),
+    (256, [0, 44], 55, False),
+    (384, [86, 0], 6, True),
+    (384, [57, 0], 43, True),
+    (384, [0, 44], 55, False),
+    (512, [57, 0], 89, False),
+    (1024, [57, 0], 88, True),
+    (1024, [57, 0], 178, False),
+])
+def test_cheaper_picks_the_measured_faster_path(n, extents, rank, structured):
+    # pair sections next to each of the rule's three bounds, each M' path
+    # timed on the same section (one BLAS thread, 2-core host): the
+    # structured one was faster exactly where structured is True
+    assert oracle._cheaper(n, extents, rank) is structured
+
+
 def _backward_error(m, left, right, b, x, scale):
     """Normwise backward error of x as a solution of (m + left right^H) x = b."""
     residual = b - m @ x - left @ (right.conj().T @ x)
