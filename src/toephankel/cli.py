@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 malformed input (a malformed command line
 included), 2 "not Fredholm" verdicts, 3 internal cross-check mismatches
 (analytic pipeline vs oracle), 4 the numerics cannot certify an answer
 (no spectral gap in a section, a coefficient window no grid certifies,
-or roots too ill-conditioned for partial fractions or a winding number).
-Each error class carries its code (errors.ToepHankelError.exit_code).
+roots too ill-conditioned for partial fractions or a winding number, or
+arithmetic that left the float range: NumericalBreakdown).  Only an error
+class sets a code (errors.ToepHankelError.exit_code): a spec that run cannot
+parse is an InputError, and any other exception is a fault, left as a traceback.
 
 Reports are deterministic: fixed key order, every float printed with 17
 significant digits, complex numbers as [re, im] pairs.
@@ -66,17 +68,23 @@ def emit_json(obj) -> str:
 
 
 def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
     if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise errors.InputError(f"expected number or [re, im], got {v!r}")
+        v = complex(float(v[0]), float(v[1]))
+    if not isinstance(v, (int, float, complex)) or not np.isfinite(v):
+        raise errors.InputError(f"expected a finite number or [re, im], got {v!r}")
+    return complex(v)
+
+
+def _parse_integral(v) -> int:
+    if int(v) != v:   # 1.5 or "3"; int() itself raises for inf, NaN and None
+        raise errors.InputError(f"expected an integer, got {v!r}")
+    return int(v)
 
 
 def _parse_laurent(obj) -> LaurentPolynomial:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise errors.InputError("laurent spec needs {'lo': int, 'coeffs': [[re, im], ...]}")
-    lo = int(obj.get("lo", 0))
+    lo = _parse_integral(obj.get("lo", 0))
     coeffs = [_parse_complex(c) for c in obj["coeffs"]]
     if not coeffs:
         raise errors.InputError("empty coefficient list")
@@ -110,7 +118,7 @@ def parse_symbol(obj, shift):
     if isinstance(obj, str):
         return _parse_token(obj, shift)
     if isinstance(obj, (int, float)):
-        return RationalSymbol.constant(complex(obj))
+        return RationalSymbol.constant(_parse_complex(obj))
     if isinstance(obj, list):
         factors = [parse_symbol(x, shift) for x in obj]
         if not factors:
@@ -302,32 +310,32 @@ _COMMANDS = {
 
 
 def run(problem: dict, opts: dict):
-    """Dispatch a parsed problem dict; returns (report, exit_code)."""
+    """Dispatch a parsed problem dict; returns (report, exit_code).  A KeyError,
+    TypeError, ValueError or OverflowError in parsing it is an InputError."""
     if not isinstance(problem, dict):
         raise errors.InputError("problem spec must be a JSON object")
     command = problem.get("command")
     if command not in _COMMANDS:
         raise errors.InputError(f"unknown command {command!r}")
-    shift_spec = problem.get("shift")
-    if not isinstance(shift_spec, dict) or "beta" not in shift_spec:
-        raise errors.InputError("spec needs shift: {'beta': [re, im]}")
-    shift = make_shift(_parse_complex(shift_spec["beta"]))
-    spec = {
-        "shift": shift,
-        "p": float(problem.get("p", 2.0)),
-        "a": None,
-        "b": None,
-    }
-    if "a" in problem:
-        spec["a"] = parse_symbol(problem["a"], shift)
-    if "b" in problem:
-        spec["b"] = parse_symbol(problem["b"], shift)
-    if command != "signature" and (spec["a"] is None or spec["b"] is None):
-        raise errors.InputError("spec needs both symbols a and b")
-    if command == "signature" and spec["a"] is None:
-        raise errors.InputError("signature needs the symbol a")
-    if opts["oracle_size"] is None:
-        opts = {**opts, "oracle_size": int(problem.get("N", 256))}
+    try:
+        shift_spec = problem.get("shift")
+        if not isinstance(shift_spec, dict) or "beta" not in shift_spec:
+            raise errors.InputError("spec needs shift: {'beta': [re, im]}")
+        shift = make_shift(_parse_complex(shift_spec["beta"]))
+        spec = {"shift": shift, "p": float(problem.get("p", 2.0)), "a": None, "b": None}
+        if not 1.0 < spec["p"] < np.inf:
+            raise errors.InputError(f"p must lie in (1, infinity), got {spec['p']!r}")
+        for key in ("a", "b"):
+            if key in problem:
+                spec[key] = parse_symbol(problem[key], shift)
+        if command != "signature" and (spec["a"] is None or spec["b"] is None):
+            raise errors.InputError("spec needs both symbols a and b")
+        if command == "signature" and spec["a"] is None:
+            raise errors.InputError("signature needs the symbol a")
+        if opts["oracle_size"] is None:
+            opts = {**opts, "oracle_size": _parse_integral(problem.get("N", 256))}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise errors.InputError(str(exc)) from exc
     return _COMMANDS[command](spec, opts)
 
 
@@ -386,8 +394,6 @@ def main(argv=None) -> int:
         return _emit(report, code, args.out)
     except errors.ToepHankelError as exc:
         return _error(exc, exc.exit_code, args.out)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _error(exc, 1, args.out)
 
 
 if __name__ == "__main__":

@@ -102,6 +102,11 @@ class AtJumpPoint(ToepHankelError):
     """Pointwise evaluation requested exactly at a jump discontinuity."""
 
 
+class NumericalBreakdown(ToepHankelError):
+    """Arithmetic on a valid input left the float range."""
+    exit_code = 4
+
+
 class InputError(ToepHankelError):
     """Malformed problem specification (CLI front end), or an oracle section
-    too large to allocate (oracle.MAX_SECTION_BYTES)."""
+    smaller than 8 or too large to allocate (oracle.MAX_SECTION_BYTES)."""

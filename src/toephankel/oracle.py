@@ -37,9 +37,7 @@ the null space with most of their mass in the first half of the
 coordinates, whatever basis the null space is given in.  Every caller
 gets these dimensions from null_dims, which solves the null spaces at
 once where the CPUs hold the threads OpenBLAS reports per call, from
-CONCURRENT_MIN_SIZE rows on where the threads' n x n blocks on the dense
-path (one M' each, two on the np.linalg.solve fallback) fit
-MAX_SECTION_BYTES; errors come in sign order.
+CONCURRENT_MIN_SIZE rows on; errors come in sign order.
 
 Everything here runs on numpy alone: Toeplitz sections are strided views
 of a window (_toeplitz_window), and the null space comes from np.fft,
@@ -64,7 +62,7 @@ import threading
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import GridTooSmall, InputError, NoSpectralGap, WindowTooTight
+from .errors import GridTooSmall, InputError, NoSpectralGap, NumericalBreakdown, WindowTooTight
 from .matching import MatchingPair, make_matching_pair
 from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries, fourier_coefficients
@@ -261,8 +259,9 @@ def _flip_matrix(shift: ShiftParams, r: int, n: int) -> np.ndarray:
     return flip.T
 
 
-def _refuse_oversized(size: int) -> None:
-    """InputError unless four size x size complex blocks fit MAX_SECTION_BYTES.
+def _refuse_oversized(n: int, size: int) -> None:
+    """InputError unless n >= 8 and four size x size complex blocks fit
+    MAX_SECTION_BYTES (size is 2n for a block section, else n).
 
     operator_section and pair_sections check this before they allocate.  A
     pair section holds no n x n block.  A null space holds none on the
@@ -271,6 +270,8 @@ def _refuse_oversized(size: int) -> None:
     copy), so two null spaces at once hold four at most.  Blocks are
     unmapped when freed (the mmap threshold), so these counts are what
     stays resident."""
+    if n < 8:
+        raise InputError(f"section size {n} is below 8")
     need = 4 * size * size * np.dtype(complex).itemsize
     if need > MAX_SECTION_BYTES:
         raise InputError(
@@ -288,15 +289,12 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     and B and C from _hankel_entries.  No n x n block is written.
     """
     a, b = (payload.a, payload.b) if isinstance(payload, MatchingPair) else payload
-    if n < 8:
-        raise ValueError("section size must be at least 8")
-    _refuse_oversized(n)
-    window, tail_a = _toeplitz_entries(a, n)
-    hank, flip, tail_b = _hankel_entries(b, shift, n)
+    _refuse_oversized(n, n)
+    window, _ = _toeplitz_entries(a, n)
+    hank, flip, _ = _hankel_entries(b, shift, n)
     # T's first column a_0 .. a_(n-1), then its first row's a_(1-n) .. a_(-1)
     eig = np.fft.fft(np.concatenate((window[n - 1 :], [0.0], window[: n - 1])))
-    meta = {"tail": max(tail_a, tail_b),
-            "margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad)}
+    meta = {"margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad)}
     return {
         "+": FiniteSection(n, None, "plus", dict(meta), (eig, hank, flip, 1.0, window)),
         "-": FiniteSection(n, None, "minus", meta, (eig, hank, flip, -1.0, window)),
@@ -316,9 +314,7 @@ def operator_section(
     an (a, b) tuple of symbols.  'plus' and 'minus' come from
     pair_sections, which builds both; callers that need both use it.
     """
-    if n < 8:
-        raise ValueError("section size must be at least 8")
-    _refuse_oversized(2 * n if kind == "block" else n)
+    _refuse_oversized(n, 2 * n if kind == "block" else n)
     if kind in ("toeplitz", "hankel"):
         sym = payload
         if not isinstance(sym, RationalSymbol):
@@ -326,17 +322,17 @@ def operator_section(
 
             if kind == "hankel":
                 raise ValueError("hankel sections require a rational symbol")
-            entries, tail = pc_toeplitz_entries(sym, shift, n)
-            return FiniteSection(n, entries, kind, {"tail": tail, "margin": n // 2})
+            entries, _ = pc_toeplitz_entries(sym, shift, n)
+            return FiniteSection(n, entries, kind, {"margin": n // 2})
         if kind == "toeplitz":
-            window, tail = _toeplitz_entries(sym, n)
+            window, _ = _toeplitz_entries(sym, n)
             entries = _toeplitz_window(window, n).copy()
             margin = _symbol_margin(sym)
         else:
-            hank, flip, tail = _hankel_entries(sym, shift, n)
+            hank, flip, _ = _hankel_entries(sym, shift, n)
             entries = hank @ flip
             margin = _symbol_margin(sym) + shift.pad
-        return FiniteSection(n, entries, kind, {"tail": tail, "margin": margin})
+        return FiniteSection(n, entries, kind, {"margin": margin})
     if kind in ("plus", "minus"):
         return pair_sections(payload, shift, n)["+" if kind == "plus" else "-"]
     if kind == "block":
@@ -827,8 +823,7 @@ class _Woodbury:
 
 def _check_info(routine: str, info: int) -> None:
     """LAPACK's info: a zero pivot is a singular block (LinAlgError), a bad
-    argument a fault of this module (RuntimeError, not the ValueError the
-    CLI reads as malformed input)."""
+    argument a fault of this module (RuntimeError, not malformed input)."""
     if info > 0:
         raise np.linalg.LinAlgError(f"Singular matrix ({routine}: U[{info}, {info}] is zero)")
     if info < 0:
@@ -905,7 +900,10 @@ def _ritz(
     apply multiplies by, on the range of span: the Ritz vectors of the k
     smallest Ritz values (k: those at or below cut) and all Ritz values,
     descending."""
-    q = np.linalg.qr(span / np.linalg.norm(span, axis=0))[0]
+    norms = np.linalg.norm(span, axis=0)
+    if not 0 < norms.min() <= norms.max() < np.inf:
+        raise NumericalBreakdown("a column of the sketch left the float range")
+    q = np.linalg.qr(span / norms)[0]
     _, ritz, vh = np.linalg.svd(apply(q), full_matrices=False)
     if k is None:
         k = int(np.sum(ritz <= cut))
@@ -949,11 +947,8 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
 
     The null spaces of the first _concurrent_sections sections are solved
     at once, all but the first in worker threads, if the sections have
-    CONCURRENT_MIN_SIZE rows or more and the threads' n x n blocks fit
-    MAX_SECTION_BYTES, counted as on the dense path (one M' each, two on
-    the np.linalg.solve fallback: always, for two sections within
-    _refuse_oversized's cap), which a structured M'' may fall back to; on
-    the structured path a thread holds none.  The rest are solved in turn in
+    CONCURRENT_MIN_SIZE rows or more; two at once fit the four blocks that
+    _refuse_oversized admitted for each.  The rest are solved in turn in
     this thread.  The first overlap
     keeps a second OpenBLAS work buffer resident (2.6 MB at N = 1024).
     Errors are raised once every thread has ended, the first in sign
@@ -963,10 +958,7 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
     """
     signs = list(signs)
     size = max((sections[sign].size for sign in signs), default=0)
-    width = _concurrent_sections(len(signs))
-    blocks = width * (1 if _lapack() is not None else 2)
-    if size < CONCURRENT_MIN_SIZE or blocks * 16 * size**2 > MAX_SECTION_BYTES:
-        width = 1
+    width = _concurrent_sections(len(signs)) if size >= CONCURRENT_MIN_SIZE else 1
     spaces = {}
 
     def solve(sign):

@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AtJumpPoint, NotMatching, SignatureIndeterminate
+from .errors import AtJumpPoint, NotMatching, NumericalBreakdown, SignatureIndeterminate
 from .matching import _ONE, MATCH_TOL, _residual, _snap_sign
 from .oracle import toeplitz_matrix
 from .rational import RationalSymbol
@@ -283,6 +283,8 @@ def fredholm_symbol_check(
         vals.append(ar * nus + al * (1 - nus) + mu * (br - bl) / 2.0 * hs)
     vals = np.array(vals)
     scalars = np.abs(vals)
+    if np.isnan(min_det) or np.isnan(scalars).any():
+        raise NumericalBreakdown("a symbol's values on the circle left the float range")
     # min_abs_scalar is the scalar abs at each fixed point's array argmin,
     # which can differ from the array abs in the last bit
     min_scalar = min(float(abs(v[i])) for v, i in zip(vals, scalars.argmin(axis=1)))

@@ -58,6 +58,7 @@ from .errors import (
     DenominatorNearZero,
     IllConditionedRoots,
     NotInvertibleOnCircle,
+    NumericalBreakdown,
 )
 from .laurent import LaurentPolynomial
 
@@ -98,7 +99,7 @@ class RationalSymbol:
         zero multiplicities dropped, poles checked against the annulus."""
         lead, roots = complex(lead), np.asarray(roots, complex).tolist()
         if not (cmath.isfinite(lead) and all(map(cmath.isfinite, roots))):
-            raise ValueError("non-finite factor")
+            raise NumericalBreakdown("non-finite factor")
         mults = np.asarray(mults, int).tolist() if lead else [0] * len(roots)
         if lead and not merged:
             mults = _merge(roots, mults)
@@ -182,8 +183,8 @@ class RationalSymbol:
         return self.lead
 
     def eval(self, t):
-        """Pointwise value; raises within EVAL_GUARD of a pole other than
-        t = 0, or where the monic denominator is 0 or not finite."""
+        """Pointwise value; DenominatorNearZero within EVAL_GUARD of a pole other
+        than t = 0, else NumericalBreakdown where the monic denominator is 0 or inf."""
         t = np.asarray(t, dtype=complex)
         nv = self.lead * t**self.mono
         dv = np.ones(t.shape, complex)
@@ -195,9 +196,11 @@ class RationalSymbol:
             else:
                 dv = dv * d**-k
                 gap = min(gap, np.abs(d).min(initial=np.inf))
-        size = np.abs(dv)
-        if gap < EVAL_GUARD or not 0 < size.min(initial=1.0) <= size.max(initial=1.0) < np.inf:
+        if gap < EVAL_GUARD:
             raise DenominatorNearZero("evaluation too close to a pole")
+        size = np.abs(dv)
+        if not 0 < size.min(initial=1.0) <= size.max(initial=1.0) < np.inf:
+            raise NumericalBreakdown("the monic denominator under- or overflows")
         out = nv / dv
         return out if np.ndim(out) else complex(out)
 

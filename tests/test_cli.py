@@ -317,7 +317,7 @@ def test_zero_denominator_exits_one(tmp_path, capsys):
 _EXIT_CODES = {
     "NotFredholm": 2, "NotFredholmPair": 2, "NotMatching": 2, "NotInvertible": 2,
     "DenominatorNearZero": 2, "CrossCheckMismatch": 3, "SignatureIndeterminate": 3,
-    "NoSpectralGap": 4, "GridTooSmall": 4, "IllConditionedRoots": 4,
+    "NoSpectralGap": 4, "GridTooSmall": 4, "IllConditionedRoots": 4, "NumericalBreakdown": 4,
 }
 
 
@@ -337,6 +337,64 @@ def test_every_error_class_leaves_one_json_error(cls, monkeypatch, tmp_path, cap
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": {"type": cls.__name__,
                                               "message": "raised by the test"}}
+
+
+_BETA2 = {"beta": [2.0, 0.0]}
+
+
+@pytest.mark.parametrize("problem, flags", [
+    ({"a": {"laurent": {"lo": 1e400, "coeffs": [1]}}}, ()),
+    ({"a": {"laurent": {"lo": 1.5, "coeffs": [1]}}}, ()),
+    ({"N": 1e400}, ()),
+    ({"N": 300.7}, ()),
+    ({"N": 4}, ()),
+    ({}, ("--oracle-size", "4")),
+    ({"a": "chi^99999999999999999999"}, ()),
+    ({"p": "x"}, ()),
+    ({"p": 0.5}, ()),
+    ({"shift": {"beta": [float("nan"), 0.0]}}, ()),
+    ({"a": {"base": "one", "jumps": [{"tau": [1.0, 0.0]}]}}, ()),
+    ({"a": {"rational": {"num": {"coeffs": [1]}}}}, ()),
+    ({"a": {"laurent": {"coeffs": 5}}}, ()),
+], ids=["lo-inf", "lo-1.5", "N-inf", "N-300.7", "N-4", "oracle-size-4", "huge-power",
+        "p-string", "p-0.5", "beta-nan", "jump-without-beta", "rational-without-den",
+        "coeffs-number"])
+def test_malformed_spec_exits_one(problem, flags, tmp_path, capsys):
+    # the parse step raises every malformed value as an InputError: one JSON
+    # line and no traceback, where a bare OverflowError or ValueError once
+    # left a traceback or a truncated value went through with exit 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": "verify", "shift": _BETA2, "a": "chi^-2",
+                                "b": "chi^-2", "N": 64, **problem}))
+    assert main(["--spec", str(spec), *flags]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "InputError"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command, k, n", [
+    ("basis", 400, None),      # a factor of the adjoint pair overflows
+    ("signature", -2000, None),   # the denominator overflows on the circle
+    ("analyze", -2000, 64),
+    ("fredholm", 2000, None),  # chi^2000 overflows on the arc: not "not Fredholm"
+    ("verify", -500, 64),      # the section's sketch underflows
+])
+def test_float_range_breakdown_exits_four(command, k, n, tmp_path):
+    # a valid chi^k whose arithmetic leaves the float range cannot be
+    # certified (exit 4); numpy's overflow warnings go to stderr, so the
+    # CLI runs in its own process, outside pytest's warnings-as-errors
+    problem = {"command": command, "shift": _BETA2, "a": f"chi^{k}", "b": f"chi^{k}"}
+    if n is not None:
+        problem["N"] = n
+    proc = subprocess.run([sys.executable, "-m", "toephankel.cli"],
+                          input=json.dumps(problem).encode(), capture_output=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["type"] == "NumericalBreakdown"
+    assert b"Traceback" not in proc.stderr
 
 
 def test_pole_of_order_130_leaves_one_json_object(tmp_path, capsys):

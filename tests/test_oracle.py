@@ -642,8 +642,8 @@ def test_lu_zero_pivot_is_a_singular_section(monkeypatch):
 
 
 def test_lu_invalid_argument_is_a_runtime_error(monkeypatch):
-    # info < 0 is a fault of the call, not malformed input: the CLI maps a
-    # bare ValueError to exit 1
+    # info < 0 is a fault of the call, not malformed input, which is what a
+    # ValueError means where the CLI parses a spec
     _fake_getrf(monkeypatch, -4)
     with pytest.raises(RuntimeError, match="argument 4") as exc:
         numerical_null_space(_diagonal_section(16, (0,)))
@@ -1522,27 +1522,6 @@ def test_null_dims_solves_small_sections_in_turn(monkeypatch):
     _set_width(monkeypatch, 2)
     in_main = _record_threads(monkeypatch, _two_null_spaces(), 1)
     assert len(in_main) == 2 and all(in_main.values())
-
-
-@pytest.mark.parametrize("fallback, blocks", [
-    pytest.param(False, 2, id="lapack-2"), pytest.param(False, 1, id="lapack-1"),
-    pytest.param(True, 4, id="fallback-4"), pytest.param(True, 3, id="fallback-3"),
-])
-def test_null_dims_solves_in_turn_when_their_blocks_exceed_the_cap(monkeypatch, fallback, blocks):
-    # two null spaces in flight hold one n x n block each, M', and two each on
-    # the np.linalg.solve fallback; where MAX_SECTION_BYTES admits fewer,
-    # null_dims solves them in turn
-    n = 64
-    if fallback:
-        monkeypatch.setattr(oracle, "_lapack", lambda: None)
-    else:
-        _bound_lapack()
-    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", n)
-    monkeypatch.setattr(oracle, "MAX_SECTION_BYTES", blocks * n * n * 16)
-    _set_width(monkeypatch, 2)
-    width = 2 if blocks == (4 if fallback else 2) else 1
-    in_main = _record_threads(monkeypatch, _two_null_spaces(n), width)
-    assert len(in_main) == 2 and all(in_main.values()) == (width == 1)
 
 
 def test_null_dims_many_workers_lose_no_result(monkeypatch):

@@ -13,6 +13,7 @@ from toephankel.errors import (
     DenominatorNearZero,
     IllConditionedRoots,
     NotInvertibleOnCircle,
+    NumericalBreakdown,
 )
 from toephankel import rational
 
@@ -56,8 +57,9 @@ def test_eval_guard_reads_distance_to_pole():
     assert abs(s.eval(0.55) - 0.05**-12) < 1e-10 * 0.05**-12
     with pytest.raises(DenominatorNearZero):
         s.eval(0.5 + 1e-13)
-    # 0.01^400 underflows: the denominator is 0 although the pole is 0.01 away
-    with pytest.raises(DenominatorNearZero):
+    # 0.01^400 underflows: the denominator is 0 although the pole is 0.01 away,
+    # a breakdown of the arithmetic (exit 4), not a pole on the circle (exit 2)
+    with pytest.raises(NumericalBreakdown):
         RationalSymbol.from_factors(1.0, 0, [0.5], [-400]).eval(0.51)
 
 
