@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 malformed input (a malformed command line
 included), 2 "not Fredholm" verdicts, 3 internal cross-check mismatches
-(analytic pipeline vs oracle), 4 the numerics cannot certify an answer
-(no spectral gap in a section, a coefficient window no grid certifies,
-roots too ill-conditioned for partial fractions or a winding number, or
-arithmetic that left the float range: NumericalBreakdown).  Only an error
-class sets a code (errors.ToepHankelError.exit_code): a spec that run cannot
-parse is an InputError, and any other exception is a fault, left as a traceback.
+(analytic pipeline vs oracle), 4 the numerics cannot certify an answer (no
+spectral gap in a section, a coefficient window no grid certifies, roots too
+ill-conditioned for partial fractions or a winding number, or arithmetic
+that left the float range, a threshold gate that read NaN or inf included:
+NumericalBreakdown).  Only an error class sets a code
+(errors.ToepHankelError.exit_code): a spec that run cannot parse is an
+InputError, and any other exception is a fault, left as a traceback.
 
 Reports are deterministic: fixed key order, every float printed with 17
 significant digits, complex numbers as [re, im] pairs.

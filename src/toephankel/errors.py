@@ -6,6 +6,8 @@ catches anything produced deliberately by this package.  Each class
 carries the CLI's exit code for it (cli's docstring), 1 unless it sets one.
 """
 
+import math
+
 
 class ToepHankelError(Exception):
     exit_code = 1
@@ -110,3 +112,22 @@ class NumericalBreakdown(ToepHankelError):
 class InputError(ToepHankelError):
     """Malformed problem specification (CLI front end), or an oracle section
     smaller than 8 or too large to allocate (oracle.MAX_SECTION_BYTES)."""
+
+
+def below(value: float, bound: float, error: type[ToepHankelError], what: str) -> None:
+    """The one rule of every threshold gate, here value < bound: NaN or inf
+    in either is NumericalBreakdown, as no verdict can be read from it; a
+    finite value not below bound is error.  Messages carry both numbers."""
+    _gate(value < bound, value, bound, error, f"{what} {value:.3e} is not below {bound:.3e}")
+
+
+def above(value: float, bound: float, error: type[ToepHankelError], what: str) -> None:
+    """The gate value > bound, under below's rule."""
+    _gate(value > bound, value, bound, error, f"{what} {value:.3e} is not above {bound:.3e}")
+
+
+def _gate(passed: bool, value: float, bound: float, error, message: str) -> None:
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise NumericalBreakdown(f"{message}: not finite")
+    if not passed:
+        raise error(message)

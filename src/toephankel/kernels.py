@@ -33,6 +33,8 @@ from .errors import (
     NotInKernel,
     NotMatching,
     WrongRegime,
+    above,
+    below,
 )
 from .matching import MatchingPair, adjoint_pair, alpha_signature, make_matching_pair
 from .oracle import FiniteSection, null_dims, pair_sections, residual_check
@@ -148,8 +150,8 @@ def apply_P_alpha(g: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> R
     NotInKernel when f is not in ker T(g)."""
     scale = max(1.0, f.sup_norm_on_circle(128))
     p_part, q_part = (g * f).split_analytic()
-    if p_part.sup_norm_on_circle(128) > KERNEL_RESIDUAL_TOL * scale:
-        raise NotInKernel("input is not in ker T(g)")
+    below(p_part.sup_norm_on_circle(128), KERNEL_RESIDUAL_TOL * scale, NotInKernel,
+          "ker T(g) residual of the input")
     return apply_J_alpha(q_part, shift)
 
 
@@ -170,8 +172,8 @@ def phi_pm(
     if pair.kappa1 < 0:
         raise WrongRegime("phi maps need a right-invertible T(c)")
     scale = max(1.0, s.sup_norm_on_circle(128))
-    if (pair.d * s).part_sup_norm("P", 128) > KERNEL_RESIDUAL_TOL * scale:
-        raise NotInKernel("s is not in ker T(d)")
+    below((pair.d * s).part_sup_norm("P", 128), KERNEL_RESIDUAL_TOL * scale, NotInKernel,
+          "ker T(d) residual of s")
     w = pair.a_alpha_inv * s
     x = apply_one_sided_inverse(fac_c, w.part("P"), "right")
     return 0.5 * (x - float(sign) * apply_J_alpha(pair.c * x - w, shift))
@@ -200,8 +202,8 @@ def in_image_chi_power(
         if np.max(np.abs(vals)) >= IMAGE_TOL * scale:
             return False, None
         quotient = h * chi_power(shift, -n)
-        if quotient.part_sup_norm("Q", 128) > KERNEL_RESIDUAL_TOL * scale:
-            raise CrossCheckMismatch("certified quotient came out non-analytic")
+        below(quotient.part_sup_norm("Q", 128), KERNEL_RESIDUAL_TOL * scale, CrossCheckMismatch,
+              "non-analytic part of the certified quotient")
         return True, quotient
     scale = max(1.0, h.norm())
     if h.part("Q").norm() > 1e-12 * scale:
@@ -235,8 +237,8 @@ def _intersect_and_divide(
                 acc = acc + complex(w) * f
         quotient = acc * chi_power(shift, -n)
         scale = max(1.0, quotient.sup_norm_on_circle(128))
-        if quotient.part_sup_norm("Q", 128) > KERNEL_RESIDUAL_TOL * scale:
-            raise CrossCheckMismatch("lifted quotient is not analytic")
+        below(quotient.part_sup_norm("Q", 128), KERNEL_RESIDUAL_TOL * scale, CrossCheckMismatch,
+              "non-analytic part of the lifted quotient")
         out.append(quotient)
     return out
 
@@ -270,11 +272,8 @@ def _kernel_functions(pair: MatchingPair):
     # kappa1 <= -1 and kappa2 <= 0: both kernels are trivial
     for sign, funcs in ((+1, plus), (-1, minus)):
         for f, _tag in funcs:
-            resid = operator_residual(pair, sign, f)
-            if resid > KERNEL_RESIDUAL_TOL:
-                raise CrossCheckMismatch(
-                    f"kernel candidate fails the exact residual gate ({resid:.3e})"
-                )
+            below(operator_residual(pair, sign, f), KERNEL_RESIDUAL_TOL, CrossCheckMismatch,
+                  "exact residual of a kernel candidate")
     return plus, minus
 
 
@@ -330,8 +329,9 @@ def _assemble_basis(kind: str, sign: int, funcs) -> KernelBasis:
             raise CrossCheckMismatch("zero basis function")
         items.append(BasisFunction((1.0 / nrm) * series, (1.0 / nrm) * f, tag))
     basis = KernelBasis("+" if sign > 0 else "-", kind, tuple(items))
-    if basis.dim and basis.gram_min_singular_value() <= 1e-8:
-        raise CrossCheckMismatch("basis functions are numerically dependent")
+    if basis.dim:
+        above(basis.gram_min_singular_value(), 1e-8, CrossCheckMismatch,
+              "smallest singular value of the basis functions")
     return basis
 
 
@@ -379,11 +379,11 @@ def all_defect_bases(pair: MatchingPair) -> dict:
     return out
 
 
-def _oracle_residual(section: FiniteSection, basis: KernelBasis) -> float:
-    """Largest finite-section residual of the basis functions: ||M f|| for
-    kernels, ||M^H f|| for cokernels, from the section's products."""
-    adjoint = basis.kind == "coker"
-    return max((residual_check(section, f.series, adjoint) for f in basis.functions), default=0.0)
+def _oracle_residual(section: FiniteSection, *bases: KernelBasis) -> float:
+    """Largest finite-section residual of the bases' functions (NaN if one
+    is): ||M f|| for kernels, ||M^H f|| for cokernels, from the section."""
+    return float(np.max([residual_check(section, f.series, basis.kind == "coker")
+                         for basis in bases for f in basis.functions], initial=0.0))
 
 
 def kernel_cokernel_bases(
@@ -402,11 +402,8 @@ def kernel_cokernel_bases(
     plus, minus = _defect_functions(pair, kind)
     basis = _assemble_basis(kind, +1, plus) if sign == "+" else _assemble_basis(kind, -1, minus)
     if basis.dim:
-        resid = _oracle_residual(pair_sections(pair, pair.shift, oracle_size)[sign], basis)
-        if resid >= ORACLE_RESIDUAL_TOL:
-            raise CrossCheckMismatch(
-                f"basis function fails the oracle residual gate ({resid:.3e})"
-            )
+        below(_oracle_residual(pair_sections(pair, pair.shift, oracle_size)[sign], basis),
+              ORACLE_RESIDUAL_TOL, CrossCheckMismatch, "oracle residual of a basis function")
     return basis
 
 
@@ -416,8 +413,7 @@ def _oracle_block(pair: MatchingPair, bases: dict, n: int) -> dict:
     for sign, (dim_ker, dim_coker) in null_dims(sections, ("+", "-")).items():
         out["dims"][f"ker{sign}"] = dim_ker
         out["dims"][f"coker{sign}"] = dim_coker
-        worst = max(_oracle_residual(sections[sign], bases[("ker", sign)]),
-                    _oracle_residual(sections[sign], bases[("coker", sign)]))
+        worst = _oracle_residual(sections[sign], bases[("ker", sign)], bases[("coker", sign)])
         out["residuals"][sign] = worst
         ok = (
             dim_ker == bases[("ker", sign)].dim
@@ -559,20 +555,17 @@ def transfer_U(
     scale = max(f.norm(), g.norm(), 1e-300)
     if direction == "U1":
         cf, ag = f * pair.c, g * pair.a_alpha_inv
-        r1 = toeplitz_apply(pair.d, g).norm()
-        r2 = (ag.part("P") - cf.part("P")).norm()
-        if max(r1, r2) > KERNEL_RESIDUAL_TOL * scale:
-            raise NotInKernel("input fails the block-kernel residual gate")
+        for resid in (toeplitz_apply(pair.d, g).norm(), (ag.part("P") - cf.part("P")).norm()):
+            below(resid, KERNEL_RESIDUAL_TOL * scale, NotInKernel, "block-kernel residual")
         cf = apply_J_alpha(cf.part("Q"), shift)
         ag = apply_J_alpha(ag.part("Q"), shift)
         big = f - cf + ag
         small = f + cf - ag
         return (0.5 * big).trim(), (0.5 * small).trim()
     if direction == "U2":
-        if max(
-            operator_apply(pair, +1, f).norm(), operator_apply(pair, -1, g).norm()
-        ) > KERNEL_RESIDUAL_TOL * scale:
-            raise NotInKernel("input fails the diagonal-kernel residual gate")
+        for sign, h in ((+1, f), (-1, g)):
+            below(operator_apply(pair, sign, h).norm(), KERNEL_RESIDUAL_TOL * scale, NotInKernel,
+                  "diagonal-kernel residual")
         b_alpha = compose_with_shift(pair.b, shift)
         a_alpha = compose_with_shift(pair.a, shift)
         total = f + g

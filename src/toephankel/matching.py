@@ -31,6 +31,7 @@ from .errors import (
     NotInvertible,
     NotMatching,
     SignatureIndeterminate,
+    below,
 )
 from .rational import RationalSymbol
 from .shift import ShiftParams, chi_power, compose_with_shift, eval_alpha
@@ -82,8 +83,7 @@ def _subordinate(a, b, shift: ShiftParams):
     """(residual, c, d, kappa1, kappa2, a_alpha^-1) from one matching
     check and one composition of a with the shift."""
     residual = check_matching(a, b, shift)
-    if residual >= MATCH_TOL:
-        raise NotMatching(f"matching residual {residual:.3e} >= {MATCH_TOL}")
+    below(residual, MATCH_TOL, NotMatching, "matching residual")
     a_alpha_inv = compose_with_shift(a, shift).invert()
     c = a * b.invert()
     d = b * a_alpha_inv
@@ -103,8 +103,8 @@ def make_matching_pair(a, b, shift: ShiftParams) -> MatchingPair:
     cross_d = b_alpha.invert() * a
     scale = max(1.0, a.sup_norm_on_circle(64), b.sup_norm_on_circle(64))
     for left, right in ((c, cross_c), (d, cross_d)):
-        if left.distance_to(right) > 1e-10 * scale * max(1.0, left.sup_norm_on_circle(64)):
-            raise NotMatching("cross identities of the subordinated pair fail")
+        below(left.distance_to(right), 1e-10 * scale * max(1.0, left.sup_norm_on_circle(64)),
+              NotMatching, "cross identity distance of the subordinated pair")
     try:
         sc = alpha_signature(c, shift)
         sd = alpha_signature(d, shift)
@@ -132,9 +132,8 @@ def alpha_signature(g: RationalSymbol, shift: ShiftParams) -> int:
     twist at t_minus).  Rational symbols are continuous at both fixed
     points, so all three numbers must agree.
     """
-    resid = _residual(g, _ONE, shift, shift.circle_grid())
-    if resid >= MATCH_TOL:
-        raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
+    below(_residual(g, _ONE, shift, shift.circle_grid()), MATCH_TOL, NotMatching,
+          "g g_alpha - 1 residual")
     fac = factorize(g)
     n = fac.kappa
     bc = np.conj(shift.beta)
@@ -171,9 +170,8 @@ def generate_matching_pair(
     a: RationalSymbol, rho: RationalSymbol, shift: ShiftParams
 ) -> MatchingPair:
     """Pair (a, a_alpha * rho) for any invertible a and matching rho."""
-    resid = _residual(rho, _ONE, shift, shift.circle_grid())
-    if resid >= MATCH_TOL:
-        raise NotMatching(f"rho is not matching (residual {resid:.3e})")
+    below(_residual(rho, _ONE, shift, shift.circle_grid()), MATCH_TOL, NotMatching,
+          "rho's matching residual")
     b = compose_with_shift(a, shift) * rho
     return make_matching_pair(a, b, shift)
 
@@ -191,8 +189,9 @@ def adjoint_pair(pair: MatchingPair) -> MatchingPair:
     d_bar = pair.d.conjugate_bar()
     c_bar = pair.c.conjugate_bar()
     scale = max(1.0, d_bar.sup_norm_on_circle(64), c_bar.sup_norm_on_circle(64))
-    if out.c.distance_to(d_bar) > 1e-10 * scale or out.d.distance_to(c_bar) > 1e-10 * scale:
-        raise CrossCheckMismatch("adjoint subordinated pair mismatch")
+    for got, want in ((out.c, d_bar), (out.d, c_bar)):
+        below(got.distance_to(want), 1e-10 * scale, CrossCheckMismatch,
+              "adjoint subordinated pair distance")
     if (out.kappa1, out.kappa2) != (-pair.kappa2, -pair.kappa1):
         raise CrossCheckMismatch("adjoint indices are not the negated swap")
     return out

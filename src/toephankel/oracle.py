@@ -62,7 +62,8 @@ import threading
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import GridTooSmall, InputError, NoSpectralGap, NumericalBreakdown, WindowTooTight
+from .errors import (GridTooSmall, InputError, NoSpectralGap, NumericalBreakdown, WindowTooTight,
+                     above, below)
 from .matching import MatchingPair, make_matching_pair
 from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries, fourier_coefficients
@@ -178,12 +179,6 @@ def _circulant(eig: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The first len(x) rows of circ [x; 0], circ the circulant with eigenvalues eig."""
     scale = eig if x.ndim == 1 else eig[:, None]
     return np.fft.ifft(scale * np.fft.fft(x, len(eig), axis=0), axis=0)[: len(x)]
-
-
-def toeplitz_matrix(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """The matrix with first column col and first row row (row[0] is ignored),
-    a C-order copy of _toeplitz_window; equal to scipy.linalg.toeplitz(col, row)."""
-    return _toeplitz_window(np.concatenate((row[:0:-1], col)), len(row)).copy()
 
 
 def _toeplitz_window(window: np.ndarray, width: int) -> np.ndarray:
@@ -355,7 +350,6 @@ class NullSpace:
     dim: int
     right: np.ndarray          # columns span ker(M)
     left: np.ndarray           # columns span ker(M^H)
-    singular_values: np.ndarray
 
 
 def numerical_null_space(section: FiniteSection) -> NullSpace:
@@ -407,16 +401,14 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     and M'') is the section's product or adjoint_product: for a pair
     section they go through its factors, and no dense entries are read.
 
-    singular_values holds the values computed, descending: sigma_max's
-    estimate, then the last Ritz values, of which the last dim are dropped;
-    not the full spectrum.  No n x n SVD, least-squares solve or inverse is
-    taken.  M''s solves come from _augmented_solves, once per sketch width:
-    for a pair section that _cheaper passes, through its
-    circulant-plus-low-rank structure (each solve refined once and gated by
-    SOLVE_BACKWARD_TOL; a failed gate widens the sketch), else from one
-    factorization of the formed M' (_factor).  Where M' took the structured path, M'' comes from the same
-    builder: solved through S with a capacitance of R + rank(E) + k
-    columns, a failed gate turning it to the LU of the formed M''.  Else
+    No n x n SVD, least-squares solve or inverse is taken.  M''s solves come
+    from _augmented_solves, once per sketch width: for a pair section that
+    _cheaper passes, through its circulant-plus-low-rank structure (each
+    solve refined once and gated by SOLVE_BACKWARD_TOL; a failed gate widens
+    the sketch), else from one factorization of the formed M' (_factor).
+    Where M' took the structured path, M'' comes from the same builder:
+    solved through S with a capacitance of R + rank(E) + k columns, a
+    failed gate turning it to the LU of the formed M''.  Else
     M'' = M' + L R^H, with L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0,
     M'' = M), is solved on both sides through M''s solves by the Woodbury
     identity, each solve refined once against M'' and gated by its backward
@@ -433,7 +425,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     rng = np.random.default_rng(0)
     smax = _norm_estimate(section, rng)
     if smax == 0.0:
-        return NullSpace(n, np.eye(n, dtype=complex), np.eye(n, dtype=complex), np.zeros(1))
+        return NullSpace(n, np.eye(n, dtype=complex), np.eye(n, dtype=complex))
     cut = SVD_TOL * smax
     p = min(SKETCH, n)
     augmented = _augmented_solves(section, smax)
@@ -443,8 +435,8 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             lu = augmented(smax * y, z)   # M'
             adj = lu.solve_adjoint(np.hstack((z, g)))         # M'^-H [Z, G]
             span = lu.solve(np.hstack((y, adj[:, :p])))      # M'^-1 [Y, M'^-H Z]
-        except (np.linalg.LinAlgError, NoSpectralGap):   # singular, or a structured gate failed
-            lu = adj = None
+        except (np.linalg.LinAlgError, NoSpectralGap, NumericalBreakdown):
+            lu = adj = None   # M' singular, or a structured solve failed its gate
         if adj is not None:
             right, ritz = _ritz(section.product, span, cut)
             k = right.shape[1]
@@ -456,16 +448,10 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
         lu = None   # frees M' before the wider sketch is factored
         p = min(2 * p, n)
     near_left = _ritz(section.adjoint_product, adj[:, :p], cut, k)[0]
-    s = np.concatenate(([smax], ritz))
     dropped = float(np.linalg.norm(section.product(right), 2))
-    if not dropped < cut:
-        raise NoSpectralGap(f"right null vectors leave residual {dropped:.3e} >= {cut:.3e}")
-    need = max(cut, SVD_GAP * dropped)
-    if not ritz[-1 - k] > need:   # ritz descending: the smallest kept Ritz value
-        raise NoSpectralGap(
-            f"a kept singular value is at most {ritz[-1 - k]:.3e}, not above {need:.3e} "
-            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
-        )
+    below(dropped, cut, NoSpectralGap, "residual of the right null vectors")
+    need = max(cut, SVD_GAP * dropped)   # the cut, or SVD_GAP over the dropped values
+    above(ritz[-1 - k], need, NoSpectralGap, "smallest kept Ritz value")   # ritz descending
     try:   # M''
         if isinstance(lu, _Structured):
             lu = augmented(smax * near_left, right, True)
@@ -479,16 +465,11 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
             kept = _smallest_bound(probes, 3)
     except np.linalg.LinAlgError as exc:
         raise NoSpectralGap(f"augmented section is singular ({exc})") from None
-    if not kept > need:
-        raise NoSpectralGap(
-            f"kept singular values are only shown above {kept:.3e}, not above {need:.3e} "
-            f"(cut, or gap factor {SVD_GAP} over the dropped ones)"
-        )
+    above(kept, need, NoSpectralGap, "lower bound on the kept singular values")
     left = _orth(solved[:, :k], k)
-    r = float(np.linalg.norm(section.adjoint_product(left), 2))
-    if not r < cut:
-        raise NoSpectralGap(f"left null vectors leave residual {r:.3e} >= {cut:.3e}")
-    return NullSpace(k, right, left, s)
+    below(float(np.linalg.norm(section.adjoint_product(left), 2)), cut, NoSpectralGap,
+          "residual of the left null vectors")
+    return NullSpace(k, right, left)
 
 
 def _gaussian(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
@@ -676,7 +657,7 @@ class _Structured:
     def _run(self, call):
         try:
             return call(self._solves)
-        except (NoSpectralGap, np.linalg.LinAlgError):
+        except (NoSpectralGap, NumericalBreakdown, np.linalg.LinAlgError):
             if self._dense is None:
                 raise
             self._solves, self._dense = self._dense(), None
@@ -763,7 +744,7 @@ class _Woodbury:
     M x from section.product (structured for a pair section),
     and raises NoSpectralGap if a column's normwise backward error
     ||b - M'' x|| / (scale ||x|| + ||b||), scale about ||M''||, is then
-    above SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError.
+    not below SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError.
 
     It serves twice: M'' through the LU of M' (numerical_null_space, on the
     dense path), and a pair section's M' and M'' through the Strang
@@ -813,11 +794,8 @@ class _Woodbury:
         x += first(b - apply(x))
         size = self._scale * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
         worst = np.max(np.linalg.norm(b - apply(x), axis=0) / size, initial=0.0)
-        if not worst <= SOLVE_BACKWARD_TOL:
-            raise NoSpectralGap(
-                f"a refined solve with the lifted section has backward error {worst:.3e}, "
-                f"above SOLVE_BACKWARD_TOL = {SOLVE_BACKWARD_TOL:.0e}"
-            )
+        below(worst, SOLVE_BACKWARD_TOL, NoSpectralGap,
+              "backward error of a refined solve with the lifted section")
         return x
 
 
@@ -1001,8 +979,9 @@ def residual_check(section: FiniteSection, f: TruncatedSeries, adjoint: bool = F
     vec = f.to_vector(n)
     exps = f.lo + np.arange(len(f.coeffs))
     outside = f.coeffs[(exps < 0) | (exps >= n)]
-    if len(outside) and np.linalg.norm(outside) > 1e-12 * max(f.norm(), 1e-300):
-        raise WindowTooTight("input has significant coefficients outside the section")
+    if len(outside):
+        below(np.linalg.norm(outside), 1e-12 * max(f.norm(), 1e-300), WindowTooTight,
+              "norm of the input's coefficients outside the section")
     nrm = np.linalg.norm(vec)
     if nrm == 0:
         return 0.0

@@ -25,9 +25,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AtJumpPoint, NotMatching, NumericalBreakdown, SignatureIndeterminate
+from . import oracle
+from .errors import (AtJumpPoint, NotMatching, NumericalBreakdown, SignatureIndeterminate,
+                     above, below)
 from .matching import _ONE, MATCH_TOL, _residual, _snap_sign
-from .oracle import toeplitz_matrix
 from .rational import RationalSymbol
 from .shift import ShiftParams, eval_alpha
 
@@ -330,16 +331,13 @@ def pc_alpha_signature(g: PCLike, p: float, shift: ShiftParams) -> int:
     and continuity at t_plus alone already determines the sign.
     """
     g = _as_pc(g)
-    resid = _matching_residual_pc(g, shift)
-    if resid >= MATCH_TOL:
-        raise NotMatching(f"g g_alpha - 1 residual {resid:.3e}")
+    below(_matching_residual_pc(g, shift), MATCH_TOL, NotMatching, "g g_alpha - 1 residual")
     zero = PCSymbol(RationalSymbol.constant(0.0), ())
     rep = fredholm_symbol_check(g, zero, p, shift, n_t=128, n_y=101)
     if not rep["fredholm"]:
         raise SignatureIndeterminate("T(g) is not Fredholm on this space")
     gl, gr = g.limits_at(shift.t_plus)
-    if abs(gl) < 1e-14:
-        raise SignatureIndeterminate("vanishing one-sided limit at t_plus")
+    above(abs(gl), 1e-14, SignatureIndeterminate, "|g(t_plus - 0)|")
     ratio = gr / gl
     if abs(ratio - 1.0) < 1e-10:
         # continuous at t_plus: read the value straight off
@@ -348,8 +346,8 @@ def pc_alpha_signature(g: PCLike, p: float, shift: ShiftParams) -> int:
     psi_l, psi_r = PsiFactor("t_plus", beta, shift).limits_at(shift.t_plus)
     v_left = gl / psi_l
     v_right = gr / psi_r
-    if abs(v_left - v_right) > 1e-8 * max(1.0, abs(v_left)):
-        raise SignatureIndeterminate("peeled factor is not continuous at t_plus")
+    below(abs(v_left - v_right), 1e-8 * max(1.0, abs(v_left)), SignatureIndeterminate,
+          "jump of the peeled factor at t_plus")
     return _snap_sign(0.5 * (v_left + v_right), "peeled value at t_plus")
 
 
@@ -425,6 +423,4 @@ def pc_toeplitz_entries(
     co = pc_fourier_coefficients(s, -(n - 1), n - 1)
     probe = pc_fourier_coefficients(s, n - 5, n - 1, refine=1.7)
     err = float(np.max(np.abs(co[-5:] - probe)))
-    col = co[n - 1 :]
-    row = co[: n][::-1]
-    return toeplitz_matrix(col, row), err
+    return oracle._toeplitz_window(co, n).copy(), err

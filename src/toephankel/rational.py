@@ -59,6 +59,7 @@ from .errors import (
     IllConditionedRoots,
     NotInvertibleOnCircle,
     NumericalBreakdown,
+    below,
 )
 from .laurent import LaurentPolynomial
 
@@ -371,10 +372,7 @@ class RationalSymbol:
         with np.errstate(all="ignore"):
             ref = self.eval(tgrid) - poly_part.eval(tgrid)
             err = float(np.max(np.abs(_eval_pf(terms, tgrid) - ref) / (1.0 + np.abs(ref))))
-        if not err < 1e-10:
-            raise IllConditionedRoots(
-                f"partial fractions failed to validate (error {err:.3e})"
-            )
+        below(err, 1e-10, IllConditionedRoots, "validation error of the partial fractions")
         return poly_part, terms
 
     def coefficients(self, lo: int, hi: int):

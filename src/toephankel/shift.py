@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BetaInsideDisk, CrossCheckMismatch, GridTooSmall, PoleHit
+from .errors import BetaInsideDisk, CrossCheckMismatch, GridTooSmall, PoleHit, below
 from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries
 
@@ -102,10 +102,8 @@ def _verify(shift: ShiftParams) -> None:
         ("chi (chi o alpha) = 1", np.abs(shift.chi.eval(t) * shift.chi.eval(a) - 1.0), tol),
     )
     for name, err, bound in checks:
-        if not np.max(err) < bound:
-            raise CrossCheckMismatch(
-                f"shift data for beta = {shift.beta:.6g} fail '{name}': "
-                f"error {np.max(err):.3e} >= {bound:.3e}")
+        below(np.max(err), bound, CrossCheckMismatch,
+              f"shift data for beta = {shift.beta:.6g} fail '{name}': error")
 
 
 def eval_alpha(shift: ShiftParams, t):

@@ -377,6 +377,8 @@ def test_malformed_spec_exits_one(problem, flags, tmp_path, capsys):
 @pytest.mark.parametrize("command, k, n", [
     ("basis", 400, None),      # a factor of the adjoint pair overflows
     ("signature", -2000, None),   # the denominator overflows on the circle
+    ("signature", 1300, None),    # the matching residual is NaN
+    ("signature", -1050, None),   # the matching residual is inf
     ("analyze", -2000, 64),
     ("fredholm", 2000, None),  # chi^2000 overflows on the arc: not "not Fredholm"
     ("verify", -500, 64),      # the section's sketch underflows
