@@ -72,12 +72,6 @@ def toeplitz_apply(g: RationalSymbol, f: Union[RationalSymbol, TruncatedSeries])
     return (g * f).part("P")
 
 
-def hankel_apply(b: RationalSymbol, f: RationalSymbol, shift: ShiftParams) -> RationalSymbol:
-    """H(b) f = P(b * J f); J f is anti-analytic for analytic f."""
-    jf = apply_J_alpha(f, shift)
-    return (b * jf).part("P")
-
-
 def _operator_symbol(pair: MatchingPair, sign: int, f):
     """a f + sign b J f, whose P is (T(a) + sign H(b)) f for analytic f."""
     return pair.a * f + float(sign) * (pair.b * apply_J_alpha(f, pair.shift))

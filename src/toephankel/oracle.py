@@ -187,13 +187,11 @@ def _toeplitz_window(window: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(window, width)[:, ::-1]
 
 
-def _toeplitz_entries(a: RationalSymbol, n: int) -> tuple[np.ndarray, float]:
+def _toeplitz_entries(a: RationalSymbol, n: int) -> np.ndarray:
     """T(a)'s n x n section as its window of 2n - 1 coefficients a_(1-n) ..
-    a_(n-1) (_toeplitz_window), from one certified FFT of a, and its tail
-    bound (GridTooSmall when a's poles hug the circle too closely for
-    FFT_CAP)."""
-    co = fourier_coefficients(a, (-(n - 1), n - 1))
-    return co.coeffs, float(co.tail or 0.0)
+    a_(n-1) (_toeplitz_window), from one certified FFT of a (GridTooSmall
+    when a's poles hug the circle too closely for FFT_CAP)."""
+    return fourier_coefficients(a, (-(n - 1), n - 1)).coeffs
 
 
 def _symbol_margin(s: RationalSymbol) -> int:
@@ -285,7 +283,7 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     """
     a, b = (payload.a, payload.b) if isinstance(payload, MatchingPair) else payload
     _refuse_oversized(n, n)
-    window, _ = _toeplitz_entries(a, n)
+    window = _toeplitz_entries(a, n)
     hank, flip, _ = _hankel_entries(b, shift, n)
     # T's first column a_0 .. a_(n-1), then its first row's a_(1-n) .. a_(-1)
     eig = np.fft.fft(np.concatenate((window[n - 1 :], [0.0], window[: n - 1])))
@@ -320,8 +318,7 @@ def operator_section(
             entries, _ = pc_toeplitz_entries(sym, shift, n)
             return FiniteSection(n, entries, kind, {"margin": n // 2})
         if kind == "toeplitz":
-            window, _ = _toeplitz_entries(sym, n)
-            entries = _toeplitz_window(window, n).copy()
+            entries = _toeplitz_window(_toeplitz_entries(sym, n), n).copy()
             margin = _symbol_margin(sym)
         else:
             hank, flip, _ = _hankel_entries(sym, shift, n)
@@ -335,7 +332,7 @@ def operator_section(
             pair = payload
         else:
             pair = make_matching_pair(*payload, shift)
-        tc, td, taai = (_toeplitz_window(_toeplitz_entries(s, n)[0], n)
+        tc, td, taai = (_toeplitz_window(_toeplitz_entries(s, n), n)
                         for s in (pair.c, pair.d, pair.a_alpha_inv))
         z = np.zeros((n, n), dtype=complex)
         entries = np.block([[z, td], [-tc, taai]])
@@ -403,23 +400,25 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
 
     No n x n SVD, least-squares solve or inverse is taken.  M''s solves come
     from _augmented_solves, once per sketch width: for a pair section that
-    _cheaper passes, through its circulant-plus-low-rank structure (each
-    solve refined once and gated by SOLVE_BACKWARD_TOL; a failed gate widens
-    the sketch), else from one factorization of the formed M' (_factor).
-    Where M' took the structured path, M'' comes from the same builder:
-    solved through S with a capacitance of R + rank(E) + k columns, a
-    failed gate turning it to the LU of the formed M''.  Else
+    _cheaper passes, through its circulant-plus-low-rank structure
+    (_Woodbury), else from one factorization of the formed M' (_factor).
+    Where M' took the structured path, M'' comes from the same builder,
+    solved through S with a capacitance of R + rank(E) + k columns (formed
+    and factored where _cheaper refuses that width).  Else
     M'' = M' + L R^H, with L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0,
     M'' = M), is solved on both sides through M''s solves by the Woodbury
-    identity, each solve refined once against M'' and gated by its backward
-    error (_Woodbury, SOLVE_BACKWARD_TOL), so neither M'' nor the power
-    step adds a factorization.  A singular M'' (a singular capacitance) is
-    NoSpectralGap.  Besides the section, on the structured path no n x n
-    block is held but a fallback's LU; on the dense path one: M', which
-    zgetrf overwrites with its factors, until the null space returns (on
-    the np.linalg.solve fallback also LAPACK's copy of it, factored again
-    for every solve).  The rest is O(n (R + rank(E) + p + k)): the
-    factors' products, the solves' columns and the Lanczos vectors.
+    identity (_Woodbury), so neither M'' nor the power step adds a
+    factorization.  One rule holds for every solve through _Woodbury: it is
+    refined once and gated by its backward error (SOLVE_BACKWARD_TOL); a
+    failed gate with M' widens the sketch, and one with M'' is
+    NoSpectralGap, as a wider sketch leaves M'' as it is.  A singular M''
+    (a singular capacitance) is NoSpectralGap too.  Besides the section,
+    on the structured path no n x n block is held but a formed M''; on the
+    dense path one: M', which zgetrf overwrites with its factors, until the
+    null space returns (on the np.linalg.solve fallback also LAPACK's copy
+    of it, factored again for every solve).  The rest is
+    O(n (R + rank(E) + p + k)): the factors' products, the solves' columns
+    and the Lanczos vectors.
     """
     n = section.size
     rng = np.random.default_rng(0)
@@ -453,11 +452,11 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     need = max(cut, SVD_GAP * dropped)   # the cut, or SVD_GAP over the dropped values
     above(ritz[-1 - k], need, NoSpectralGap, "smallest kept Ritz value")   # ritz descending
     try:   # M''
-        if isinstance(lu, _Structured):
-            lu = augmented(smax * near_left, right, True)
-        else:
+        if isinstance(lu, (_LU, _Solve)):   # a dense M'
             lu = _Woodbury(section, smax, lu, (smax * near_left, right),
                            (smax * y, z, smax * span[:, :p], adj[:, :p]))
+        else:
+            lu = augmented(smax * near_left, right)
         solved = lu.solve_adjoint(np.hstack((right, _gaussian(rng, n, PROBES))))
         kept = _smallest_bound(solved[:, k:])
         if not kept > need:   # one power step
@@ -532,11 +531,8 @@ def _blas_threads():
 
 def _augmented_solves(section: FiniteSection, scale: float):
     """The solves of numerical_null_space's M' (and M'') = M + left right^H,
-    as a function of (left, right, fallback); scale is about ||M||.  The one
-    place that chooses between the dense and the structured path
-    (_Structured only turns a block to the dense one when a solve fails its
-    gate, and only with fallback, which M'' alone sets; without it the
-    failure is raised).
+    as a function of (left, right); scale is about ||M||.  The one place
+    that chooses between the dense and the structured path.
 
     Dense path: LAPACK's LU of the block section.augmented forms (_factor).
     It serves sections without factors, the cross-check of the other path,
@@ -555,11 +551,11 @@ def _augmented_solves(section: FiniteSection, scale: float):
     refined once against the exact M' and gated by SOLVE_BACKWARD_TOL.
     S^-1 P0 and S^-H Q0 are taken once per null space, so a wider sketch,
     and M'' with left = sigma_max W0 and right = V, cost a new capacitance,
-    not a new factorization.  With fallback, a solve that fails the gate,
-    or a singular capacitance, turns that block to the dense path
-    (_Structured).  Held: O(n (R + rank(E) + p)), no n x n block."""
+    not a new factorization.  A solve that fails its gate, or a singular
+    capacitance, raises to numerical_null_space.  Held:
+    O(n (R + rank(E) + p)), no n x n block."""
 
-    def dense(left, right, fallback=False):   # fallback: moot for an LU
+    def dense(left, right):
         return _factor(section.augmented(left, right))
 
     if section.factors is None:
@@ -583,11 +579,10 @@ def _augmented_solves(section: FiniteSection, scale: float):
     circulant = _Circulant(1.0 / eig)
     drop = (p0, q0, circulant.solve(p0), circulant.solve_adjoint(q0))
 
-    def solves(left, right, fallback=False):
+    def solves(left, right):
         if not _cheaper(n, extents, q0.shape[1] + right.shape[1]):
             return dense(left, right)
-        return _Structured(_Woodbury(section, scale, circulant, (left, right), drop),
-                           (lambda: dense(left, right)) if fallback else None)
+        return _Woodbury(section, scale, circulant, (left, right), drop)
 
     return solves
 
@@ -636,32 +631,6 @@ class _Circulant:
 
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         return _circulant(self._inv.conj(), rhs)
-
-
-class _Structured:
-    """The solves of an M' or M'' through S (_Woodbury), until one fails its
-    gate or meets a singular capacitance: then, and from then on, the LU of
-    the formed block (dense), whose own LinAlgError is numerical_null_space's.
-    Without dense (an M': only M'' is built with it) that failure is
-    raised, and numerical_null_space widens the sketch instead."""
-
-    def __init__(self, solves: _Woodbury, dense):
-        self._solves, self._dense = solves, dense
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._run(lambda solves: solves.solve(rhs))
-
-    def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
-        return self._run(lambda solves: solves.solve_adjoint(rhs))
-
-    def _run(self, call):
-        try:
-            return call(self._solves)
-        except (NoSpectralGap, NumericalBreakdown, np.linalg.LinAlgError):
-            if self._dense is None:
-                raise
-            self._solves, self._dense = self._dense(), None
-        return call(self._solves)
 
 
 def _factor(aug: np.ndarray) -> _LU | _Solve:
@@ -736,15 +705,15 @@ class _Woodbury:
     identity (Hager, SIAM Review 31, 1989)
         M''^-1 b = M'^-1 b - (M'^-1 L) C^-1 R^H M'^-1 b,   C = I + R^H M'^-1 L,
         M''^-H b = M'^-H b - (M'^-H R) C^-H L^H M'^-H b,   C^H = I + L^H M'^-H R;
-    the lift's two solves are taken here, M'^-H Q in the getrs pass of the
-    first adjoint solve (_adjoint_stage).  Each side takes its C from its
-    own solves, as the fallback factors M' and M'^T apart.  C can be far
-    worse conditioned than M' and M'' (5e13, chi^-10 at beta 1.5+0.5j, N = 256),
-    so each solve is refined once against M x + P (Q^H x), or its adjoint,
-    M x from section.product (structured for a pair section),
-    and raises NoSpectralGap if a column's normwise backward error
-    ||b - M'' x|| / (scale ||x|| + ||b||), scale about ||M''||, is then
-    not below SOLVE_BACKWARD_TOL.  A singular C raises LinAlgError.
+    the lift's two solves, M'^-1 P and M'^-H Q, and both C are taken when
+    it is built.  Each side takes its C from its own solves, as the fallback
+    factors M' and M'^T apart.  C can be far worse conditioned than M' and
+    M'' (5e13, chi^-10 at beta 1.5+0.5j, N = 256), so each solve is refined
+    once against M x + P (Q^H x), or its adjoint, M x from section.product
+    (structured for a pair section), and raises NoSpectralGap if a column's
+    normwise backward error ||b - M'' x|| / (scale ||x|| + ||b||), scale
+    about ||M''||, is then not below SOLVE_BACKWARD_TOL.  A singular C
+    raises LinAlgError.
 
     It serves twice: M'' through the LU of M' (numerical_null_space, on the
     dense path), and a pair section's M' and M'' through the Strang
@@ -752,25 +721,14 @@ class _Woodbury:
     cut of T's corners, a difference the refinement takes out."""
 
     def __init__(self, section: FiniteSection, scale: float, lu, lift, drop):
-        (p, q), (p0, q0, inv_p0, self._adj_q0) = lift, drop
+        (p, q), (p0, q0, inv_p0, adj_q0) = lift, drop
         self._section, self._scale, self._lu, self._p, self._q = section, scale, lu, p, q
         self._left_h, self._right_h = np.hstack((p, -p0)).conj().T, np.hstack((q, q0)).conj().T
         self._inv_left = np.hstack((lu.solve(p), -inv_p0))          # M'^-1 L
-        self._c = np.eye(len(self._left_h)) + self._right_h @ self._inv_left
-        self._adj_right = self._c_adj = None   # set by the first adjoint solve
-
-    def _adjoint_stage(self, b: np.ndarray) -> np.ndarray:
-        """M'^-H b.  The first call also sets M'^-H R and C^H, taking M'^-H Q
-        from the same getrs pass: from b's own solution where b begins with
-        Q (numerical_null_space's [V, G]), else from Q solved alongside b."""
-        if self._c_adj is not None:
-            return self._lu.solve_adjoint(b)
-        k = self._q.shape[1]
-        lead = np.array_equal(b[:, :k], self._q)
-        x = self._lu.solve_adjoint(b if lead else np.hstack((self._q, b)))
-        self._adj_right = np.hstack((x[:, :k], self._adj_q0))   # M'^-H R
-        self._c_adj = np.eye(len(self._left_h)) + self._left_h @ self._adj_right
-        return x if lead else x[:, k:]
+        self._adj_right = np.hstack((lu.solve_adjoint(q), adj_q0))  # M'^-H R
+        eye = np.eye(len(self._left_h))
+        self._c = eye + self._right_h @ self._inv_left
+        self._c_adj = eye + self._left_h @ self._adj_right
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
@@ -782,7 +740,7 @@ class _Woodbury:
 
     def solve_adjoint(self, rhs: np.ndarray) -> np.ndarray:
         def first(b):
-            x = self._adjoint_stage(b)
+            x = self._lu.solve_adjoint(b)
             return x - self._adj_right @ np.linalg.solve(self._c_adj, self._left_h @ x)
 
         return self._refined(

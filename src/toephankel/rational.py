@@ -291,6 +291,8 @@ class RationalSymbol:
             * np.prod((q - p / r * s) ** mults[at_inf])
             * r ** (-degree)
         )
+        if lead == 0:   # no factor is 0 (p - z r and q - p s / r are not), so it underflowed
+            raise NumericalBreakdown("the composed lead underflows to 0")
         return RationalSymbol.from_factors(
             lead, 0, np.append((s * z - q) / (p - z * r), -s / r), np.append(k, -degree)
         )

@@ -376,6 +376,7 @@ def test_malformed_spec_exits_one(problem, flags, tmp_path, capsys):
 
 @pytest.mark.parametrize("command, k, n", [
     ("basis", 400, None),      # a factor of the adjoint pair overflows
+    ("basis", 1100, None),     # the lead of a o alpha underflows to 0: not a zero symbol
     ("signature", -2000, None),   # the denominator overflows on the circle
     ("signature", 1300, None),    # the matching residual is NaN
     ("signature", -1050, None),   # the matching residual is inf

@@ -32,9 +32,9 @@ from toephankel import (
 from toephankel import oracle
 from toephankel.oracle import SVD_GAP, SVD_TOL, NullSpace
 from toephankel.cli import main, parse_symbol
-from toephankel.errors import NoSpectralGap, WindowTooTight
+from toephankel.errors import NoSpectralGap, NumericalBreakdown, WindowTooTight
 from toephankel.kernels import analytic_series
-from toephankel.shift import eval_alpha
+from toephankel.shift import apply_J_alpha, eval_alpha
 
 from helpers import benchmark_oracle_pairs
 
@@ -62,23 +62,24 @@ def test_toeplitz_chi_entries(shift2):
     assert np.max(np.abs(sec.entries[:3, :3] - expect)) < 1e-13
 
 
+def _hankel_column(b, k, sh):
+    """Column k of H(b), exactly: H(b) t^k = P(b J t^k)."""
+    return (b * apply_J_alpha(RationalSymbol.monomial(k), sh)).part("P")
+
+
 def test_hankel_columns_match_exact_action(shift2, rng):
     # column k of H(b) is the analytic part of b * (flip of t^k)
-    from toephankel.kernels import hankel_apply
-
     b = shift2.chi.power(-2) + RationalSymbol.constant(0.5)
     n = 24
     sec = operator_section("hankel", b, shift2, n)
     for k in (0, 1, 5):
-        col = hankel_apply(b, RationalSymbol.monomial(k), shift2)
+        col = _hankel_column(b, k, shift2)
         expect = analytic_series(col).to_vector(n)
         assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
 
 
 @pytest.mark.parametrize("beta", [2.0, 2j, 1.5 + 0.5j])
 def test_hankel_columns_match_exact_action_nonzero(beta):
-    from toephankel.kernels import hankel_apply
-
     sh = make_shift(beta)
     b = sh.chi * RationalSymbol.from_factors(
         0.7 - 0.2j, -1, [0.4 + 0.2j, 2.1 - 0.7j, -0.5j], [-1, -1, 1]
@@ -87,7 +88,7 @@ def test_hankel_columns_match_exact_action_nonzero(beta):
     sec = operator_section("hankel", b, sh, n)
     largest = 0.0
     for k in (0, 1, 5):
-        col = hankel_apply(b, RationalSymbol.monomial(k), sh)
+        col = _hankel_column(b, k, sh)
         expect = analytic_series(col).to_vector(n)
         largest = max(largest, np.max(np.abs(expect)))
         assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
@@ -158,13 +159,11 @@ def test_hankel_flip_window_cut_is_exact():
 def test_hankel_columns_near_circle(beta):
     # N = 1024 columns against the exact action.  b's one pole outside the
     # disk is p, simple, so P(b J t^k) = rho (J t^k)(p) / (t - p), rho the
-    # residue: column k is -rho (J t^k)(p) p^(-j-1).  hankel_apply confirms
+    # residue: column k is -rho (J t^k)(p) p^(-j-1).  _hankel_column confirms
     # this for k = 0, 1; from k = 16 (beta 1.2) or 10 (beta 1.05) on it
     # raises DenominatorNearZero at the (k+1)-fold pole of J t^k.  Columns
     # 511 and 1023 fall like |alpha(p)|^k to rounding level, which the
     # section must not amplify.
-    from toephankel.kernels import hankel_apply
-
     sh = make_shift(beta)
     p = 2.1 - 0.7j
     rest = sh.chi * RationalSymbol.from_factors(0.7 - 0.2j, -1, [0.4 + 0.2j, -0.5j], [-1, 1])
@@ -176,7 +175,7 @@ def test_hankel_columns_near_circle(beta):
         flip_at_p = sh.lam * eval_alpha(sh, p) ** k / (np.conj(sh.beta) * p - 1.0)
         expect = -rest.eval(p) * flip_at_p * p ** (-j - 1.0)
         if k < 2:
-            exact = analytic_series(hankel_apply(b, RationalSymbol.monomial(k), sh))
+            exact = analytic_series(_hankel_column(b, k, sh))
             assert np.max(np.abs(exact.to_vector(n) - expect)) < 1e-12
             assert np.max(np.abs(expect)) > 0.1
         assert np.max(np.abs(sec.entries[:, k] - expect)) < 1e-10
@@ -484,14 +483,17 @@ def test_null_space_solve_budget(shift2, monkeypatch):
     # (the pair sections' factorless copies here) factors M' once (_factor)
     # and solves M'' through M''s solves; a pair section on the structured
     # path (forced: at N = 128 the dispatch takes the dense one) builds the
-    # solves of M' and of M'' through S (_Structured, twice) and factors
-    # nothing.  With LAPACK bound no n x n least-squares solve, SVD, inverse
-    # or np.linalg.solve, and none on the structured path at all; Ritz SVDs
-    # of at most 4 max(k, SKETCH) columns, the SVDs of E's corners (_corner)
-    # apart.  Adjoint solves: one with M' per sketch width, then on the
-    # dense path two with M' per adjoint solve with M'' (refined), M'^-H V
-    # taken from the first of them, and on the structured path one per
-    # adjoint solve with M''
+    # solves of M' and of M'' through S (a _Woodbury on the circulant,
+    # twice) and factors nothing.  With LAPACK bound no n x n least-squares
+    # solve, SVD, inverse or np.linalg.solve, and none on the structured
+    # path at all; Ritz SVDs of at most 4 max(k, SKETCH) columns, the SVDs
+    # of E's corners (_corner) apart.  Adjoint solves, counted on the LU and
+    # on every _Woodbury: one with M' per sketch width; then on the dense
+    # path one with M' as M'' is built (M'^-H V), and three per adjoint
+    # solve with M'' (its own and the two with M' it is refined with): 5 for
+    # chi^-2, 8 for chi^3 with its power step, 6 for the diagonal (two
+    # widths) and 5 for the identity; on the structured path one per
+    # adjoint solve with M'' (S's own are not counted): 2 and 3
     calls, factored, built, powers, adjoint, corner = [], [], [], [], [], []
     for name in ("lstsq", "svd", "solve", "inv"):
         def recorded(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -515,10 +517,15 @@ def test_null_space_solve_budget(shift2, monkeypatch):
     monkeypatch.setattr(oracle, "_factor", counted)
     monkeypatch.setattr(oracle, "_corner", in_corner)
     monkeypatch.setattr(oracle, "_cheaper", lambda *args: True)
-    build = oracle._Structured.__init__
-    monkeypatch.setattr(oracle._Structured, "__init__",
-                        lambda self, *args: built.append(True) or build(self, *args))
-    for solver in (oracle._LU, oracle._Solve, oracle._Structured):
+    build = oracle._Woodbury.__init__
+
+    def counted_build(self, section, scale, lu, *args):
+        if isinstance(lu, oracle._Circulant):
+            built.append(True)
+        build(self, section, scale, lu, *args)
+
+    monkeypatch.setattr(oracle._Woodbury, "__init__", counted_build)
+    for solver in (oracle._LU, oracle._Solve, oracle._Woodbury):
         monkeypatch.setattr(solver, "solve_adjoint", lambda self, rhs, _fn=solver.solve_adjoint:
                             adjoint.append(rhs.shape) or _fn(self, rhs))
     bound_of = oracle._smallest_bound
@@ -526,15 +533,15 @@ def test_null_space_solve_budget(shift2, monkeypatch):
                         lambda probes, power=1: powers.append(power) or bound_of(probes, power))
     bound = oracle._lapack() is not None
     near = make_shift(1.2)
-    pairs = [(oracle.pair_sections((shift2.chi.power(-2),) * 2, shift2, 128)["+"], 2, [1], 3, 2),
-             (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, [1, 3], 5, 3)]
+    pairs = [(oracle.pair_sections((shift2.chi.power(-2),) * 2, shift2, 128)["+"], 2, [1], 5, 2),
+             (oracle.pair_sections((near.chi.power(3),) * 2, near, 128)["+"], 2, [1, 3], 8, 3)]
     d = np.ones(64)
     d[::8] = 0.0
     sections = [(_dense(sec), dim, 1, 0, bound_powers, solves)
                 for sec, dim, bound_powers, solves, _ in pairs]
     sections += [
-        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, 0, [1], 4),
-        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 1, 0, [1], 3),
+        (FiniteSection(64, np.diag(d).astype(complex), "toeplitz", {}), 8, None, 0, [1], 6),
+        (FiniteSection(64, np.eye(64, dtype=complex), "toeplitz", {}), 0, 1, 0, [1], 5),
     ]
     sections += [(sec, dim, 0, 2, bound_powers, solves)
                  for sec, dim, bound_powers, _, solves in pairs]
@@ -984,12 +991,11 @@ def test_structured_solves_match_lu(n, monkeypatch):
     # solved on both sides through S (_augmented_solves): normwise backward
     # errors within SOLVE_BACKWARD_TOL of M', as the LU of the formed block
     # (_factor) gives below N = 1024.  Below N = 1024 the structured path is
-    # forced; at N = 1024 the dispatch chooses (44 of the 54 M').  A solve
-    # that fails its gate turns to the LU: with k > p, M' is singular to
-    # about the cut and its capacitance to rounding (chi^-10 at beta
-    # 1.5+0.5j: 1.7e-13), so most M' stay structured, not all: 41-54 of
-    # the 54 at each N.  The builder is asked for that fallback, which
-    # numerical_null_space gives M'' alone
+    # forced; at N = 1024 the dispatch chooses (44 of the 54 M').  A
+    # structured solve that fails its gate raises and is not kept: with
+    # k > p, M' is singular to about the cut and its capacitance to
+    # rounding (chi^-10 at beta 1.5+0.5j: 1.7e-13), so most M' keep their
+    # structured solves, not all: 43-54 of the 54 at each N
     if n < 1024:
         monkeypatch.setattr(oracle, "_cheaper", lambda *args: True)
     rng = np.random.default_rng(4)
@@ -999,16 +1005,22 @@ def test_structured_solves_match_lu(n, monkeypatch):
         left = scale * oracle._gaussian(rng, n, oracle.SKETCH)
         right = oracle._gaussian(rng, n, oracle.SKETCH)
         b = oracle._gaussian(rng, n, 3)
-        solves = oracle._augmented_solves(sec, scale)(left, right, True)
-        if not isinstance(solves, oracle._Structured):
+        solves = oracle._augmented_solves(sec, scale)(left, right)
+        if not isinstance(solves, oracle._Woodbury):
             continue
         m = sec.entries
         solvers = [solves] if n == 1024 else [solves, oracle._factor(left @ right.conj().T + m)]
         for solver in solvers:
-            for x, op in ((solver.solve(b), m), (solver.solve_adjoint(b), m.conj().T)):
+            try:
+                solved = ((solver.solve(b), m), (solver.solve_adjoint(b), m.conj().T))
+            except (NoSpectralGap, NumericalBreakdown, np.linalg.LinAlgError):
+                if solver is not solves:
+                    raise
+                continue   # a structured solve that failed its gate
+            for x, op in solved:
                 lifted = (left, right) if op is m else (right, left)
                 assert _backward_error(op, *lifted, b, x, scale) <= oracle.SOLVE_BACKWARD_TOL
-        kept += solves._dense is not None   # still on the structured path
+            kept += solver is solves
     assert kept >= 40
 
 
@@ -1018,29 +1030,36 @@ _WIDENING = {(-10, 1.2), (-10, 1.05), (-6, 1.05)}
 
 
 def _recorded_structured(monkeypatch):
-    """Every _Structured numerical_null_space builds; those of an M'' (built
-    with their fallback) record each solve as (adjoint, rhs, x, whether
-    still on the structured path)."""
+    """Every _Woodbury numerical_null_space builds on the circulant S (a
+    structured M' or M''), each recording its solves as (adjoint, rhs, x),
+    x None for a solve that raised."""
     made = []
 
-    class Recorded(oracle._Structured):
-        def __init__(self, solves, dense):
-            super().__init__(solves, dense)
-            self.lifted = dense is not None   # only M'' is built with its fallback
-            self.lift, self.scale, self.solved = (solves._p, solves._q), solves._scale, []
-            made.append(self)
+    class Recorded(oracle._Woodbury):
+        def __init__(self, section, scale, lu, lift, drop):
+            super().__init__(section, scale, lu, lift, drop)
+            # M'' is lifted by V, whose columns are orthonormal; M' by the Gaussian Z
+            q = lift[1]
+            self.lifted = np.allclose(q.conj().T @ q, np.eye(q.shape[1]))
+            self.lift, self.scale, self.solved = lift, scale, []
+            if isinstance(lu, oracle._Circulant):
+                made.append(self)
 
         def solve(self, rhs):
-            x = super().solve(rhs)
-            self.solved.append((False, rhs, x, self._dense is not None))
-            return x
+            return self._recorded(False, rhs, super().solve)
 
         def solve_adjoint(self, rhs):
-            x = super().solve_adjoint(rhs)
-            self.solved.append((True, rhs, x, self._dense is not None))
-            return x
+            return self._recorded(True, rhs, super().solve_adjoint)
 
-    monkeypatch.setattr(oracle, "_Structured", Recorded)
+        def _recorded(self, adjoint, rhs, solve):
+            x = None
+            try:
+                x = solve(rhs)
+                return x
+            finally:
+                self.solved.append((adjoint, rhs, x))
+
+    monkeypatch.setattr(oracle, "_Woodbury", Recorded)
     return made
 
 
@@ -1053,10 +1072,9 @@ def test_structured_lifted_solves_and_dims(n, monkeypatch):
     # NoSpectralGap verdicts of each section's factorless copy.  At
     # N = 1024 (the _WIDENING sections left out) a null space with a
     # structured M' factors nothing: a width whose structured solve fails
-    # its gate (p < k, chi^-10 and chi^-6 at beta 1.5+0.5j, which paid an
-    # LU each before p doubled) goes straight to the wider sketch.  There
-    # only those four null spaces are compared with their factorless copies
-    # (one n x n LU each); N = 256 compares all
+    # its gate (p < k, chi^-10 and chi^-6 at beta 1.5+0.5j) goes straight
+    # to the wider sketch.  There only those four null spaces are compared
+    # with their factorless copies (one n x n LU each); N = 256 compares all
     made, factored = _recorded_structured(monkeypatch), []
     factor = oracle._factor
     monkeypatch.setattr(oracle, "_factor", lambda aug: factored.append(aug.shape) or factor(aug))
@@ -1065,8 +1083,8 @@ def test_structured_lifted_solves_and_dims(n, monkeypatch):
         made.clear()
         factored.clear()
         ns = _null_space_or_gap(sec)
-        # an M' that failed its gate returned fewer than its two solves
-        failed = any(len(s.solved) < 2 for s in made if not s.lifted)
+        # an M' that failed its gate raised in one of its two solves
+        failed = any(x is None for s in made if not s.lifted for *_, x in s.solved)
         if n == 1024 and made:
             structured += 1
             failures += failed
@@ -1074,10 +1092,10 @@ def test_structured_lifted_solves_and_dims(n, monkeypatch):
         m = sec.entries
         for solver in (s for s in made if s.lifted):
             p, q = solver.lift
-            lifted += all(kept for *_, kept in solver.solved)
-            for adjoint, b, x, kept in solver.solved:
+            lifted += all(x is not None for *_, x in solver.solved)
+            for adjoint, b, x in solver.solved:
                 op, lift = (m.conj().T, (q, p)) if adjoint else (m, (p, q))
-                assert not kept or _backward_error(op, *lift, b, x, solver.scale) \
+                assert x is None or _backward_error(op, *lift, b, x, solver.scale) \
                     <= oracle.SOLVE_BACKWARD_TOL
         if n == 1024 and not failed:
             continue
@@ -1086,18 +1104,18 @@ def test_structured_lifted_solves_and_dims(n, monkeypatch):
         if ns is not None:
             assert ns.dim == ref.dim
             assert localized_null_dims(ns, n) == localized_null_dims(ref, n)
-    # 24 and 44 M'' kept structured at N = 256 and 1024, where 44 null spaces took it
+    # 24 and 44 M'' passed every gate at N = 256 and 1024, where 44 null spaces took it
     assert lifted >= {256: 20, 1024: 40}[n]
     assert n < 1024 or (structured >= 40 and failures >= 4)
 
 
-def test_structured_lifted_gate_failure_takes_the_lu(shift2, monkeypatch):
-    # a structured M'' whose solves fail their gate turns to the LU of the
-    # formed M'' (_Structured's fallback: one n x n _factor) and keeps the dim
+def test_structured_lifted_gate_failure_is_no_spectral_gap(shift2, monkeypatch):
+    # a structured M'' whose solves fail their gate is NoSpectralGap, as a
+    # wider sketch leaves M'' as it is; the formed M'' is never factored
     sec = oracle.pair_sections((shift2.chi.power(-2),) * 2, shift2, 256)["+"]
     made, factored = _recorded_structured(monkeypatch), []
     assert numerical_null_space(sec).dim == 2
-    assert [s.lifted for s in made] == [False, True] and made[1].solved[0][3]
+    assert [s.lifted for s in made] == [False, True]
     factor, woodbury = oracle._factor, oracle._Woodbury
     monkeypatch.setattr(oracle, "_factor", lambda aug: factored.append(aug.shape) or factor(aug))
 
@@ -1109,9 +1127,10 @@ def test_structured_lifted_gate_failure_takes_the_lu(shift2, monkeypatch):
 
     monkeypatch.setattr(oracle, "_Woodbury", Failing)
     made.clear()
-    assert numerical_null_space(sec).dim == 2
-    assert factored == [(256, 256)]
-    assert [s.lifted for s in made] == [False, True] and not made[1].solved[0][3]
+    with pytest.raises(NoSpectralGap, match="forced gate failure"):
+        numerical_null_space(sec)
+    assert factored == []
+    assert [s.lifted for s in made] == [False, True] and made[1].solved[0][2] is None
 
 
 def test_pair_sections_at_1024_factor_no_block(monkeypatch):
