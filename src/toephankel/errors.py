@@ -126,8 +126,14 @@ def above(value: float, bound: float, error: type[ToepHankelError], what: str) -
     _gate(value > bound, value, bound, error, f"{what} {value:.3e} is not above {bound:.3e}")
 
 
-def _gate(passed: bool, value: float, bound: float, error, message: str) -> None:
-    if not (math.isfinite(value) and math.isfinite(bound)):
+def finite(message: str, *values: float) -> None:
+    """below's rule for NaN and inf, alone: NumericalBreakdown unless every
+    value is finite (a ladder's rungs, the first product of a norm estimate)."""
+    if not all(math.isfinite(v) for v in values):
         raise NumericalBreakdown(f"{message}: not finite")
+
+
+def _gate(passed: bool, value: float, bound: float, error, message: str) -> None:
+    finite(message, value, bound)
     if not passed:
         raise error(message)

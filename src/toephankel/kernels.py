@@ -94,8 +94,7 @@ def operator_residual(pair: MatchingPair, sign: int, f: RationalSymbol) -> float
 def analytic_series(f: RationalSymbol) -> TruncatedSeries:
     """Coefficient window of an analytic rational, certified below
     SERIES_TAIL_TOL by analytic_pad."""
-    c, tail = f.coefficients(0, f.analytic_pad(SERIES_TAIL_TOL))
-    return TruncatedSeries(0, c, tail=tail).trim(1e-14)
+    return TruncatedSeries(0, f.coefficients(0, f.analytic_pad(SERIES_TAIL_TOL))[0]).trim(1e-14)
 
 
 # ---------------------------------------------------------------------------

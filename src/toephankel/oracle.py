@@ -15,7 +15,7 @@ rank R.  Products go through them at O(N log N + N R) a column
 (FiniteSection).
 
 A section's null space comes from the solves of two augmented sections
-(numerical_null_space): sigma_max from a few Golub-Kahan-Lanczos steps
+(numerical_null_space): sigma_max from a few Lanczos steps on M^H M
 (for a pair section started at the Fourier mode where |a| peaks), the
 right basis from a Rayleigh-Ritz step on the range of two solves with a
 randomly augmented section M', and the left basis and the spectral-gap
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (GridTooSmall, InputError, NoSpectralGap, NumericalBreakdown, WindowTooTight,
-                     above, below)
+                     above, below, finite)
 from .matching import MatchingPair, make_matching_pair
 from .rational import RationalSymbol
 from .series import FFT_CAP, TruncatedSeries, fourier_coefficients
@@ -73,7 +73,7 @@ SVD_TOL = 1e-8
 SVD_GAP = 100.0
 SKETCH = 4             # rank of the first augmentation of a section (numerical_null_space)
 PROBES = 4             # extra random right-hand sides that bound a smallest singular value
-LANCZOS_STEPS = 20     # Golub-Kahan-Lanczos steps of the sigma_max estimate from a random start
+LANCZOS_STEPS = 20     # Lanczos steps on M^H M of the sigma_max estimate from a random start
 # and from a pair section's start at the peak of |a| (_norm_estimate).  Worst shortfall below
 # ||M||_2 (random start, 20 steps / this start, 8 steps / this start, 10 steps): 8.1e-4 / 2.6e-4
 # / 7.9e-5 on the ORACLE_PAIRS sections at N = 1024; 9.9e-4 / 3.4e-4 / 2.3e-4 and 4.8e-3 / 3.7e-4
@@ -137,10 +137,6 @@ class FiniteSection:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         return entries
-
-    @property
-    def margin(self) -> int:
-        return int(self.meta.get("margin", 0))
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """M x, for a vector or a block of columns x."""
@@ -212,9 +208,10 @@ def _hankel_entries(
     C's uncut columns have unit l2 norm (J is an isometry), so an entry
     loses at most the l2 norm of b_{R+1}, b_{R+2}, ... to the cut: the
     returned tail.  Returns (B, C, tail), B n x R and C R x n (R = 0 where
-    H(b) = 0).  GridTooSmall when the tail exceeds ENTRY_TAIL_TOL *
-    max(1, |H|), or B would outgrow both the section and FFT_CAP; B @ C is
-    formed only for a tail above ENTRY_TAIL_TOL."""
+    H(b) = 0).  GridTooSmall when the tail is not below ENTRY_TAIL_TOL *
+    max(1, |H|), or B would outgrow both the section and FFT_CAP, and
+    NumericalBreakdown when it is not finite; B @ C is formed only for a
+    tail not below ENTRY_TAIL_TOL."""
     r = b.analytic_pad(np.finfo(float).eps)
     if r == 0:   # no analytic coefficient of positive index: H(b) = 0
         empty = np.zeros((n, 0), dtype=complex)
@@ -225,8 +222,9 @@ def _hankel_entries(
     tail = float(np.linalg.norm(co[r:]))
     hank = np.lib.stride_tricks.sliding_window_view(co[: n - 1 + r], r).copy()   # B
     flip = _flip_matrix(shift, r, n)
-    if tail > ENTRY_TAIL_TOL and tail > ENTRY_TAIL_TOL * np.max(np.abs(hank @ flip)):
-        raise GridTooSmall(f"hankel window R={r} leaves a tail of {tail:.3e}")
+    if not tail < ENTRY_TAIL_TOL:   # NaN and inf too: below makes them NumericalBreakdown
+        below(tail, ENTRY_TAIL_TOL * np.max(np.abs(hank @ flip), initial=1.0), GridTooSmall,
+              f"tail of the hankel window R={r}")
     return hank, flip, tail
 
 
@@ -294,12 +292,7 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     }
 
 
-def operator_section(
-    kind: str,
-    payload,
-    shift: ShiftParams,
-    n: int,
-) -> FiniteSection:
+def operator_section(kind: str, payload, shift: ShiftParams, n: int) -> FiniteSection:
     """Build the N x N (or 2N x 2N for the block) section.
 
     kind is one of 'toeplitz', 'hankel', 'plus', 'minus', 'block'.
@@ -328,16 +321,13 @@ def operator_section(
     if kind in ("plus", "minus"):
         return pair_sections(payload, shift, n)["+" if kind == "plus" else "-"]
     if kind == "block":
-        if isinstance(payload, MatchingPair):
-            pair = payload
-        else:
-            pair = make_matching_pair(*payload, shift)
-        tc, td, taai = (_toeplitz_window(_toeplitz_entries(s, n), n)
-                        for s in (pair.c, pair.d, pair.a_alpha_inv))
+        if not isinstance(payload, MatchingPair):
+            payload = make_matching_pair(*payload, shift)
+        symbols = (payload.c, payload.d, payload.a_alpha_inv)
+        tc, td, taai = (_toeplitz_window(_toeplitz_entries(s, n), n) for s in symbols)
         z = np.zeros((n, n), dtype=complex)
         entries = np.block([[z, td], [-tc, taai]])
-        margin = max(_symbol_margin(pair.c), _symbol_margin(pair.d),
-                     _symbol_margin(pair.a_alpha_inv))
+        margin = max(map(_symbol_margin, symbols))
         return FiniteSection(2 * n, entries, kind, {"margin": margin, "halves": n})
     raise ValueError(f"unknown section kind {kind!r}")
 
@@ -353,7 +343,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     """Null space from the solves of one augmented section, with a certified
     spectral gap.
 
-    sigma_max is estimated (from below) by Golub-Kahan-Lanczos
+    sigma_max is estimated (from below) by Lanczos on M^H M
     (_norm_estimate): PEAK_LANCZOS_STEPS steps from the Fourier mode at the
     peak of |a| for a pair section, LANCZOS_STEPS from a random start for
     any other; singular values at or below the cut
@@ -403,8 +393,9 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     _cheaper passes, through its circulant-plus-low-rank structure
     (_Woodbury), else from one factorization of the formed M' (_factor).
     Where M' took the structured path, M'' comes from the same builder,
-    solved through S with a capacitance of R + rank(E) + k columns (formed
-    and factored where _cheaper refuses that width).  Else
+    solved through S with a capacitance of R + rank(E) + k columns, which
+    _cheaper always passes: the sketch loop ends with k <= p, and _cheaper,
+    monotone in the width, passed R + rank(E) + p for M'.  Else
     M'' = M' + L R^H, with L = sigma_max [W0, -Y] and R = [V, Z] (at k = 0,
     M'' = M), is solved on both sides through M''s solves by the Woodbury
     identity (_Woodbury), so neither M'' nor the power step adds a
@@ -465,7 +456,7 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     except np.linalg.LinAlgError as exc:
         raise NoSpectralGap(f"augmented section is singular ({exc})") from None
     above(kept, need, NoSpectralGap, "lower bound on the kept singular values")
-    left = _orth(solved[:, :k], k)
+    left = np.linalg.svd(solved[:, :k], full_matrices=False)[0][:, :k]
     below(float(np.linalg.norm(section.adjoint_product(left), 2)), cut, NoSpectralGap,
           "residual of the left null vectors")
     return NullSpace(k, right, left)
@@ -474,10 +465,6 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
 def _gaussian(rng: np.random.Generator, n: int, p: int) -> np.ndarray:
     # columns of norm about 1, so sigma_max Y V^H is as large as M
     return (rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))) / np.sqrt(2 * n)
-
-
-def _orth(a: np.ndarray, k: int) -> np.ndarray:
-    return np.linalg.svd(a, full_matrices=False)[0][:, :k]
 
 
 def _linalg() -> tuple[ctypes.CDLL, str] | None:
@@ -774,19 +761,21 @@ def _smallest_bound(probes: np.ndarray, power: int = 1) -> float:
 
 
 def _norm_estimate(section: FiniteSection, rng: np.random.Generator) -> float:
-    """sigma_max of the section from Golub-Kahan-Lanczos bidiagonalization with full
-    reorthogonalization: the largest singular value of the bidiagonal B,
-    from the eigenvalues of B^H B.  The start is rng's first unit vector g.
+    """sigma_max of the section from symmetric Lanczos on (M / s)^H (M / s)
+    with full reorthogonalization: s times the square root of the largest
+    eigenvalue of its tridiagonal, s the power of 2 at the first product's
+    largest entry, so no finite ||M|| squares out of the float range and
+    the scaling rounds nothing.  The start is rng's first unit vector g.
     For a pair section it is exp(i theta j) / sqrt(n) + 0.3 g, normalized,
     theta = 2 pi m / len(eig) where |eig| (a's samples on T's circulant)
     peaks at m: T(a) + H(b) is T(a) plus a compact part, so its largest
     singular values lie near max |a| with vectors near that Fourier mode,
     and g keeps every other direction in reach.  Stops at
     PEAK_LANCZOS_STEPS steps from that start, LANCZOS_STEPS from g alone,
-    or when alpha or beta falls to rounding level relative to the largest
-    alpha (an invariant subspace: the identity stops after one step, the
-    zero section before any).  Each step takes one product and one adjoint
-    product of the section (FiniteSection), so no copy of M^H is made."""
+    or when beta falls to n eps max(alpha) (an invariant subspace: the
+    identity and the zero section stop after one step).  A step takes one
+    product and, but for the last, one adjoint product of the section
+    (FiniteSection), so neither M^H nor M^H M is formed."""
     n = section.size
     v = _gaussian(rng, n, 1)[:, 0]
     v /= np.linalg.norm(v)
@@ -797,36 +786,29 @@ def _norm_estimate(section: FiniteSection, rng: np.random.Generator) -> float:
         v = np.exp(1j * theta * np.arange(n)) / np.sqrt(n) + 0.3 * v
         v /= np.linalg.norm(v)
         steps = min(PEAK_LANCZOS_STEPS, n)
-    us = np.zeros((steps, n), dtype=complex)
+    u = section.product(v)
+    top = float(np.max(np.abs(u)))
+    finite("largest entry of the norm estimate's first product", top)
+    s = np.ldexp(1.0, np.frexp(top)[1] - 1)   # s <= top < 2 s, or 0.5 for the zero section
     vs = np.zeros((steps, n), dtype=complex)
     alphas, betas = [], []
-    floor = n * np.finfo(float).eps
-    u = np.zeros(n, dtype=complex)
-    beta = scale = 0.0
     for j in range(steps):
         vs[j] = v
-        u = section.product(v) - beta * u
-        for _ in range(2):   # Gram-Schmidt twice
-            u -= us[:j].T @ (us[:j].conj() @ u)
-        alpha = float(np.linalg.norm(u))
-        scale = max(scale, alpha)
-        if alpha <= floor * scale:
+        u = u / s
+        alphas.append(float(np.vdot(u, u).real))   # v^H M^H M v / s^2, never below 0
+        if j == steps - 1:
             break
-        u /= alpha
-        us[j] = u
-        alphas.append(alpha)
-        w = section.adjoint_product(u) - alpha * v
-        for _ in range(2):
+        w = section.adjoint_product(u) / s
+        for _ in range(2):   # Gram-Schmidt twice
             w -= vs[: j + 1].T @ (vs[: j + 1].conj() @ w)
         beta = float(np.linalg.norm(w))
-        if beta <= floor * scale or j == steps - 1:
+        if beta <= n * np.finfo(float).eps * max(alphas):
             break
         v = w / beta
         betas.append(beta)
-    if not alphas:
-        return 0.0
-    b = np.diag(alphas) + np.diag(betas[: len(alphas) - 1], 1)
-    return float(np.sqrt(np.linalg.eigvalsh(b.T @ b)[-1]))
+        u = section.product(v)
+    tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    return float(s * np.sqrt(np.linalg.eigvalsh(tri)[-1]))
 
 
 def _ritz(
@@ -929,11 +911,9 @@ def residual_check(section: FiniteSection, f: TruncatedSeries, adjoint: bool = F
     read or copied."""
     if section.kind == "block":
         raise ValueError("use block_residual_check for block sections")
-    n = section.size
-    if f.hi + section.margin >= n:
-        raise WindowTooTight(
-            f"support up to t^{f.hi} with margin {section.margin} exceeds N={n}"
-        )
+    n, margin = section.size, int(section.meta.get("margin", 0))
+    if f.hi + margin >= n:
+        raise WindowTooTight(f"support up to t^{f.hi} with margin {margin} exceeds N={n}")
     vec = f.to_vector(n)
     exps = f.lo + np.arange(len(f.coeffs))
     outside = f.coeffs[(exps < 0) | (exps >= n)]

@@ -17,11 +17,10 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooSmall
+from .errors import GridTooSmall, below, finite
 from .laurent import add_windows, horner
 from .rational import RationalSymbol
 
@@ -36,7 +35,6 @@ class TruncatedSeries:
 
     lo: int
     coeffs: np.ndarray = field(repr=False)
-    tail: Optional[float] = None  # reported bound on dropped coefficients
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
@@ -76,13 +74,11 @@ class TruncatedSeries:
     def trim(self, tol: float = 1e-14) -> "TruncatedSeries":
         scale = np.max(np.abs(self.coeffs))
         if scale == 0:
-            return TruncatedSeries(0, [0.0], tail=self.tail)
+            return TruncatedSeries(0, [0.0])
         keep = np.abs(self.coeffs) > tol * scale
         first = int(np.argmax(keep))
         last = int(len(keep) - np.argmax(keep[::-1]) - 1)
-        return TruncatedSeries(
-            self.lo + first, self.coeffs[first : last + 1], tail=self.tail
-        )
+        return TruncatedSeries(self.lo + first, self.coeffs[first : last + 1])
 
     def eval(self, t) -> np.ndarray:
         return horner(self, t)
@@ -98,7 +94,7 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, RationalSymbol):
             return multiply_by_symbol(self, other)
-        return TruncatedSeries(self.lo, self.coeffs * complex(other), tail=self.tail)
+        return TruncatedSeries(self.lo, self.coeffs * complex(other))
 
     __rmul__ = __mul__
 
@@ -117,7 +113,7 @@ class TruncatedSeries:
         if not np.any(mask):
             return TruncatedSeries.zero()
         coeffs = np.where(mask, self.coeffs, 0.0)
-        return TruncatedSeries(self.lo, coeffs, tail=self.tail).trim(0.0)
+        return TruncatedSeries(self.lo, coeffs).trim(0.0)
 
 
 def project_analytic(f: TruncatedSeries, which: str) -> TruncatedSeries:
@@ -140,8 +136,8 @@ def fourier_coefficients(s: RationalSymbol, window: tuple[int, int]) -> Truncate
 
     s is evaluated on a doubling grid of the unit circle until the
     coefficient tail certifies below FFT_TAIL_TOL * max(1, max |s|), the
-    scale of its rounding (GridTooSmall at FFT_CAP).  The returned series
-    carries the tail bound.
+    scale of its rounding (GridTooSmall at FFT_CAP).  A tail or scale that
+    is not finite ends the doubling at once: NumericalBreakdown (finite).
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > hi:
@@ -157,12 +153,11 @@ def fourier_coefficients(s: RationalSymbol, window: tuple[int, int]) -> Truncate
         # bins m/2-edge region estimate the aliasing tail
         edge = np.abs(co[m // 2 - m // 16 : m // 2 + m // 16])
         tail = float(np.max(edge))
-        if tail < FFT_TAIL_TOL * max(1.0, float(np.max(np.abs(vals)))):
-            exps = np.arange(lo, hi + 1)
-            out = co[np.mod(exps, m)]
-            return TruncatedSeries(lo, out, tail=tail)
+        bound = FFT_TAIL_TOL * float(np.max(np.abs(vals), initial=1.0))
+        what = f"aliasing tail on {m} points (grid cap {FFT_CAP})"
+        finite(what, tail, bound)
         if m >= FFT_CAP:
-            raise GridTooSmall(
-                f"tail {tail:.3e} above {FFT_TAIL_TOL} at the {FFT_CAP} grid cap"
-            )
+            below(tail, bound, GridTooSmall, what)
+        if tail < bound:
+            return TruncatedSeries(lo, co[np.mod(np.arange(lo, hi + 1), m)])
         m *= 2

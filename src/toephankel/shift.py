@@ -25,8 +25,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BetaInsideDisk, CrossCheckMismatch, GridTooSmall, PoleHit, below
-from .rational import RationalSymbol
+from .errors import BetaInsideDisk, CrossCheckMismatch, GridTooSmall, PoleHit, below, finite
+from .rational import RationalSymbol, _circle
 from .series import FFT_CAP, TruncatedSeries
 
 _CHECK_GRID = 64
@@ -43,24 +43,20 @@ class ShiftParams:
     lam: complex
     t_plus: complex
     t_minus: complex
-    alpha: RationalSymbol
     alpha_plus: RationalSymbol
     alpha_minus: RationalSymbol
     chi: RationalSymbol
     psi_cap: RationalSymbol
 
     @property
-    def decay(self) -> float:
-        """Geometric tail ratio of flip images: 1/|beta|."""
-        return 1.0 / abs(self.beta)
-
-    @property
     def pad(self) -> int:
-        """Exponents beyond which a flip image's tail drops below FLIP_TAIL_TOL."""
-        return int(np.ceil(np.log(FLIP_TAIL_TOL) / np.log(self.decay))) + 4
+        """Exponents beyond which a flip image's tail, of geometric ratio
+        1/|beta|, drops below FLIP_TAIL_TOL."""
+        return int(np.ceil(np.log(FLIP_TAIL_TOL) / np.log(1.0 / abs(self.beta)))) + 4
 
     def circle_grid(self, n: int = 512) -> np.ndarray:
-        return np.exp(2j * np.pi * (np.arange(n) + 0.2371) / n)
+        """n read-only points of the unit circle, offset from the roots of unity."""
+        return _circle(n)
 
 
 def make_shift(beta: complex) -> ShiftParams:
@@ -73,15 +69,14 @@ def make_shift(beta: complex) -> ShiftParams:
     t_plus = (1.0 + lam) / bc
     t_minus = (1.0 - lam) / bc
     pole = 1.0 / bc
-    # alpha = (t - beta) / (bc t - 1); chi = (bc t - 1) / lam = t / alpha_minus
-    alpha = RationalSymbol.from_factors(pole, 0, [beta, pole], [1, -1])
+    # alpha = (t - beta) / (bc t - 1) = alpha_plus t^-1 alpha_minus; chi = t / alpha_minus
     alpha_plus = RationalSymbol.from_factors(1.0 / lam, 0, [beta], [1])
     alpha_minus = RationalSymbol.from_factors(lam * pole, 1, [pole], [-1])
     chi = RationalSymbol.from_factors(bc / lam, 0, [pole], [1])
     psi_cap = RationalSymbol.from_factors(lam, 1, [beta], [-1])
     shift = ShiftParams(
         beta, complex(lam), complex(t_plus), complex(t_minus),
-        alpha, alpha_plus, alpha_minus, chi, psi_cap,
+        alpha_plus, alpha_minus, chi, psi_cap,
     )
     _verify(shift)
     return shift
@@ -138,7 +133,9 @@ def apply_J_alpha(
 
     Rational symbols are transformed exactly; coefficient windows go through
     a circle grid and are re-expanded by FFT, with the geometric |beta|^-1
-    tail certified below FLIP_TAIL_TOL (GridTooSmall otherwise).
+    tail certified below FLIP_TAIL_TOL (GridTooSmall otherwise), the pad
+    doubled until it does; an edge that is not finite ends the doubling at
+    once: NumericalBreakdown (finite).
     """
     if isinstance(f, RationalSymbol):
         comp = compose_with_shift(f, shift)
@@ -161,11 +158,12 @@ def apply_J_alpha(
         co = np.fft.fft(vals) / m
         exps = np.arange(lo, hi + 1)
         out = co[np.mod(exps, m)]
-        edge = max(
-            float(np.max(np.abs(out[:2]))), float(np.max(np.abs(out[-2:])))
-        )
-        if edge <= FLIP_TAIL_TOL * scale:
-            return TruncatedSeries(lo, out, tail=edge).trim(1e-15)
+        edge = float(np.max(np.abs(out[[0, 1, -2, -1]])))
+        bound = FLIP_TAIL_TOL * scale
+        what = f"edge of the flip window with pad {pad}"
+        finite(what, edge, bound)
+        if 2 * pad > 10_000:
+            below(edge, bound, GridTooSmall, what)
+        if edge < bound:
+            return TruncatedSeries(lo, out).trim(1e-15)
         pad *= 2
-        if pad > 10_000:
-            raise GridTooSmall("flip tail failed to certify below tolerance")

@@ -383,6 +383,7 @@ def test_malformed_spec_exits_one(problem, flags, tmp_path, capsys):
     ("analyze", -2000, 64),
     ("fredholm", 2000, None),  # chi^2000 overflows on the arc: not "not Fredholm"
     ("verify", -500, 64),      # the section's sketch underflows
+    ("verify", 1100, 64),      # the tail of H(b)'s window overflows: not "window too small"
 ])
 def test_float_range_breakdown_exits_four(command, k, n, tmp_path):
     # a valid chi^k whose arithmetic leaves the float range cannot be
@@ -391,6 +392,21 @@ def test_float_range_breakdown_exits_four(command, k, n, tmp_path):
     problem = {"command": command, "shift": _BETA2, "a": f"chi^{k}", "b": f"chi^{k}"}
     if n is not None:
         problem["N"] = n
+    _assert_breakdown_in_own_process(problem)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_scaled_identity_section_is_not_read_as_zero(scale):
+    # a = b = scale is scale times the identity: a sigma_max estimate that
+    # squared it out of the float range read 0.0, so the whole space came
+    # out as null space (ker = coker = 32, exit 0); its sketch leaves the
+    # float range, so it cannot be certified
+    const = {"laurent": {"lo": 0, "coeffs": [[scale, 0.0]]}}
+    _assert_breakdown_in_own_process(
+        {"command": "verify", "shift": _BETA2, "a": const, "b": const, "N": 64})
+
+
+def _assert_breakdown_in_own_process(problem):
     proc = subprocess.run([sys.executable, "-m", "toephankel.cli"],
                           input=json.dumps(problem).encode(), capture_output=True, timeout=120)
     assert proc.returncode == 4, proc.stderr

@@ -785,16 +785,32 @@ def test_woodbury_backward_error_gate(shift2, monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_norm_estimate_bounds_the_norm_from_below(n, monkeypatch):
-    # Golub-Kahan-Lanczos reads sigma_max from below: within 5e-3 on the
+    # Lanczos on M^H M reads sigma_max from below: within 5e-3 on the
     # reference sections (4.8e-3 on chi^-10 at beta 2, N = 256), through the
-    # structured products and through the dense ones
+    # structured products and through the dense ones.  The Hankel section of
+    # chi at beta 1.05 and the pair sections (0, chi) at beta 2j are of low
+    # rank, so the recurrence reaches an invariant subspace within its steps:
+    # one that dropped its last coefficient there read 0.0145 of the first at
+    # N = 128 and 0.045 of the second at N = 256.  The sections of chi^-2
+    # scaled by 1e-170 and 1e200 square out of the float range in M^H M:
+    # unscaled, the first reads 0.0 and the second raises LinAlgError (and
+    # Golub-Kahan, whose unscaled norms square too, read 0.0 for both)
+    sections = []
     for k, beta in itertools.product((-10, -6, -2, 1, 3), (2.0, 1.5 + 0.5j)):
         sh = make_shift(beta)
-        for sec in oracle.pair_sections((sh.chi.power(k),) * 2, sh, n).values():
-            norm = np.linalg.norm(sec.entries, 2)
-            for path in (sec, _dense(sec)):
-                est = oracle._norm_estimate(path, np.random.default_rng(0))
-                assert (1 - 5e-3) * norm <= est <= norm * (1 + 1e-12)
+        sections += oracle.pair_sections((sh.chi.power(k),) * 2, sh, n).values()
+    sh = make_shift(1.05)
+    sections.append(oracle.operator_section("hankel", sh.chi, sh, n))
+    sh = make_shift(2j)
+    sections += oracle.pair_sections((RationalSymbol.constant(0.0), sh.chi), sh, n).values()
+    sh = make_shift(2.0)
+    for scale in (1e-170, 1e200):
+        sections += oracle.pair_sections((sh.chi.power(-2) * scale,) * 2, sh, n).values()
+    for sec in sections:
+        norm = np.linalg.norm(sec.entries, 2)
+        for path in (sec, _dense(sec)):
+            est = oracle._norm_estimate(path, np.random.default_rng(0))
+            assert (1 - 5e-3) * norm <= est <= norm * (1 + 1e-12)
 
     def estimate(entries):
         return oracle._norm_estimate(FiniteSection(64, entries, "toeplitz", {}),
