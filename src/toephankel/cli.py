@@ -310,6 +310,8 @@ _COMMANDS = {
 }
 
 
+# the gates read NaN and inf as NumericalBreakdown: numpy's warnings of them would only reach stderr
+@np.errstate(all="ignore")
 def run(problem: dict, opts: dict):
     """Dispatch a parsed problem dict; returns (report, exit_code).  A KeyError,
     TypeError, ValueError or OverflowError in parsing it is an InputError."""

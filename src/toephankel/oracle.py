@@ -9,32 +9,26 @@ algebra: every coefficient window comes from the certified circle FFT
 Hankel, whose section is b's classical Hankel matrix times the
 coefficients of the flip images (_hankel_entries).  pair_sections
 assembles T(a) and H(b) once, as the factors of T(a) + H(b) and
-T(a) - H(b), and writes no n x n block: T(a)'s window of 2N - 1
-coefficients, the FFT of its circulant embedding, and H(b) = B C, of
-rank R.  Products go through them at O(N log N + N R) a column
-(FiniteSection).
+T(a) - H(b): T(a)'s window of 2N - 1 coefficients, the FFT of its
+circulant embedding, and H(b) = B C, of rank R.  A rational symbol's
+Toeplitz and Hankel sections are the '+' sections of (a, 0) and (0, b).
+Products go through the factors at O(N log N + N R) a column
+(FiniteSection); only sections given as matrices (block, loaded,
+hand-made) or by quadrature (PC) hold n x n entries.
 
-A section's null space comes from the solves of two augmented sections
-(numerical_null_space): sigma_max from a few Lanczos steps on M^H M
-(for a pair section started at the Fourier mode where |a| peaks), the
-right basis from a Rayleigh-Ritz step on the range of two solves with a
-randomly augmented section M', and the left basis and the spectral-gap
-certificate from solves with M'', the section augmented by the right
-basis.  Both are solved with on both sides (_augmented_solves).  A pair
-section of N >= 224 rows, whose low-rank rest has at most N/8 columns and
-whose corners reach at most 2N/7 rows (_cheaper), does so through its
-structure, and no n x n block is written: T is a circulant, one FFT pair
-a solve, plus two corners of low numerical rank, and all the rest of M'
-and of M'' is low rank, so _Woodbury solves each through the circulant.
-Otherwise M' is formed and factored once, in place, by the zgetrf of the
-LAPACK numpy calls (_lapack, _LU), and M'' is a low-rank update of it
-(_Woodbury); where that LAPACK is not found, np.linalg.solve copies and
-factors M' per solve (_Solve).  The
-certificate bounds the dropped singular values above and the kept ones
-below, so no singular spectrum is computed, and both bases are checked
-by their residuals.  Localization counts the directions of
-the null space with most of their mass in the first half of the
-coordinates, whatever basis the null space is given in.  Every caller
+A section's null space (numerical_null_space) takes sigma_max from a few
+Lanczos steps on M^H M (_norm_estimate) and divides the section by the
+power of 2 at it.  A Rayleigh-Ritz step on the range of two solves with
+a randomly augmented section M' gives the right basis, and solves with
+M'', the section augmented by the right basis, the left basis and the
+spectral-gap certificate.  Both are solved through the section's
+structure where _cheaper passes, no n x n block written, else through one
+LU of the formed M' (_augmented_solves).  The certificate bounds the
+dropped singular values above and the kept ones below, so no singular
+spectrum is computed, and both bases are checked by their residuals.
+Localization counts the directions of the null space with most of their
+mass in the first half of the coordinates, whatever basis the null space
+is given in.  Every caller
 gets these dimensions from null_dims, which solves the null spaces at
 once where the CPUs hold the threads OpenBLAS reports per call, from
 CONCURRENT_MIN_SIZE rows on; errors come in sign order.
@@ -54,6 +48,7 @@ piecewise-continuous symbols are outside what this oracle can adjudicate.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import os
@@ -73,14 +68,13 @@ SVD_TOL = 1e-8
 SVD_GAP = 100.0
 SKETCH = 4             # rank of the first augmentation of a section (numerical_null_space)
 PROBES = 4             # extra random right-hand sides that bound a smallest singular value
-LANCZOS_STEPS = 20     # Lanczos steps on M^H M of the sigma_max estimate from a random start
-# and from a pair section's start at the peak of |a| (_norm_estimate).  Worst shortfall below
-# ||M||_2 (random start, 20 steps / this start, 8 steps / this start, 10 steps): 8.1e-4 / 2.6e-4
-# / 7.9e-5 on the ORACLE_PAIRS sections at N = 1024; 9.9e-4 / 3.4e-4 / 2.3e-4 and 4.8e-3 / 3.7e-4
-# / 2.3e-4 on the chi^k sections of test_norm_estimate_bounds_the_norm_from_below at N = 128 and
-# 256; 9.1e-4 / 2.2e-4 / 1.6e-4 on chi^-2 and chi^3 at beta 1.2 and 1.05, N = 256; 1.0e-3 /
-# 2.7e-4 / 2.0e-4 with H dominant (a = 0.01 chi^-1, b = 5 chi^-3, beta 2, N = 256)
-PEAK_LANCZOS_STEPS = 10
+LANCZOS_STEPS = 10     # of the sigma_max estimate (_norm_estimate).  Worst shortfall below
+# ||M||_2 (these steps / 20 from a random start): 7.9e-5 / 8.1e-4, ORACLE_PAIRS at N = 1024;
+# 2.3e-4 / 4.8e-3, the chi^k pair sections of test_norm_estimate_bounds_the_norm_from_below,
+# and 4.8e-3 / 4.8e-3, their factorless copies; 1.6e-4 / 9.1e-4, chi^-2 and chi^3 at beta 1.2
+# and 1.05, N = 256; 2.0e-4 / 1.0e-3, a = 0.01 chi^-1, b = 5 chi^-3 at beta 2, N = 256; 2.6e-4 /
+# 2.2e-3, Toeplitz sections of chi^k (k = -3, -1, 2, 5; N = 128, 256); 1.1e-2 / 9.4e-4, block
+# sections of chi^k (k = 1, 2, 3, 5; N = 64, 128), whose first column and row are no Toeplitz's
 HMT = 10 * np.sqrt(2 / np.pi)   # Halko-Martinsson-Tropp's constant of a norm bound from probes
 # largest normwise backward error of a refined solve with M'' (_Woodbury): its probes
 # are then those of a block within 2e-13 sigma_max of M''; 9e-16 at most was measured
@@ -104,7 +98,8 @@ _MALLOPT(-3, 1 << 20)
 class FiniteSection:
     """N x N compression of an operator in the Fourier basis.
 
-    A pair section (pair_sections) holds no n x n block: its factors are
+    A factored section (pair_sections, and operator_section's Toeplitz and
+    Hankel sections of a rational symbol) holds no n x n block: its factors are
     (eig, hank, flip, sign, window), M = T + sign hank @ flip, T the
     Toeplitz matrix of window's 2N - 1 coefficients (_toeplitz_window), eig
     the eigenvalues of T's 2N x 2N circulant embedding, hank @ flip the
@@ -117,7 +112,7 @@ class FiniteSection:
     of the structured paths."""
 
     size: int
-    entries: np.ndarray | None = field(repr=False)   # None for a pair section
+    entries: np.ndarray | None = field(repr=False)   # None for a factored section
     kind: str = ""
     meta: dict = field(default_factory=dict)
     factors: tuple | None = field(default=None, repr=False, compare=False)
@@ -129,7 +124,7 @@ class FiniteSection:
             self.entries.setflags(write=False)
 
     def __getattr__(self, name):
-        # reached only for the entries of a pair section, before their first read
+        # reached only for the entries of a factored section, before their first read
         if name != "entries" or self.factors is None:
             raise AttributeError(name)
         none = np.zeros((self.size, 0), dtype=complex)
@@ -157,9 +152,17 @@ class FiniteSection:
         out += sign * np.conj(flip.T @ (hank.T @ x.conj()))
         return out
 
+    def divided(self, s: float) -> FiniteSection:
+        """M / s, s a power of 2: its factors eig, B and window, or a copy of its entries."""
+        if self.factors is None:
+            return FiniteSection(self.size, self.entries / s, self.kind, self.meta)
+        eig, hank, flip, sign, window = self.factors
+        return FiniteSection(self.size, None, self.kind, self.meta,
+                             (eig / s, hank / s, flip, sign, window / s))
+
     def augmented(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """A fresh C-order block M + left right^H (M' of numerical_null_space):
-        for a pair section the one product [sign hank, left] @ [flip; right^H]
+        for a factored section the one product [sign hank, left] @ [flip; right^H]
         of rank R + p, into which T is added from its window's strided view."""
         if self.factors is None:
             aug = left @ right.conj().T
@@ -175,6 +178,12 @@ def _circulant(eig: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The first len(x) rows of circ [x; 0], circ the circulant with eigenvalues eig."""
     scale = eig if x.ndim == 1 else eig[:, None]
     return np.fft.ifft(scale * np.fft.fft(x, len(eig), axis=0), axis=0)[: len(x)]
+
+
+def _embedding(column: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """The eigenvalues of the circulant [column, 0, row[n-1] .. row[1]]: the
+    2n x 2n embedding of the Toeplitz matrix with this first column and row."""
+    return np.fft.fft(np.concatenate((column, [0.0], row[:0:-1])))
 
 
 def _toeplitz_window(window: np.ndarray, width: int) -> np.ndarray:
@@ -255,12 +264,13 @@ def _refuse_oversized(n: int, size: int) -> None:
     MAX_SECTION_BYTES (size is 2n for a block section, else n).
 
     operator_section and pair_sections check this before they allocate.  A
-    pair section holds no n x n block.  A null space holds none on the
-    structured path (_augmented_solves), and one on the dense path, M',
+    factored section holds no n x n block.  Its null space holds none on
+    the structured path (_augmented_solves), and one on the dense path, M',
     factored in place (two on the np.linalg.solve fallback, with LAPACK's
-    copy), so two null spaces at once hold four at most.  Blocks are
-    unmapped when freed (the mmap threshold), so these counts are what
-    stays resident."""
+    copy), so two null spaces at once hold four at most; that of a section
+    given its entries also holds them divided (FiniteSection.divided).
+    Blocks are unmapped when freed (the mmap threshold), so these counts are
+    what stays resident."""
     if n < 8:
         raise InputError(f"section size {n} is below 8")
     need = 4 * size * size * np.dtype(complex).itemsize
@@ -283,8 +293,7 @@ def pair_sections(payload, shift: ShiftParams, n: int) -> dict[str, FiniteSectio
     _refuse_oversized(n, n)
     window = _toeplitz_entries(a, n)
     hank, flip, _ = _hankel_entries(b, shift, n)
-    # T's first column a_0 .. a_(n-1), then its first row's a_(1-n) .. a_(-1)
-    eig = np.fft.fft(np.concatenate((window[n - 1 :], [0.0], window[: n - 1])))
+    eig = _embedding(window[n - 1 :], window[n - 1 :: -1])   # T's first column and row
     meta = {"margin": max(_symbol_margin(a), _symbol_margin(b) + shift.pad)}
     return {
         "+": FiniteSection(n, None, "plus", dict(meta), (eig, hank, flip, 1.0, window)),
@@ -298,7 +307,8 @@ def operator_section(kind: str, payload, shift: ShiftParams, n: int) -> FiniteSe
     kind is one of 'toeplitz', 'hankel', 'plus', 'minus', 'block'.
     'toeplitz'/'hankel' take a single symbol, the others a MatchingPair or
     an (a, b) tuple of symbols.  'plus' and 'minus' come from
-    pair_sections, which builds both; callers that need both use it.
+    pair_sections, which builds both; callers that need both use it.  So do
+    a rational symbol's: T(a) is the '+' section of (a, 0), H(b) of (0, b).
     """
     _refuse_oversized(n, 2 * n if kind == "block" else n)
     if kind in ("toeplitz", "hankel"):
@@ -310,14 +320,11 @@ def operator_section(kind: str, payload, shift: ShiftParams, n: int) -> FiniteSe
                 raise ValueError("hankel sections require a rational symbol")
             entries, _ = pc_toeplitz_entries(sym, shift, n)
             return FiniteSection(n, entries, kind, {"margin": n // 2})
-        if kind == "toeplitz":
-            entries = _toeplitz_window(_toeplitz_entries(sym, n), n).copy()
-            margin = _symbol_margin(sym)
-        else:
-            hank, flip, _ = _hankel_entries(sym, shift, n)
-            entries = hank @ flip
-            margin = _symbol_margin(sym) + shift.pad
-        return FiniteSection(n, entries, kind, {"margin": margin})
+        zero = RationalSymbol.constant(0.0)
+        pair = (sym, zero) if kind == "toeplitz" else (zero, sym)
+        margin = _symbol_margin(sym) + (shift.pad if kind == "hankel" else 0)
+        factors = pair_sections(pair, shift, n)["+"].factors
+        return FiniteSection(n, None, kind, {"margin": margin}, factors)
     if kind in ("plus", "minus"):
         return pair_sections(payload, shift, n)["+" if kind == "plus" else "-"]
     if kind == "block":
@@ -343,12 +350,12 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     """Null space from the solves of one augmented section, with a certified
     spectral gap.
 
-    sigma_max is estimated (from below) by Lanczos on M^H M
-    (_norm_estimate): PEAK_LANCZOS_STEPS steps from the Fourier mode at the
-    peak of |a| for a pair section, LANCZOS_STEPS from a random start for
-    any other; singular values at or below the cut
-    SVD_TOL * sigma_max count as zero, and only the zero section has an
-    estimate of 0 and a null space of everything.
+    sigma_max is estimated (from below) by _norm_estimate; singular values
+    at or below the cut SVD_TOL * sigma_max count as zero, and only the
+    zero section has an estimate of 0 and a null space of everything.  The
+    rest runs on the section divided by the power of 2 s <= sigma_max < 2 s
+    (FiniteSection.divided), so no solve squares 1 / ||M|| out of the float
+    range, and in range every step is the undivided arithmetic times 1 / s.
 
     Right basis V.  With M' = M + sigma_max Y Z^H, Y and Z seeded n x p
     blocks (p = SKETCH), a null vector v of M is M'^-1 Y (sigma_max Z^H v):
@@ -383,13 +390,8 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     come where the full SVD finds the gap.  Both bases must also leave a
     residual below the cut.
 
-    Every product with M (the Lanczos steps, both Rayleigh-Ritz steps, the
-    residuals ||M V|| and ||M^H W||, the refinement of the solves with M'
-    and M'') is the section's product or adjoint_product: for a pair
-    section they go through its factors, and no dense entries are read.
-
     No n x n SVD, least-squares solve or inverse is taken.  M''s solves come
-    from _augmented_solves, once per sketch width: for a pair section that
+    from _augmented_solves, once per sketch width: for a factored section that
     _cheaper passes, through its circulant-plus-low-rank structure
     (_Woodbury), else from one factorization of the formed M' (_factor).
     Where M' took the structured path, M'' comes from the same builder,
@@ -403,19 +405,21 @@ def numerical_null_space(section: FiniteSection) -> NullSpace:
     refined once and gated by its backward error (SOLVE_BACKWARD_TOL); a
     failed gate with M' widens the sketch, and one with M'' is
     NoSpectralGap, as a wider sketch leaves M'' as it is.  A singular M''
-    (a singular capacitance) is NoSpectralGap too.  Besides the section,
-    on the structured path no n x n block is held but a formed M''; on the
-    dense path one: M', which zgetrf overwrites with its factors, until the
-    null space returns (on the np.linalg.solve fallback also LAPACK's copy
-    of it, factored again for every solve).  The rest is
-    O(n (R + rank(E) + p + k)): the factors' products, the solves' columns
-    and the Lanczos vectors.
+    (a singular capacitance) is NoSpectralGap too.  Besides the section
+    (and its divided entries, for a section given them), on the structured
+    path no n x n block is held but a formed M''; on the dense path one:
+    M', which zgetrf overwrites with its factors, until the null space
+    returns (on the np.linalg.solve fallback also LAPACK's copy of it,
+    factored again for every solve).  The rest is O(n (R + rank(E) + p +
+    k)): the factors' products, the solves' columns and the Lanczos vectors.
     """
     n = section.size
     rng = np.random.default_rng(0)
     smax = _norm_estimate(section, rng)
     if smax == 0.0:
         return NullSpace(n, np.eye(n, dtype=complex), np.eye(n, dtype=complex))
+    s = np.ldexp(1.0, np.frexp(smax)[1] - 1)   # s <= smax < 2 s
+    section, smax = section.divided(s), smax / s
     cut = SVD_TOL * smax
     p = min(SKETCH, n)
     augmented = _augmented_solves(section, smax)
@@ -523,10 +527,10 @@ def _augmented_solves(section: FiniteSection, scale: float):
 
     Dense path: LAPACK's LU of the block section.augmented forms (_factor).
     It serves sections without factors, the cross-check of the other path,
-    and pair sections of n < 224, a capacitance over n/8 columns or corners
+    and factored sections of n < 224, a capacitance over n/8 columns or corners
     past 2n/7 rows (_cheaper), or whose S is singular to eps scale.
 
-    Structured path, for a pair section: M' is never formed.  T = S + E, S
+    Structured path, for a factored section: M' is never formed.  T = S + E, S
     the Strang circulant of T's own window (a_0 .. a_(h-1), then a_(h-n) ..
     a_-1, h = n // 2), solved by one FFT pair (_Circulant), and E = T - S
     its two Toeplitz corner triangles, cut to their entries above eps scale
@@ -697,13 +701,13 @@ class _Woodbury:
     factors M' and M'^T apart.  C can be far worse conditioned than M' and
     M'' (5e13, chi^-10 at beta 1.5+0.5j, N = 256), so each solve is refined
     once against M x + P (Q^H x), or its adjoint, M x from section.product
-    (structured for a pair section), and raises NoSpectralGap if a column's
+    (structured for a factored section), and raises NoSpectralGap if a column's
     normwise backward error ||b - M'' x|| / (scale ||x|| + ||b||), scale
     about ||M''||, is then not below SOLVE_BACKWARD_TOL.  A singular C
     raises LinAlgError.
 
     It serves twice: M'' through the LU of M' (numerical_null_space, on the
-    dense path), and a pair section's M' and M'' through the Strang
+    dense path), and a factored section's M' and M'' through the Strang
     circulant S (_augmented_solves), for which M + P0 Q0^H = S holds to the
     cut of T's corners, a difference the refinement takes out."""
 
@@ -765,27 +769,25 @@ def _norm_estimate(section: FiniteSection, rng: np.random.Generator) -> float:
     with full reorthogonalization: s times the square root of the largest
     eigenvalue of its tridiagonal, s the power of 2 at the first product's
     largest entry, so no finite ||M|| squares out of the float range and
-    the scaling rounds nothing.  The start is rng's first unit vector g.
-    For a pair section it is exp(i theta j) / sqrt(n) + 0.3 g, normalized,
-    theta = 2 pi m / len(eig) where |eig| (a's samples on T's circulant)
-    peaks at m: T(a) + H(b) is T(a) plus a compact part, so its largest
-    singular values lie near max |a| with vectors near that Fourier mode,
-    and g keeps every other direction in reach.  Stops at
-    PEAK_LANCZOS_STEPS steps from that start, LANCZOS_STEPS from g alone,
-    or when beta falls to n eps max(alpha) (an invariant subspace: the
-    identity and the zero section stop after one step).  A step takes one
-    product and, but for the last, one adjoint product of the section
-    (FiniteSection), so neither M^H nor M^H M is formed."""
+    the scaling rounds nothing.  The start is exp(i theta j) / sqrt(n) +
+    0.3 g, normalized, g rng's first unit vector, theta = 2 pi m / len(eig)
+    and m the peak of |eig|, eig the circulant embedding (_embedding) of
+    T(a)'s first column and row for a factored section, of its own for any
+    other: T(a) + H(b) is T(a) plus a compact part, so its largest singular
+    values lie near max |a| with vectors near that Fourier mode, and g
+    keeps every other direction in reach.  Stops at LANCZOS_STEPS steps, or
+    when beta falls to n eps max(alpha) (an invariant subspace: the identity
+    and the zero section stop after one step).  A step takes one product
+    and, but for the last, one adjoint product (FiniteSection)."""
     n = section.size
-    v = _gaussian(rng, n, 1)[:, 0]
+    g = _gaussian(rng, n, 1)[:, 0]
+    g /= np.linalg.norm(g)
+    eig = (section.factors[0] if section.factors is not None
+           else _embedding(section.entries[:, 0], section.entries[0]))
+    theta = 2 * np.pi * np.argmax(np.abs(eig)) / len(eig)
+    v = np.exp(1j * theta * np.arange(n)) / np.sqrt(n) + 0.3 * g
     v /= np.linalg.norm(v)
     steps = min(LANCZOS_STEPS, n)
-    if section.factors is not None:
-        eig = section.factors[0]
-        theta = 2 * np.pi * np.argmax(np.abs(eig)) / len(eig)
-        v = np.exp(1j * theta * np.arange(n)) / np.sqrt(n) + 0.3 * v
-        v /= np.linalg.norm(v)
-        steps = min(PEAK_LANCZOS_STEPS, n)
     u = section.product(v)
     top = float(np.max(np.abs(u)))
     finite("largest entry of the norm estimate's first product", top)
@@ -885,7 +887,9 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
         except Exception as exc:   # raised again in the calling thread, in sign order
             spaces[sign] = exc
 
-    workers = [threading.Thread(target=solve, args=(sign,)) for sign in signs[1:width]]
+    # each worker runs in a copy of this thread's context, so np.errstate holds there too
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(solve, sign))
+               for sign in signs[1:width]]
     if workers:
         for worker in workers:
             worker.start()
@@ -907,7 +911,7 @@ def null_dims(sections: dict[str, FiniteSection], signs) -> dict[str, tuple[int,
 def residual_check(section: FiniteSection, f: TruncatedSeries, adjoint: bool = False) -> float:
     """|| M coeffs(f) ||_2 / || coeffs(f) ||_2 for analytic f, M the section,
     or M^H with adjoint: one product or adjoint_product of the section,
-    structured for a pair section (FiniteSection), so no n x n block is
+    structured for a factored section (FiniteSection), so no n x n block is
     read or copied."""
     if section.kind == "block":
         raise ValueError("use block_residual_check for block sections")

@@ -81,6 +81,10 @@ def random_laurent(rng, deg=8):
     return LaurentPolynomial(lo, coeffs)
 
 
+# (ker+, coker+, ker-, coker-) of benchmark_oracle_pairs, in order (inputs.ORACLE_DIMS)
+BENCHMARK_ORACLE_DIMS = ((2, 0, 2, 0), (1, 1, 0, 0), (0, 0, 0, 0), (0, 1, 0, 1))
+
+
 def benchmark_oracle_pairs():
     """The four pairs of perfbench's oracle_large workload (inputs.ORACLE_PAIRS)."""
 

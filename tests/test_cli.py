@@ -382,7 +382,7 @@ def test_malformed_spec_exits_one(problem, flags, tmp_path, capsys):
     ("signature", -1050, None),   # the matching residual is inf
     ("analyze", -2000, 64),
     ("fredholm", 2000, None),  # chi^2000 overflows on the arc: not "not Fredholm"
-    ("verify", -500, 64),      # the section's sketch underflows
+    ("verify", -500, 64),      # no spectral gap: once its sketch underflowed
     ("verify", 1100, 64),      # the tail of H(b)'s window overflows: not "window too small"
 ])
 def test_float_range_breakdown_exits_four(command, k, n, tmp_path):
@@ -392,28 +392,48 @@ def test_float_range_breakdown_exits_four(command, k, n, tmp_path):
     problem = {"command": command, "shift": _BETA2, "a": f"chi^{k}", "b": f"chi^{k}"}
     if n is not None:
         problem["N"] = n
-    _assert_breakdown_in_own_process(problem)
+    _assert_breakdown_in_own_process(
+        problem, "NoSpectralGap" if (command, k) == ("verify", -500) else "NumericalBreakdown")
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e200])
 def test_scaled_identity_section_is_not_read_as_zero(scale):
     # a = b = scale is scale times the identity: a sigma_max estimate that
     # squared it out of the float range read 0.0, so the whole space came
-    # out as null space (ker = coker = 32, exit 0); its sketch leaves the
-    # float range, so it cannot be certified
+    # out as null space (ker = coker = 32, exit 0), and solves that squared
+    # 1 / scale left the float range (exit 4); the null space of the section
+    # divided by the power of 2 at sigma_max is that of the identity
     const = {"laurent": {"lo": 0, "coeffs": [[scale, 0.0]]}}
-    _assert_breakdown_in_own_process(
-        {"command": "verify", "shift": _BETA2, "a": const, "b": const, "N": 64})
-
-
-def _assert_breakdown_in_own_process(problem):
+    problem = {"command": "verify", "shift": _BETA2, "a": const, "b": const, "N": 64}
     proc = subprocess.run([sys.executable, "-m", "toephankel.cli"],
+                          input=json.dumps(problem).encode(), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dims"] == {"ker+": 0, "coker+": 0, "ker-": 0, "coker-": 0}
+
+
+@pytest.mark.parametrize("problem", [
+    {"command": "verify", "shift": _BETA2, "b": "one", "N": 64,
+     "a": {"laurent": {"lo": 0, "coeffs": [[1e308, 0.0], [1e308, 0.0]]}}},
+    {"command": "signature", "shift": _BETA2, "a": "chi^1300"},
+], ids=["verify-1e308", "signature-chi^1300"])
+def test_numpy_warnings_stay_inside_the_cli(problem):
+    # cli.run handles each request under np.errstate(all="ignore"), and its
+    # gates read NaN and inf as NumericalBreakdown: under -W error a request
+    # whose arithmetic overflows exits 4 with one JSON line and says nothing
+    # on stderr, where numpy's RuntimeWarning once left as a traceback (exit 1)
+    proc = _assert_breakdown_in_own_process(problem, "NumericalBreakdown", "-W", "error")
+    assert proc.stderr == b""
+
+
+def _assert_breakdown_in_own_process(problem, error="NumericalBreakdown", *flags):
+    proc = subprocess.run([sys.executable, *flags, "-m", "toephankel.cli"],
                           input=json.dumps(problem).encode(), capture_output=True, timeout=120)
     assert proc.returncode == 4, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["type"] == "NumericalBreakdown"
+    assert json.loads(lines[0])["error"]["type"] == error
     assert b"Traceback" not in proc.stderr
+    return proc
 
 
 def test_pole_of_order_130_leaves_one_json_object(tmp_path, capsys):

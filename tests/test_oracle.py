@@ -36,7 +36,7 @@ from toephankel.errors import NoSpectralGap, NumericalBreakdown, WindowTooTight
 from toephankel.kernels import analytic_series
 from toephankel.shift import apply_J_alpha, eval_alpha
 
-from helpers import benchmark_oracle_pairs
+from helpers import BENCHMARK_ORACLE_DIMS, benchmark_oracle_pairs
 
 
 def test_toeplitz_identity(shift2):
@@ -65,6 +65,26 @@ def test_toeplitz_chi_entries(shift2):
 def _hankel_column(b, k, sh):
     """Column k of H(b), exactly: H(b) t^k = P(b J t^k)."""
     return (b * apply_J_alpha(RationalSymbol.monomial(k), sh)).part("P")
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_rational_toeplitz_and_hankel_sections_are_factored(n):
+    # T(a) is the '+' pair section of (a, 0) and H(b) that of (0, b): no n x n
+    # block until entries are read, then the dense T(a) and B @ C bit for bit,
+    # with the Toeplitz margin of a and the Hankel margin of b
+    for k, beta in itertools.product((-3, -1, 2), (2.0, 1.2, 1.05)):
+        sh = make_shift(beta)
+        a = sh.chi.power(k)
+        hank, flip, _ = oracle._hankel_entries(a, sh, n)
+        margin = oracle._symbol_margin(a)
+        for kind, block, pad in (
+            ("toeplitz", oracle._toeplitz_window(oracle._toeplitz_entries(a, n), n), 0),
+            ("hankel", hank @ flip, sh.pad),
+        ):
+            sec = operator_section(kind, a, sh, n)
+            assert sec.factors is not None and "entries" not in vars(sec)
+            assert (sec.kind, sec.meta) == (kind, {"margin": margin + pad})
+            assert np.array_equal(sec.entries, block)
 
 
 def test_hankel_columns_match_exact_action(shift2, rng):
@@ -286,6 +306,17 @@ def test_hankel_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 96e6
+
+
+@pytest.mark.parametrize("exponent", [-500, -60])
+def test_null_dims_of_scaled_benchmark_pairs(exponent):
+    # T(c a) +/- H(c b) has the defect numbers of T(a) +/- H(b): the null
+    # space divides the section by the power of 2 at sigma_max, where its
+    # solves M'^-1 M'^-H once squared 1 / c out of the float range
+    c = RationalSymbol.constant(2.0 ** exponent)
+    for pair, dims in zip(benchmark_oracle_pairs(), BENCHMARK_ORACLE_DIMS):
+        sections = oracle.pair_sections((pair.a * c, pair.b * c), pair.shift, 256)
+        assert oracle.null_dims(sections, "+-") == {"+": dims[:2], "-": dims[2:]}
 
 
 def test_null_space_identity():
@@ -858,8 +889,8 @@ def test_norm_estimate_from_the_peak_of_a(build):
 
 
 def test_norm_estimate_steps_and_invariant_starts(shift2, monkeypatch):
-    # a pair section takes PEAK_LANCZOS_STEPS products, its factorless copy
-    # LANCZOS_STEPS from a random start; the zero pair section (a = b = 0)
+    # a pair section and its factorless copy take LANCZOS_STEPS products
+    # each, from the peak of their circulant embeddings; the zero pair section (a = b = 0)
     # reads 0.0 and the identity (a = 1, b = 0) 1.0, each after one product,
     # and neither warns
     zero, one = RationalSymbol.constant(0.0), RationalSymbol.constant(1.0)
@@ -868,7 +899,7 @@ def test_norm_estimate_steps_and_invariant_starts(shift2, monkeypatch):
     monkeypatch.setattr(FiniteSection, "product",
                         lambda self, x: steps.append(True) or product(self, x))
     sec = _chi2_plus(shift2)
-    for path, count in ((sec, oracle.PEAK_LANCZOS_STEPS), (_dense(sec), oracle.LANCZOS_STEPS)):
+    for path, count in ((sec, oracle.LANCZOS_STEPS), (_dense(sec), oracle.LANCZOS_STEPS)):
         steps.clear()
         oracle._norm_estimate(path, np.random.default_rng(0))
         assert len(steps) == count
@@ -1105,8 +1136,8 @@ def test_structured_lifted_solves_and_dims(n, monkeypatch):
             structured += 1
             failures += failed
             assert factored == []
-        m = sec.entries
         for solver in (s for s in made if s.lifted):
+            m = solver._section.entries   # the section divided by the power of 2 at sigma_max
             p, q = solver.lift
             lifted += all(x is not None for *_, x in solver.solved)
             for adjoint, b, x in solver.solved:
@@ -1545,6 +1576,26 @@ def test_null_dims_solves_small_sections_in_turn(monkeypatch):
     _set_width(monkeypatch, 2)
     in_main = _record_threads(monkeypatch, _two_null_spaces(), 1)
     assert len(in_main) == 2 and all(in_main.values())
+
+
+def test_null_dims_workers_keep_the_callers_errstate(monkeypatch):
+    # np.errstate is context-local: a worker runs in a copy of the caller's
+    # context, so it warns of what the caller does, and of nothing under the CLI
+    sections = _two_null_spaces()
+    seen = {}
+    solve = oracle.numerical_null_space
+
+    def recorded(section):
+        seen[next(sign for sign, sec in sections.items() if sec is section)] = np.geterr()
+        return solve(section)
+
+    monkeypatch.setattr(oracle, "numerical_null_space", recorded)
+    monkeypatch.setattr(oracle, "CONCURRENT_MIN_SIZE", 64)
+    _set_width(monkeypatch, 2)
+    with np.errstate(all="ignore"):
+        assert oracle.null_dims(sections, "+-") == {"+": (1, 1), "-": (2, 2)}
+        assert seen == {"+": np.geterr(), "-": np.geterr()}
+    assert seen["-"] != np.geterr()
 
 
 def test_null_dims_many_workers_lose_no_result(monkeypatch):
